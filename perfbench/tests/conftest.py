@@ -1,0 +1,7 @@
+"""Make the benchmark's modules and the program under test importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
