@@ -292,7 +292,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             ),
             trace_path=args.trace,
             distance_backend=args.distance_backend,
-            batch_core=args.batch_core,
         )
     except ValueError as exc:
         print(f"repro serve-bench: {exc}", file=sys.stderr)
@@ -341,7 +340,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             clock=clock,
             rate=args.rate,
             distance_backend=args.distance_backend,
-            batch_core=args.batch_core,
         )
         names = args.scenario or None
         if names:
@@ -371,7 +369,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     ok = all(
         rep["serve"]["audit_ok"]
-        and rep.get("serve_batch", {}).get("audit_ok", True)
         and rep.get("chaos", {}).get("consistency_ok", True)
         for rep in report["scenarios"].values()
     )
@@ -699,9 +696,6 @@ def main(argv: list[str] | None = None) -> int:
                       choices=("auto", "full", "lazy", "landmark", "memmap"),
                       default="auto",
                       help="distance backend of the shared network")
-    p_sb.add_argument("--batch-core", action="store_true",
-                      help="apply batches through the columnar engine "
-                           "(repro.core.batch) instead of per-op tracker calls")
     p_sb.add_argument("--out", help="write the JSON report here instead of stdout")
     p_sb.set_defaults(fn=_cmd_serve_bench)
 
@@ -757,10 +751,6 @@ def main(argv: list[str] | None = None) -> int:
                            "(default path: benchmarks/eval_baselines.json)")
     p_ev.add_argument("--write-baseline", metavar="PATH", default=None,
                       help="distill the report into a baseline file at PATH")
-    p_ev.add_argument("--batch-core", action="store_true",
-                      help="also run the serve section through the columnar "
-                           "batch engine and report it as serve_batch "
-                           "(never gated against baselines)")
     p_ev.add_argument("--out", help="write the report here instead of stdout")
     p_ev.set_defaults(fn=_cmd_eval)
 

@@ -27,8 +27,10 @@ Static per-hierarchy tables (built once, shared across engines over the
 same hierarchy):
 
 - ``chain[i, ℓ]`` — node index of ``home^ℓ(node i)``;
-- ``chain_hop[i, ℓ]`` — ``dist(chain[i, ℓ], chain[i, ℓ+1])``, resolved
-  through the batched oracle one level at a time (RPL001-clean);
+- ``chain_hop[i, ℓ]`` — ``dist(chain[i, ℓ], chain[i, ℓ+1])``, read from
+  the hierarchy's own default-parent distances
+  (:meth:`~repro.hierarchy.structure.Hierarchy.default_parent_hop`), so
+  the build runs no oracle query;
 - ``cum_q[i, ℓ]`` — running climb cost ``Σ_{k<ℓ} chain_hop[i, k]``, the
   float sum in exactly the scalar tracker's addition order;
 - ``up_cum[i, ℓ]`` / ``pub_cost[i]`` — move-climb / publish cost
@@ -105,21 +107,18 @@ class _Tables:
         node_at = net.node_at
 
         # per-level default-parent maps as full-width index arrays
-        # (valid only at that level's member indices; -1 elsewhere)
+        # (valid only at that level's member indices; -1 elsewhere); the
+        # hop distances come from the hierarchy's own construction solve,
+        # so building the tables runs no oracle query
         dparr: list[np.ndarray] = []
         hop_full: list[np.ndarray] = []
         for ell in range(h):
-            members = hs.level_nodes(ell)  # type: ignore[attr-defined]
             dp = np.full(n, -1, dtype=np.int64)
-            pairs = []
-            for w in members:
-                parent = hs.default_parent(ell, w)  # type: ignore[attr-defined]
-                dp[index_of(w)] = index_of(parent)
-                pairs.append((w, parent))
-            hops = net.pair_distances(pairs)
             hf = np.zeros(n, dtype=np.float64)
-            for k, w in enumerate(members):
-                hf[index_of(w)] = hops[k]
+            for w in hs.level_nodes(ell):  # type: ignore[attr-defined]
+                i = index_of(w)
+                dp[i] = index_of(hs.default_parent(ell, w))  # type: ignore[attr-defined]
+                hf[i] = hs.default_parent_hop(ell, w)  # type: ignore[attr-defined]
             dparr.append(dp)
             hop_full.append(hf)
 
@@ -318,6 +317,21 @@ class BatchMOTEngine:
         if row is None or not self._published[row]:
             raise KeyError(f"object {obj!r} was never published")
         return int(self._epoch[row])
+
+    @property
+    def epochs(self) -> dict[str, int]:
+        """Applied-move count of every published object (a fresh dict)."""
+        n = len(self._obj_of_row)
+        return {
+            obj: epoch
+            for obj, epoch, published in zip(
+                self._obj_of_row,
+                self._epoch[:n].tolist(),
+                self._published[:n].tolist(),
+                strict=True,
+            )
+            if published
+        }
 
     def spine_row(self, obj: str) -> np.ndarray:
         """The object's spine as node indices, level 0..h (a copy)."""

@@ -182,6 +182,7 @@ class Hierarchy(BaseHierarchy):
         self.use_parent_sets = use_parent_sets
 
         self._default_parent: list[dict[Node, Node]] = []
+        self._default_parent_hop: list[dict[Node, float]] = []
         self._parent_sets: list[dict[Node, tuple[Node, ...]]] = []
         self._build_parents()
 
@@ -207,6 +208,7 @@ class Hierarchy(BaseHierarchy):
             # even for radius factors below 1.
             limit = max(radius, 2.0 ** (ell + 1))
             dp: dict[Node, Node] = {}
+            hop: dict[Node, float] = {}
             ps: dict[Node, tuple[Node, ...]] = {}
             for start in range(0, len(members), self.CHUNK):
                 chunk = members[start : start + self.CHUNK]
@@ -214,15 +216,20 @@ class Hierarchy(BaseHierarchy):
                 # closest upper node per member; `uppers` is ID-sorted, so
                 # argmin's first-occurrence rule breaks ties by node index
                 best = np.argmin(sub, axis=1)
+                # the solve already has each default-parent distance:
+                # keep it, so consumers need no second oracle pass
+                best_hop = sub[np.arange(len(chunk)), best].tolist()
                 for a, w in enumerate(chunk):
                     row = sub[a]
                     b = int(best[a])
                     dp[w] = uppers[b]
+                    hop[w] = best_hop[a]
                     in_range = np.nonzero(row <= radius)[0]
                     members_in = {uppers[k] for k in in_range.tolist()}
                     members_in.add(uppers[b])  # default parent always included
                     ps[w] = tuple(sorted(members_in, key=net.index_of))
             self._default_parent.append(dp)
+            self._default_parent_hop.append(hop)
             self._parent_sets.append(ps)
 
     # ------------------------------------------------------------------
@@ -245,6 +252,15 @@ class Hierarchy(BaseHierarchy):
     def default_parent(self, level: int, w: Node) -> Node:
         """Default parent (in ``V_{level+1}``) of ``w ∈ V_level``."""
         return self._default_parent[level][w]
+
+    def default_parent_hop(self, level: int, w: Node) -> float:
+        """``dist(w, default_parent(level, w))``, kept from construction.
+
+        The radius-limited solve that picks the default parent is exact
+        under every distance backend, so this is the oracle's distance
+        at no further oracle cost.
+        """
+        return self._default_parent_hop[level][w]
 
     def parent_set(self, level: int, w: Node) -> tuple[Node, ...]:
         """Parent set of ``w ∈ V_level`` in ``V_{level+1}``, ID-ordered."""

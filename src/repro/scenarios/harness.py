@@ -64,10 +64,6 @@ class EvalConfig:
     distance_backend: str = "auto"
     batch_size: int = 16
     queue_capacity: int = 64
-    #: also run the serve section through the columnar batch engine and
-    #: report it side by side (``serve_batch``); never gated against
-    #: committed baselines — it is a comparison surface, not a baseline
-    batch_core: bool = False
 
     def __post_init__(self) -> None:
         if self.clock not in ("virtual", "wall"):
@@ -113,9 +109,7 @@ def _sequential_section(net: SensorNetwork, workload: Workload, seed: int) -> di
     }
 
 
-def _serve_section(
-    net: SensorNetwork, workload: Workload, cfg: EvalConfig, batch_core: bool = False
-) -> dict:
+def _serve_section(net: SensorNetwork, workload: Workload, cfg: EvalConfig) -> dict:
     bench = ServeBenchConfig(
         nodes=net.n,
         num_objects=len(workload.starts),
@@ -132,7 +126,6 @@ def _serve_section(
         clock=cfg.clock,
         distance_backend=cfg.distance_backend,
         metrics_snapshot_interval_s=None,
-        batch_core=batch_core,
     )
     report = drive_workload(net, workload, bench)
     # the lean, gate-relevant slice: drop prometheus text, snapshots and
@@ -219,12 +212,6 @@ def run_scenario(spec: ScenarioSpec, cfg: "EvalConfig | None" = None) -> dict:
         "sequential": _sequential_section(net, workload, cfg.seed),
         "serve": _serve_section(net, workload, cfg),
     }
-    if cfg.batch_core:
-        # parallel columnar-engine run of the identical workload; the
-        # gate never reads this section (baselines are recorded without
-        # it), it exists so eval reports can show scalar vs batch side
-        # by side — audit_ok is the equivalence signal
-        report["serve_batch"] = _serve_section(net, workload, cfg, batch_core=True)
     if spec.fault_plan is not None:
         report["chaos"] = _chaos_section(net, workload, spec, cfg)
     missing = [p for p in spec.expected_metrics if not metric_at(report, p)[0]]

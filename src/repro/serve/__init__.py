@@ -7,8 +7,9 @@ request-serving system, the ROADMAP's "serves heavy traffic" substrate:
   :class:`Overloaded` backpressure rejection;
 - :mod:`repro.serve.clock` — wall vs deterministic virtual time;
 - :mod:`repro.serve.shard` — :class:`TrackerShard` workers: hash
-  partition, per-wakeup batching, query coalescing, oracle prefetch
-  (the clock-free apply path lives in :class:`ShardCore`);
+  partition, per-wakeup batching, one columnar engine call per drained
+  batch with query coalescing (the clock-free apply path lives in
+  :class:`ShardCore`);
 - :mod:`repro.serve.hashring` — consistent-hash object → shard
   routing (SHA-256 ring, ~K/n key movement on resize);
 - :mod:`repro.serve.transport` — length-prefixed pickle framing over

@@ -9,7 +9,7 @@ open-loop arrival trace, replay it against a sharded
 - achieved throughput vs offered rate,
 - admission-control outcomes (rate/queue rejections with counts),
 - batching/coalescing behaviour (batch-size histogram, coalesced
-  queries, prefetched pairs),
+  queries),
 - the **consistency audit** — every answer replayed against a
   sequential reference MOT (:mod:`repro.serve.audit`); the CLI exit
   code is gated on ``audit.ok``,
@@ -80,8 +80,6 @@ class ServeBenchConfig:
     distance_backend: str = "auto"
     metrics_snapshot_interval_s: float | None = 0.5  # service-clock seconds
     trace_path: str | None = None  # JSONL span trace (None = tracing off)
-    #: apply batches through the columnar engine (repro.core.batch)
-    batch_core: bool = False
 
     def __post_init__(self) -> None:
         if self.nodes < 4:
@@ -114,7 +112,6 @@ class ServeBenchConfig:
             service_time_base_s=self.service_time_base_s,
             service_time_per_cost_s=self.service_time_per_cost_s,
             metrics_snapshot_interval_s=self.metrics_snapshot_interval_s,
-            batch_core=self.batch_core,
         )
 
 

@@ -51,7 +51,6 @@ class ServiceMetrics:
     queries_executed: int = 0
     queries_coalesced: int = 0
     batches: int = 0
-    prefetch_pairs: int = 0
     latency: dict[str, TimerStat] = field(default_factory=dict)  # per op kind
     queue_depth: TimerStat = field(default_factory=TimerStat)  # at admission
     batch_size: TimerStat = field(default_factory=TimerStat)
@@ -85,10 +84,9 @@ class ServiceMetrics:
             self.rejected_queue += 1
         PERF.incr(f"serve.rejected.{reason}")
 
-    def record_batch(self, size: int, prefetch_pairs: int) -> None:
+    def record_batch(self, size: int) -> None:
         """One shard wakeup drained ``size`` operations."""
         self.batches += 1
-        self.prefetch_pairs += prefetch_pairs
         self.batch_size.add(float(size))
         self.batch_size_hist[size] = self.batch_size_hist.get(size, 0) + 1
         PERF.incr("serve.batches")
@@ -152,7 +150,6 @@ class ServiceMetrics:
         out["serve.queries.executed"] = self.queries_executed
         out["serve.queries.coalesced"] = self.queries_coalesced
         out["serve.batches"] = self.batches
-        out["serve.prefetch_pairs"] = self.prefetch_pairs
         return out
 
     def perf_view(self) -> dict:
@@ -191,7 +188,6 @@ class ServiceMetrics:
                 "coalesced": self.queries_coalesced,
             },
             "batches": self.batches,
-            "prefetch_pairs": self.prefetch_pairs,
             "latency_s": {
                 kind: stat.as_dict() for kind, stat in sorted(self.latency.items())
             },

@@ -28,8 +28,9 @@ import asyncio
 from dataclasses import dataclass
 from typing import Hashable, Union
 
+from repro.core.batch import BatchMOTEngine
 from repro.core.costs import CostLedger, close_to
-from repro.core.mot import MOTConfig, MOTTracker
+from repro.core.mot import MOTConfig
 from repro.graphs.network import SensorNetwork
 from repro.hierarchy.structure import build_hierarchy
 from repro.obs.trace import TRACER
@@ -78,7 +79,10 @@ class ServiceConfig:
       asyncio worker; ``N > 0`` forks ``N`` worker *processes* instead
       (and overrides ``shards`` as the shard count). Worker processes
       require a wall clock — see :mod:`repro.serve.worker`.
-    - ``batch_size`` — max operations one shard drains per wakeup.
+    - ``batch_size`` — max operations one shard drains per wakeup and
+      applies in one engine call. The default is large enough that a
+      saturated shard hands the engine its whole backlog; an idle shard
+      still serves each op as it arrives.
     - ``queue_capacity`` — max admitted-but-unserviced ops per shard;
       beyond it, submits are rejected ``Overloaded("queue")``.
     - ``rate_limit`` — service-wide admitted ops/s through a token
@@ -94,16 +98,11 @@ class ServiceConfig:
       a periodic counters snapshot (see
       :meth:`TrackingService.maybe_snapshot`) no more often than every
       interval seconds of service-clock time; ``None`` disables.
-    - ``batch_core`` — apply each drained batch through the columnar
-      :class:`~repro.core.batch.BatchMOTEngine` instead of per-op
-      tracker calls. Answers are audit-identical (that is what
-      :func:`repro.core.batch.audit_batch_core` checks); only
-      throughput changes.
     """
 
     shards: int = 4
     workers: int = 0
-    batch_size: int = 16
+    batch_size: int = 1024
     queue_capacity: int = 64
     rate_limit: float | None = None
     burst: float = 16.0
@@ -111,7 +110,6 @@ class ServiceConfig:
     service_time_base_s: float = 1e-3
     service_time_per_cost_s: float = 0.0
     metrics_snapshot_interval_s: float | None = None
-    batch_core: bool = False
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -204,16 +202,23 @@ class TrackingService:
                 "needs every transition on one cooperative loop"
             )
         self.mot_config = mot_config or MOTConfig()
+        if self.mot_config.use_parent_sets:
+            # refused here, before any shard is built or forked: inside
+            # a worker the engine would raise before its ready frame
+            raise ValueError(
+                "the service applies ops through BatchMOTEngine, which "
+                "requires use_parent_sets=False; run parent-set ablations "
+                "on the sequential MOTTracker"
+            )
         self.metrics = ServiceMetrics()
-        #: the one hierarchy every shard tracker (and the audit
-        #: reference) shares — MOT state is per-tracker, the overlay is
+        #: the one hierarchy every shard engine (and the audit
+        #: reference) shares — MOT state is per-shard, the overlay is
         #: read-only, and identical overlays make costs comparable
         self.hierarchy = build_hierarchy(
             net,
             seed=seed,
             parent_set_radius_factor=self.mot_config.parent_set_radius_factor,
             special_parent_gap=self.mot_config.special_parent_gap,
-            use_parent_sets=self.mot_config.use_parent_sets,
         )
         num_shards = self.config.num_shards
         #: object → shard routing; shard ids double as list indices
@@ -241,7 +246,6 @@ class TrackingService:
                     shard_id=shard_id,
                     hierarchy=self.hierarchy,
                     mot_config=self.mot_config,
-                    batch=self.config.batch_core,
                 ),
                 clock=self.clock,
                 metrics=self.metrics,
@@ -249,13 +253,12 @@ class TrackingService:
             )
         return TrackerShard(
             shard_id=shard_id,
-            tracker=MOTTracker(self.hierarchy, self.mot_config),
+            engine=BatchMOTEngine(self.hierarchy, self.mot_config),
             clock=self.clock,
             metrics=self.metrics,
             batch_size=self.config.batch_size,
             service_time_base_s=self.config.service_time_base_s,
             service_time_per_cost_s=self.config.service_time_per_cost_s,
-            batch=self.config.batch_core,
         )
 
     # ------------------------------------------------------------------
@@ -373,8 +376,9 @@ class TrackingService:
         service bring-up, not offered load: it must neither consume
         rate tokens nor bounce off a queue bound sized for steady-state
         traffic. It is counted under the separate ``warmup`` metric —
-        **not** ``record_admission`` — so bring-up does not inflate the
-        admitted-ops denominators that steady-state SLIs divide by.
+        **not** ``record_admission`` — and the shard leaves it out of
+        its per-shard SLI counters, so bring-up inflates neither the
+        admitted-ops denominators nor the per-shard latency and counts.
         The load generator uses this for its warm-up publishes;
         everything after bring-up goes through :meth:`submit_nowait`.
         """
@@ -382,7 +386,7 @@ class TrackingService:
             raise RuntimeError("service is not running")
         shard = self.shard_of(req.obj)
         self.metrics.record_warmup(kind_of(req))
-        return shard.submit(req, self.clock.now)
+        return shard.submit(req, self.clock.now, warmup=True)
 
     # ------------------------------------------------------------------
     # inspection

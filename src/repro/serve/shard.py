@@ -2,18 +2,19 @@
 
 The service hash-partitions objects across shards; each shard runs a
 single ``asyncio`` worker that drains its queue in batches of up to
-``batch_size`` operations per wakeup and applies them to its own
-:class:`~repro.core.mot.MOTTracker` built over the *shared* hierarchy.
-Because every MOT operation on an object touches only that object's
-spine/DL entries, a shard holding a subset of the objects answers
-queries bit-identically to a sequential tracker holding all of them —
-the property the consistency audit (:mod:`repro.serve.audit`) checks.
+``batch_size`` operations per wakeup and applies each batch as one
+call into its own :class:`~repro.core.batch.BatchMOTEngine`, built over
+the *shared* hierarchy. Because every MOT operation on an object
+touches only that object's spine, a shard holding a subset of the
+objects answers queries exactly like a sequential
+:class:`~repro.core.mot.MOTTracker` holding all of them — the property
+the consistency audit (:mod:`repro.serve.audit`) checks.
 
-The clock-free part of a shard — tracker, epoch map, op log, query
-log, batch application with query coalescing and move prefetch — lives
-in :class:`ShardCore`, which :mod:`repro.serve.worker` reuses verbatim
-on the far side of the process boundary: one apply path, two
-schedulers (an asyncio task here, a blocking frame loop there).
+The clock-free part of a shard — the engine and the request → op
+translation — lives in :class:`ShardCore`, which
+:mod:`repro.serve.worker` reuses verbatim on the far side of the
+process boundary: one apply path, two schedulers (an asyncio task
+here, a blocking frame loop there).
 
 Per wakeup the shard:
 
@@ -22,40 +23,40 @@ Per wakeup the shard:
    control reject deterministically);
 2. drains up to ``batch_size`` queued ops preserving FIFO order (so
    per-object operation order is preserved);
-3. **prefetches** the batch's move endpoints through the oracle's
-   batched ``pair_distances`` API — one multi-source Dijkstra warms the
-   row cache for every optimal-cost lookup the moves are about to do;
-4. applies the ops in order, **coalescing** duplicate queries: queries
-   for the same ``(object, epoch, source)`` — same object and querying
-   node, no intervening move — execute one spine walk and fan the
-   answer out to every waiter. The source is part of the key because
-   query cost is charged from the *querying* node's position: two
-   sources asking about the same object walk different prefixes of the
-   spine, so sharing one answer across sources would misattribute cost
-   (and fail the audit's per-record cost check);
-5. stamps completions: in virtual mode each op is charged an explicit
-   service time (``base + per_cost · cost``) on top of the shard's
-   busy horizon, in wall mode completions are real clock readings.
+3. applies them in one :meth:`ShardCore.apply_requests` call. The
+   engine **coalesces** duplicate queries within the call: queries for
+   the same ``(object, epoch, source)`` — same object and querying
+   node, no intervening move — execute one spine walk and share the
+   answer. The source is part of the key because query cost is charged
+   from the *querying* node's position: two sources asking about the
+   same object walk different prefixes of the spine;
+4. settles every op from the ``("ok" | "err", …)`` result tuples and
+   stamps completions: in virtual mode each op is charged an explicit
+   service time (``base + per_cost · cost``) on top of the shard's busy
+   horizon, in wall mode every op completes at the clock reading taken
+   when the engine returned.
 
-All applied operations land in ``oplog``/``query_log`` so the audit
-can replay them against the sequential reference.
+The engine keeps the audit-facing state — per-object epochs, the
+applied op log, the answered-query log and the cost ledger — once;
+the shard and the audit read it through :class:`ShardCore`.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Hashable, Union
+from typing import Hashable, Iterable, Union
 
 from repro.core.batch import BatchMOTEngine
+from repro.core.batch import BatchQueryRecord as QueryRecord
 from repro.core.costs import CostLedger
-from repro.core.mot import MOTTracker
 from repro.obs.trace import TRACER
 from repro.perf import TimerStat
 from repro.serve.clock import VirtualClock, WallClock
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.protocol import (
     MoveRequest,
+    OpKind,
     OpResponse,
     PublishRequest,
     QueryRequest,
@@ -72,205 +73,133 @@ __all__ = ["ShardCore", "TrackerShard", "QueryRecord", "shard_sli"]
 _STOP = object()
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """One answered query, as the audit will replay it."""
-
-    obj: str
-    epoch: int
-    source: Node
-    proxy: Node
-    cost: float
-    coalesced: bool
-
-
 @dataclass
 class _Admitted:
-    """One queued operation: the request, its stamp, and its waiter."""
+    """One queued operation: the request, its stamp, and its waiter.
+
+    ``warmup`` marks bring-up publishes
+    (:meth:`~repro.serve.service.TrackingService.submit_warmup`): they
+    are applied like any op but kept out of the shard's SLI counters.
+    """
 
     req: Request
+    kind: OpKind
     arrival_t: float
     future: asyncio.Future
+    warmup: bool = False
+
+
+def _as_op(req: Request) -> tuple[str, str, Node]:
+    """The engine op ``(kind, obj, node)`` of one service request."""
+    if isinstance(req, MoveRequest):
+        return ("move", req.obj, req.new_proxy)
+    if isinstance(req, QueryRequest):
+        return ("query", req.obj, req.source)
+    if isinstance(req, PublishRequest):
+        return ("publish", req.obj, req.proxy)
+    raise TypeError(f"not a service request: {req!r}")
 
 
 class ShardCore:
     """The clock-free state and apply path of one shard.
 
-    Owns the tracker and the three audit-facing structures: per-object
-    epochs, the applied op log, and the answered-query log. Everything
+    Wraps one :class:`~repro.core.batch.BatchMOTEngine`. Everything
     here is synchronous and scheduler-agnostic — the asyncio
     :class:`TrackerShard` and the process-boundary
-    :class:`~repro.serve.worker.ShardWorker` both drive it.
+    :class:`~repro.serve.worker.ShardWorker` both drive it. The
+    audit-facing views below are the engine's own state, not copies.
     """
 
-    def __init__(self, tracker: MOTTracker, batch: bool = False) -> None:
-        self.tracker = tracker
-        #: columnar apply path (``batch=True``): the struct-of-arrays
-        #: engine replaces per-op tracker calls with vectorized kernels.
-        #: The engine keeps its *own* op/query logs for
-        #: :func:`repro.core.batch.audit_batch_core`; the core's logs
-        #: below stay authoritative for the service audit and snapshots
-        #: in both modes.
-        self.engine: BatchMOTEngine | None = (
-            BatchMOTEngine(tracker.hs, tracker.config) if batch else None
-        )
-        #: per-object applied-move count (the audit's version number)
-        self.epochs: dict[str, int] = {}
-        #: applied ops per object: [("publish", proxy), ("move", new), ...]
-        self.oplog: dict[str, list[tuple[str, Node]]] = {}
-        #: every answered query in execution order
-        self.query_log: list[QueryRecord] = []
+    def __init__(self, engine: BatchMOTEngine) -> None:
+        self.engine = engine
+
+    @property
+    def epochs(self) -> dict[str, int]:
+        """Per-object applied-move count (the audit's version number)."""
+        return self.engine.epochs
+
+    @property
+    def oplog(self) -> dict[str, list[tuple[str, Node]]]:
+        """Applied ops per object: ``[("publish", proxy), ("move", new), ...]``."""
+        return self.engine.oplog
+
+    @property
+    def query_log(self) -> list[QueryRecord]:
+        """Every answered query in execution order."""
+        return self.engine.query_log
 
     @property
     def ledger(self) -> CostLedger:
-        """The active kernel's cost ledger (tracker or columnar engine)."""
-        return self.engine.ledger if self.engine is not None else self.tracker.ledger
+        """The engine's cost ledger."""
+        return self.engine.ledger
 
-    def install_ledger(self, ledger: CostLedger) -> None:
-        """Overwrite the active kernel's ledger (snapshot restore)."""
-        if self.engine is not None:
-            self.engine.ledger = ledger
-        else:
-            self.tracker.ledger = ledger
+    def replay_history(
+        self,
+        oplog: dict[str, list[tuple[str, Node]]],
+        query_log: Iterable[QueryRecord],
+        ledger: CostLedger,
+    ) -> None:
+        """Rebuild the engine from a history (snapshot restore).
 
-    def replay_history(self, oplog: dict[str, list[tuple[str, Node]]]) -> None:
-        """Rebuild the active kernel's structure by replaying ``oplog``.
-
-        Used by snapshot restore: MOT state is deterministic in the
-        operation history, so replaying through the public apply path
-        reproduces it bit-identically in either mode.
+        MOT state is deterministic in the operation history, so
+        replaying ``oplog`` through the engine reproduces it exactly.
+        The answered queries and the accrued ``ledger`` are then adopted
+        as recorded: costs are carried once, and the replay's own
+        accrual is discarded.
         """
         for obj, ops in oplog.items():
             for op, _node in ops:
                 if op not in ("publish", "move"):
                     raise ValueError(f"unknown oplog entry {op!r} for {obj!r}")
-        if self.engine is not None:
-            flat = [
-                (op, obj, node) for obj, ops in oplog.items() for op, node in ops
-            ]
-            for out in self.engine.apply_ops(flat):
-                if out.error is not None:
-                    raise out.error
-        else:
-            for obj, ops in oplog.items():
-                for op, node in ops:
-                    if op == "publish":
-                        self.tracker.publish(obj, node)
-                    else:
-                        self.tracker.move(obj, node)
-
-    def prefetch_moves(self, reqs: list[Request]) -> int:
-        """Warm oracle rows for the batch's move endpoints in one solve.
-
-        Chains each object's in-batch trajectory from its current proxy
-        and resolves all hop pairs through ``pair_distances`` — the
-        optimal-cost lookups the moves are about to issue then hit the
-        row cache instead of running one Dijkstra each (lazy mode).
-        """
-        chains: dict[str, list[Node]] = {}
-        for req in reqs:
-            if not isinstance(req, MoveRequest):
-                continue
-            chain = chains.get(req.obj)
-            if chain is None:
-                try:
-                    cur = self.tracker.proxy_of(req.obj)
-                except KeyError:
-                    continue  # unpublished: the op itself will fail below
-                chain = chains[req.obj] = [cur]
-            chain.append(req.new_proxy)
-        pairs = [
-            (c[i], c[i + 1])
-            for c in chains.values()
-            for i in range(len(c) - 1)
-            if c[i] != c[i + 1]
-        ]
-        if pairs:
-            self.tracker.net.pair_distances(pairs)
-        return len(pairs)
-
-    def apply_one(
-        self,
-        req: Request,
-        answered: dict[tuple[str, int, Node], tuple[Node, float]],
-    ) -> tuple[Node, float, int, bool]:
-        """Apply one request; returns (proxy, cost, epoch, coalesced)."""
-        if isinstance(req, PublishRequest):
-            res = self.tracker.publish(req.obj, req.proxy)
-            self.epochs[req.obj] = 0
-            self.oplog.setdefault(req.obj, []).append(("publish", req.proxy))
-            return req.proxy, res.cost, 0, False
-        if isinstance(req, MoveRequest):
-            res = self.tracker.move(req.obj, req.new_proxy)
-            epoch = self.epochs[req.obj]
-            if res.new_proxy != res.old_proxy:
-                # No-op moves leave the structure untouched, so they must
-                # not advance the epoch: bumping it used to break query
-                # coalescing across a stationary "move" even though every
-                # answer before and after it is identical.
-                epoch += 1
-                self.epochs[req.obj] = epoch
-            self.oplog[req.obj].append(("move", req.new_proxy))
-            return req.new_proxy, res.cost, epoch, False
-        if isinstance(req, QueryRequest):
-            epoch = self.epochs.get(req.obj, -1)
-            hit = answered.get((req.obj, epoch, req.source))
-            if hit is not None:
-                proxy, cost = hit
-                self.query_log.append(
-                    QueryRecord(req.obj, epoch, req.source, proxy, cost, coalesced=True)
-                )
-                return proxy, cost, epoch, True
-            res = self.tracker.query(req.obj, req.source)
-            answered[(req.obj, epoch, req.source)] = (res.proxy, res.cost)
-            self.query_log.append(
-                QueryRecord(req.obj, epoch, req.source, res.proxy, res.cost, coalesced=False)
-            )
-            return res.proxy, res.cost, epoch, False
-        raise TypeError(f"not a service request: {req!r}")
+        flat = [(op, obj, node) for obj, ops in oplog.items() for op, node in ops]
+        for out in self.engine.apply_ops(flat):
+            if out.error is not None:
+                raise out.error
+        self.engine.query_log[:] = query_log
+        self.engine.ledger = ledger
 
     def apply_requests(self, reqs: list[Request]) -> list[tuple]:
-        """Apply a whole batch through the columnar engine.
+        """Apply a whole batch in one engine call.
 
         Returns one tuple per request, positionally aligned:
         ``("ok", proxy, cost, epoch, coalesced)`` or ``("err", exc)`` —
         the worker-protocol result shape, so both the in-process shard
-        and the process-boundary worker consume it unchanged. The
-        engine already coalesces duplicate queries per call, which is
-        exactly the per-drained-batch boundary ``apply_one`` uses.
+        and the process-boundary worker consume it unchanged.
         """
-        engine = self.engine
-        if engine is None:
-            raise RuntimeError("apply_requests requires a batch-mode core")
-        ops: list[tuple[str, str, Node]] = []
-        for req in reqs:
-            if isinstance(req, PublishRequest):
-                ops.append(("publish", req.obj, req.proxy))
-            elif isinstance(req, MoveRequest):
-                ops.append(("move", req.obj, req.new_proxy))
-            elif isinstance(req, QueryRequest):
-                ops.append(("query", req.obj, req.source))
-            else:
-                raise TypeError(f"not a service request: {req!r}")
-        results: list[tuple] = []
-        for (kind, obj, node), out in zip(ops, engine.apply_ops(ops), strict=True):
-            if out.error is not None:
-                results.append(("err", out.error))
-                continue
-            if kind == "publish":
-                self.epochs[obj] = 0
-                self.oplog.setdefault(obj, []).append(("publish", node))
-            elif kind == "move":
-                self.epochs[obj] = out.epoch
-                self.oplog[obj].append(("move", node))
-            else:
-                self.query_log.append(
-                    QueryRecord(
-                        obj, out.epoch, node, out.proxy, out.cost, out.coalesced
-                    )
-                )
-            results.append(("ok", out.proxy, out.cost, out.epoch, out.coalesced))
-        return results
+        return [
+            ("ok", out.proxy, out.cost, out.epoch, out.coalesced)
+            if out.error is None
+            else ("err", out.error)
+            for out in self.engine.apply_ops([_as_op(req) for req in reqs])
+        ]
+
+
+def _settle(shard, item: _Admitted, res: tuple, completion: float) -> None:
+    """Resolve one applied op's future from its result tuple.
+
+    The one place an op's outcome is counted, for the in-process
+    :class:`TrackerShard` and the process-boundary
+    :class:`~repro.serve.worker.ProcessShardHandle` alike: failures
+    count under ``metrics.failed``; answers feed the service metrics
+    and the per-shard SLI counters, which leave warm-up ops out.
+    """
+    shard.depth -= 1
+    if res[0] == "err":
+        shard.metrics.record_failure()
+        if not item.future.done():
+            item.future.set_exception(res[1])
+        return
+    _tag, proxy, cost, epoch, coalesced = res
+    resp = OpResponse(
+        item.kind, item.req.obj, proxy, cost, epoch, coalesced, item.arrival_t, completion
+    )
+    latency = resp.latency_s
+    if not item.warmup:
+        shard.completed_ops += 1
+        shard.latency.add(latency)
+    shard.metrics.record_completion(item.kind, latency, coalesced)
+    if not item.future.done():
+        item.future.set_result(resp)
 
 
 def shard_sli(shard, makespan_s: float | None = None) -> dict:
@@ -307,21 +236,20 @@ def shard_sli(shard, makespan_s: float | None = None) -> dict:
 
 
 class TrackerShard:
-    """One queue + one worker + one MOT instance (see module docstring)."""
+    """One queue + one worker + one MOT engine (see module docstring)."""
 
     def __init__(
         self,
         shard_id: int,
-        tracker: MOTTracker,
+        engine: BatchMOTEngine,
         clock: Union[VirtualClock, WallClock],
         metrics: ServiceMetrics,
         batch_size: int,
         service_time_base_s: float,
         service_time_per_cost_s: float,
-        batch: bool = False,
     ) -> None:
         self.shard_id = shard_id
-        self.core = ShardCore(tracker, batch=batch)
+        self.core = ShardCore(engine)
         self.clock = clock
         self.metrics = metrics
         self.batch_size = batch_size
@@ -332,7 +260,8 @@ class TrackerShard:
         self.depth = 0
         #: virtual-mode service horizon: when this shard frees up
         self.busy_until = 0.0
-        #: per-shard SLI counters (see :func:`shard_sli`)
+        #: per-shard SLI counters (see :func:`shard_sli`); warm-up
+        #: publishes are left out, they count under ``metrics.warmup``
         self.submitted = 0
         self.rejected = 0
         self.completed_ops = 0
@@ -344,11 +273,6 @@ class TrackerShard:
     # ------------------------------------------------------------------
     # core state views (the audit and the service read these)
     # ------------------------------------------------------------------
-    @property
-    def tracker(self) -> MOTTracker:
-        """The shard's MOT instance."""
-        return self.core.tracker
-
     @property
     def epochs(self) -> dict[str, int]:
         """Per-object applied-move counts."""
@@ -379,19 +303,29 @@ class TrackerShard:
                 self._run(), name=f"tracker-shard-{self.shard_id}"
             )
 
-    def submit(self, req: Request, arrival_t: float) -> asyncio.Future:
+    def submit(
+        self, req: Request, arrival_t: float, warmup: bool = False
+    ) -> asyncio.Future:
         """Enqueue an admitted request; resolves to its :class:`OpResponse`.
 
         Admission control is the service's job — by the time a request
         reaches the shard it has already been accepted, so the queue
         itself is unbounded and ``depth`` is the gauge the service
-        checks against ``queue_capacity``.
+        checks against ``queue_capacity``. ``warmup`` ops stay out of
+        the per-shard SLI counters.
         """
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        item = _Admitted(
+            req,
+            kind_of(req),
+            arrival_t,
+            asyncio.get_running_loop().create_future(),
+            warmup,
+        )
         self.depth += 1
-        self.submitted += 1
-        self._queue.put_nowait(_Admitted(req, arrival_t, fut))
-        return fut
+        if not warmup:
+            self.submitted += 1
+        self._queue.put_nowait(item)
+        return item.future
 
     async def stop(self) -> None:
         """Drain the queue completely, then retire the worker.
@@ -464,132 +398,43 @@ class TrackerShard:
     # batch application (synchronous: no awaits between ops)
     # ------------------------------------------------------------------
     def _apply_batch(self, batch: list[_Admitted]) -> None:
-        if self.core.engine is not None:
-            self._apply_batch_columnar(batch)
-            return
-        virtual = self.clock.virtual
-        start = max(self.busy_until, self.clock.now) if virtual else self.clock.now
-        prefetched = self.core.prefetch_moves([item.req for item in batch])
-        answered: dict[tuple[str, int, Node], tuple[Node, float]] = {}
-        elapsed = 0.0
-        for item in batch:
-            kind = kind_of(item.req)
-            sp = TRACER.span(
-                "serve." + kind,
-                obj=str(item.req.obj),
-                shard=self.shard_id,
-                batch=len(batch),
-            )
-            with sp:
-                try:
-                    proxy, cost, epoch, coalesced = self.core.apply_one(
-                        item.req, answered
-                    )
-                except Exception as exc:  # noqa: BLE001 — failures belong to the caller
-                    if sp:
-                        sp.annotate(failed=True, error=type(exc).__name__)
-                    if virtual:
-                        elapsed += self.service_time_base_s
-                    self.depth -= 1
-                    self.metrics.record_failure()
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                    continue
-                if sp:
-                    sp.set_result(cost=cost)
-                    sp.annotate(epoch=epoch, coalesced=coalesced)
-            if virtual:
-                if not coalesced:
-                    elapsed += (
-                        self.service_time_base_s + self.service_time_per_cost_s * cost
-                    )
-                completion = start + elapsed
-            else:
-                completion = self.clock.now
-            resp = OpResponse(
-                kind=kind,
-                obj=item.req.obj,
-                proxy=proxy,
-                cost=cost,
-                epoch=epoch,
-                coalesced=coalesced,
-                arrival_t=item.arrival_t,
-                completion_t=completion,
-            )
-            self.depth -= 1
-            self.completed_ops += 1
-            self.latency.add(resp.latency_s)
-            self.metrics.record_completion(kind, resp.latency_s, coalesced)
-            if not item.future.done():
-                item.future.set_result(resp)
-        if virtual:
-            self.busy_until = start + elapsed
-        self.metrics.record_batch(len(batch), prefetched)
+        """Apply one drained batch in one engine call, then settle it.
 
-    def _apply_batch_columnar(self, batch: list[_Admitted]) -> None:
-        """Columnar flavour of :meth:`_apply_batch`.
-
-        The kernels run once for the whole batch up front
-        (:meth:`ShardCore.apply_requests`); the per-op loop here only
-        settles futures, spans and the virtual-clock charge — with
-        **identical** charging rules to the scalar path, so the two
-        modes produce the same deterministic completion times under a
-        virtual clock (the CI determinism check compares them run to
-        run). Move prefetch is skipped: the engine batches its
-        distance-oracle lookups internally.
+        Virtual mode charges each op a service time on the shard's busy
+        horizon — ``base + per_cost · cost`` per executed op, ``base``
+        per failure, nothing for a coalesced twin — so completions are
+        deterministic. Wall mode stamps every op with one clock reading
+        taken when the engine returned.
         """
         virtual = self.clock.virtual
-        start = max(self.busy_until, self.clock.now) if virtual else self.clock.now
+        start = max(self.busy_until, self.clock.now) if virtual else 0.0
         results = self.core.apply_requests([item.req for item in batch])
+        completion = self.clock.now
         elapsed = 0.0
+        tracing = TRACER.enabled
         for item, res in zip(batch, results, strict=True):
-            kind = kind_of(item.req)
-            sp = TRACER.span(
-                "serve." + kind,
-                obj=str(item.req.obj),
-                shard=self.shard_id,
-                batch=len(batch),
-            )
-            with sp:
-                if res[0] == "err":
-                    exc = res[1]
-                    if sp:
-                        sp.annotate(failed=True, error=type(exc).__name__)
-                    if virtual:
-                        elapsed += self.service_time_base_s
-                    self.depth -= 1
-                    self.metrics.record_failure()
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                    continue
-                _tag, proxy, cost, epoch, coalesced = res
-                if sp:
-                    sp.set_result(cost=cost)
-                    sp.annotate(epoch=epoch, coalesced=coalesced)
+            if tracing:
+                self._trace(item, res, len(batch))
             if virtual:
-                if not coalesced:
+                if res[0] == "err":
+                    elapsed += self.service_time_base_s
+                elif not res[4]:  # a coalesced twin costs no service time
                     elapsed += (
-                        self.service_time_base_s + self.service_time_per_cost_s * cost
+                        self.service_time_base_s + self.service_time_per_cost_s * res[2]
                     )
                 completion = start + elapsed
-            else:
-                completion = self.clock.now
-            resp = OpResponse(
-                kind=kind,
-                obj=item.req.obj,
-                proxy=proxy,
-                cost=cost,
-                epoch=epoch,
-                coalesced=coalesced,
-                arrival_t=item.arrival_t,
-                completion_t=completion,
-            )
-            self.depth -= 1
-            self.completed_ops += 1
-            self.latency.add(resp.latency_s)
-            self.metrics.record_completion(kind, resp.latency_s, coalesced)
-            if not item.future.done():
-                item.future.set_result(resp)
+            _settle(self, item, res, completion)
         if virtual:
             self.busy_until = start + elapsed
-        self.metrics.record_batch(len(batch), 0)
+        self.metrics.record_batch(len(batch))
+
+    def _trace(self, item: _Admitted, res: tuple, size: int) -> None:
+        """One ``serve.<kind>`` span per settled op (tracing on only)."""
+        with TRACER.span(
+            "serve." + item.kind, obj=str(item.req.obj), shard=self.shard_id, batch=size
+        ) as sp:
+            if res[0] == "err":
+                sp.annotate(failed=True, error=type(res[1]).__name__)
+            else:
+                sp.set_result(cost=res[2])
+                sp.annotate(epoch=res[3], coalesced=res[4])

@@ -8,15 +8,14 @@ crosses the worker process boundary as-is (the ``snapshot`` /
 through :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` for
 on-disk checkpoints.
 
-Restore is **replay-based**: rather than serializing the tracker's
-internal DL/SDL/spine representation (private state the tracker is
-free to re-shape), restore replays the op log through the public
-``publish``/``move`` API against a fresh tracker over the same
-hierarchy. Determinism of the MOT structure makes the rebuilt state
-bit-identical to the original; the ledger is then overwritten with the
-snapshot's ledger so costs are carried once, not re-accrued (the
-replay's own accrual is discarded with the interim ledger). This is
-the same argument the consistency audit rests on — a snapshot that
+Restore is **replay-based**: rather than serializing the engine's
+columnar arrays (private state the engine is free to re-shape),
+restore replays the op log through the shard's apply path against a
+fresh engine over the same hierarchy. Determinism of the MOT structure
+makes the rebuilt state bit-identical to the original; the ledger is
+then overwritten with the snapshot's ledger so costs are carried once,
+not re-accrued (the replay's own accrual is discarded). This is the
+same argument the consistency audit rests on — a snapshot that
 restores wrong would also fail its shard's audit.
 
 On top of capture/restore, :func:`split_snapshot` and
@@ -51,7 +50,8 @@ __all__ = [
 ]
 
 #: bump when the snapshot layout changes; restore refuses other versions
-SNAPSHOT_VERSION = 1
+#: (2: query records are the engine's ``BatchQueryRecord`` tuples)
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ShardSnapshot:
     shard_id: int
     epochs: dict[str, int]
     oplog: dict[str, list[tuple[str, Node]]]
-    query_log: tuple  # QueryRecord entries, execution order
+    query_log: tuple  # BatchQueryRecord entries, execution order
     ledger: CostLedger
     version: int = SNAPSHOT_VERSION
 
@@ -76,9 +76,7 @@ def capture_snapshot(core, shard_id: int) -> ShardSnapshot:
 
     ``core`` is a :class:`~repro.serve.shard.ShardCore` (duck-typed to
     avoid a module cycle): anything with ``epochs``/``oplog``/
-    ``query_log`` and a ``ledger`` — the core indirection picks the
-    live ledger whichever kernel (scalar tracker or columnar engine)
-    the shard runs.
+    ``query_log`` and a ``ledger``.
     """
     return ShardSnapshot(
         shard_id=shard_id,
@@ -92,23 +90,21 @@ def capture_snapshot(core, shard_id: int) -> ShardSnapshot:
 def restore_snapshot(core, snap: ShardSnapshot) -> None:
     """Rebuild ``snap``'s state inside the empty shard ``core``.
 
-    Replays the op log through the core's public apply path (see
-    module docstring), then installs the snapshot's epoch map, logs
-    and ledger. ``core`` must be fresh — restoring over live objects
-    would interleave two histories.
+    Replays the op log through the core's apply path (see module
+    docstring), then adopts the snapshot's query log and ledger; the
+    replayed epochs must equal the snapshot's. ``core`` must be fresh —
+    restoring over live objects would interleave two histories.
     """
     if snap.version != SNAPSHOT_VERSION:
         raise ValueError(
             f"snapshot version {snap.version} != supported {SNAPSHOT_VERSION}"
         )
-    if core.epochs or core.oplog:
+    if core.oplog:
         raise ValueError("restore requires an empty shard core")
-    core.replay_history(snap.oplog)
-    core.epochs = dict(snap.epochs)
-    core.oplog = {obj: list(ops) for obj, ops in snap.oplog.items()}
-    core.query_log = list(snap.query_log)
     # carry accrued costs once: the replay's own accrual is discarded
-    core.install_ledger(copy.deepcopy(snap.ledger))
+    core.replay_history(snap.oplog, snap.query_log, copy.deepcopy(snap.ledger))
+    if core.epochs != snap.epochs:
+        raise ValueError("snapshot epochs disagree with its op log")
 
 
 def snapshot_to_bytes(snap: ShardSnapshot) -> bytes:

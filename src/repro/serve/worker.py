@@ -43,15 +43,16 @@ import time
 from dataclasses import dataclass
 from typing import Any, Hashable, Union
 
+from repro.core.batch import BatchMOTEngine
 from repro.core.costs import CostLedger
-from repro.core.mot import MOTConfig, MOTTracker
+from repro.core.mot import MOTConfig
 from repro.hierarchy.structure import BaseHierarchy
 from repro.obs.trace import TRACER
 from repro.perf import TimerStat
 from repro.serve.clock import VirtualClock, WallClock
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.protocol import OpResponse, Request, kind_of
-from repro.serve.shard import QueryRecord, ShardCore
+from repro.serve.protocol import Request, kind_of
+from repro.serve.shard import QueryRecord, ShardCore, _Admitted, _settle
 from repro.serve.snapshot import (
     ShardSnapshot,
     capture_snapshot,
@@ -81,17 +82,6 @@ class WorkerSpec:
     shard_id: int
     hierarchy: BaseHierarchy
     mot_config: MOTConfig
-    #: run the columnar batch engine instead of per-op tracker calls
-    batch: bool = False
-
-
-@dataclass
-class _Admitted:
-    """One queued operation: the request, its stamp, and its waiter."""
-
-    req: Request
-    arrival_t: float
-    future: asyncio.Future
 
 
 @dataclass
@@ -116,12 +106,9 @@ class ShardWorker:
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.shard_id = spec.shard_id
-        self.core = ShardCore(
-            MOTTracker(spec.hierarchy, spec.mot_config), batch=spec.batch
-        )
+        self.core = ShardCore(BatchMOTEngine(spec.hierarchy, spec.mot_config))
         self.ops_applied = 0
         self.batches = 0
-        self.prefetch_pairs = 0
         self.failures = 0
         self.apply_time = TimerStat()
 
@@ -129,33 +116,13 @@ class ShardWorker:
     def handle_batch(self, reqs: list[Request]) -> tuple[str, Any]:
         """Apply one batch; per-op results, exceptions carried by value."""
         t0 = time.perf_counter()
-        if self.core.engine is not None:
-            # columnar path: the engine batches its own oracle lookups,
-            # so the move prefetch is skipped (same as TrackerShard)
-            prefetched = 0
-            results = self.core.apply_requests(reqs)
-            for res in results:
-                if res[0] == "err":
-                    self.failures += 1
-                else:
-                    self.ops_applied += 1
-        else:
-            prefetched = self.core.prefetch_moves(reqs)
-            answered: dict[tuple[str, int, Node], tuple[Node, float]] = {}
-            results = []
-            for req in reqs:
-                try:
-                    proxy, cost, epoch, coalesced = self.core.apply_one(req, answered)
-                except Exception as exc:  # noqa: BLE001 — failures belong to the caller
-                    self.failures += 1
-                    results.append(("err", exc))
-                else:
-                    self.ops_applied += 1
-                    results.append(("ok", proxy, cost, epoch, coalesced))
+        results = self.core.apply_requests(reqs)
+        failed = sum(1 for res in results if res[0] == "err")
+        self.failures += failed
+        self.ops_applied += len(results) - failed
         self.batches += 1
-        self.prefetch_pairs += prefetched
         self.apply_time.add(time.perf_counter() - t0)
-        return "results", {"results": results, "prefetched": prefetched}
+        return "results", results
 
     def handle_health(self, _payload: Any) -> tuple[str, Any]:
         """Liveness + shard vitals; the parent merges in queue depth."""
@@ -182,15 +149,15 @@ class ShardWorker:
 
     def handle_stop(self, _payload: Any) -> tuple[str, Any]:
         """The final frame: everything the audit and ledger need at home."""
+        # the frame is pickled on send, so the logs travel uncopied
         return "final", {
-            "epochs": dict(self.core.epochs),
-            "oplog": {obj: list(ops) for obj, ops in self.core.oplog.items()},
-            "query_log": list(self.core.query_log),
+            "epochs": self.core.epochs,
+            "oplog": self.core.oplog,
+            "query_log": self.core.query_log,
             "ledger": self.core.ledger,
             "stats": {
                 "ops_applied": self.ops_applied,
                 "batches": self.batches,
-                "prefetch_pairs": self.prefetch_pairs,
                 "failures": self.failures,
                 "apply_time": self.apply_time.as_dict(),
             },
@@ -273,7 +240,8 @@ class ProcessShardHandle:
         self.depth = 0
         #: uniform with TrackerShard; never advances under a wall clock
         self.busy_until = 0.0
-        #: per-shard SLI counters (see :func:`repro.serve.shard.shard_sli`)
+        #: per-shard SLI counters (see :func:`repro.serve.shard.shard_sli`);
+        #: warm-up publishes are left out, they count under ``metrics.warmup``
         self.submitted = 0
         self.rejected = 0
         self.completed_ops = 0
@@ -322,13 +290,25 @@ class ProcessShardHandle:
         self._proc = proc
         self._chan = AsyncChannel(parent_sock)
 
-    def submit(self, req: Request, arrival_t: float) -> asyncio.Future:
-        """Enqueue an admitted request; resolves to its :class:`OpResponse`."""
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+    def submit(
+        self, req: Request, arrival_t: float, warmup: bool = False
+    ) -> asyncio.Future:
+        """Enqueue an admitted request; resolves to its :class:`OpResponse`.
+
+        ``warmup`` ops stay out of the per-shard SLI counters.
+        """
+        item = _Admitted(
+            req,
+            kind_of(req),
+            arrival_t,
+            asyncio.get_running_loop().create_future(),
+            warmup,
+        )
         self.depth += 1
-        self.submitted += 1
-        self._queue.put_nowait(_Admitted(req, arrival_t, fut))
-        return fut
+        if not warmup:
+            self.submitted += 1
+        self._queue.put_nowait(item)
+        return item.future
 
     async def stop(self) -> None:
         """Drain, retire the pump, then collect the worker's final frame.
@@ -487,32 +467,10 @@ class ProcessShardHandle:
     async def _round_trip(self, chan: AsyncChannel, batch: list[_Admitted]) -> None:
         """Ship one batch to the worker and settle its futures."""
         await chan.send("batch", [item.req for item in batch])
-        kind, payload = await chan.recv()
+        kind, results = await chan.recv()
         if kind != "results":
             raise RuntimeError(f"worker sent {kind!r} instead of results frame")
-        results = payload["results"]
         now = self.clock.now
         for item, res in zip(batch, results, strict=True):
-            self.depth -= 1
-            if res[0] == "err":
-                self.metrics.record_failure()
-                if not item.future.done():
-                    item.future.set_exception(res[1])
-                continue
-            _tag, proxy, cost, epoch, coalesced = res
-            resp = OpResponse(
-                kind=kind_of(item.req),
-                obj=item.req.obj,
-                proxy=proxy,
-                cost=cost,
-                epoch=epoch,
-                coalesced=coalesced,
-                arrival_t=item.arrival_t,
-                completion_t=now,
-            )
-            self.completed_ops += 1
-            self.latency.add(resp.latency_s)
-            self.metrics.record_completion(resp.kind, resp.latency_s, coalesced)
-            if not item.future.done():
-                item.future.set_result(resp)
-        self.metrics.record_batch(len(batch), payload["prefetched"])
+            _settle(self, item, res, now)
+        self.metrics.record_batch(len(batch))

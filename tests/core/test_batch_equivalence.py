@@ -27,6 +27,8 @@ from repro.core.batch import BatchMOTEngine, audit_batch_core
 from repro.core.costs import close_to
 from repro.core.mot import MOTConfig, MOTTracker
 from repro.graphs.generators import grid_network
+from repro.graphs.network import SensorNetwork
+from repro.hierarchy.structure import build_hierarchy
 from repro.scenarios.registry import all_scenarios
 
 NET = grid_network(6, 6)
@@ -261,3 +263,41 @@ class TestEdgeCases:
     def test_unknown_kind_rejected_in_place(self):
         out = self._engine().apply_ops([("frobnicate", "a", NODES[0])])
         assert isinstance(out[0].error, TypeError)
+
+
+class TestTables:
+    def test_build_computes_no_oracle_rows_on_a_lazy_backend(self):
+        """Default-parent hops come from the hierarchy, not the oracle.
+
+        Pre-fix, the table build re-solved every hop with
+        ``pair_distances`` — one full Dijkstra row per level member on a
+        lazy backend.
+        """
+        net = SensorNetwork(
+            grid_network(12, 12).graph, normalize=False, distance_backend="lazy"
+        )
+        hs = build_hierarchy(net, seed=3)
+        rows = net.oracle_stats["rows_computed"]
+        engine = BatchMOTEngine(hs, MOTConfig())
+        assert net.oracle_stats["rows_computed"] == rows
+        # and the engine still answers like the sequential reference
+        ops = [("publish", f"o{i}", net.node_at(7 * i)) for i in range(10)]
+        ops += [("move", f"o{i}", net.node_at(143 - 5 * i)) for i in range(10)]
+        ops += [("query", f"o{i}", net.node_at(11 * i)) for i in range(10)]
+        assert all(out.ok for out in engine.apply_ops(ops))
+        assert audit_batch_core(engine).ok
+
+    def test_epochs_accessor_matches_epoch_of(self):
+        engine = BatchMOTEngine.build(NET, MOTConfig(), seed=2)
+        engine.apply_ops(
+            [
+                ("publish", "a", NODES[0]),
+                ("publish", "b", NODES[1]),
+                ("move", "a", NODES[5]),
+                ("move", "a", NODES[5]),  # no-op: epoch stays
+                ("move", "b", NODES[9]),
+                ("move", "b", NODES[3]),
+            ]
+        )
+        assert engine.epochs == {"a": 1, "b": 2}
+        assert engine.epochs == {o: engine.epoch_of(o) for o in engine.objects}

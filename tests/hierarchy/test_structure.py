@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.generators import grid_network
+from repro.core.costs import close_to
+from repro.graphs.generators import grid_network, random_geometric_network
+from repro.graphs.network import SensorNetwork
 from repro.hierarchy.structure import HNode, build_hierarchy
 
 
@@ -56,6 +59,38 @@ class TestParents:
     def test_invalid_special_gap_rejected(self, grid8):
         with pytest.raises(ValueError, match="special_parent_gap"):
             build_hierarchy(grid8, special_parent_gap=0)
+
+
+class TestDefaultParentHop:
+    """The construction solve's default-parent distances, kept for reuse."""
+
+    @staticmethod
+    def _hops(base: SensorNetwork, backend: str):
+        options = {"exact_budget": base.n} if backend == "landmark" else None
+        net = SensorNetwork(
+            base.graph,
+            normalize=False,
+            distance_backend=backend,
+            backend_options=options,
+        )
+        hs = build_hierarchy(net, seed=1)
+        keys = [(ell, w) for ell in range(hs.h) for w in hs.level_nodes(ell)]
+        kept = np.array([hs.default_parent_hop(ell, w) for ell, w in keys])
+        oracle = net.pair_distances([(w, hs.default_parent(ell, w)) for ell, w in keys])
+        return kept, oracle
+
+    @pytest.mark.parametrize("backend", ["full", "lazy", "landmark"])
+    def test_bit_identical_on_unit_grids(self, backend):
+        kept, oracle = self._hops(grid_network(7, 6), backend)
+        assert kept.size and np.array_equal(kept, oracle)
+
+    @pytest.mark.parametrize("backend", ["full", "lazy", "landmark"])
+    def test_close_on_a_weighted_graph(self, backend):
+        kept, oracle = self._hops(random_geometric_network(50, seed=3), backend)
+        assert kept.size == oracle.size
+        assert all(
+            close_to(a, b) for a, b in zip(kept.tolist(), oracle.tolist(), strict=True)
+        )
 
 
 class TestDPath:

@@ -144,3 +144,39 @@ def test_queue_retry_after_reflects_backlog_under_wall_clock():
         await service.stop()
 
     run(scenario())
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_per_shard_slis_leave_warmup_out(workers):
+    """Per-shard SLI counts agree with the service-wide admitted count.
+
+    Pre-fix, warm-up publishes landed in every shard's ``submitted``,
+    ``completed_ops`` and ``latency``, so the per-shard sums exceeded
+    ``metrics.total_admitted`` by the catalogue size.
+    """
+    timed = 12
+
+    async def scenario():
+        cfg = ServiceConfig(shards=2, workers=workers, queue_capacity=100)
+        service = TrackingService(NET, cfg, seed=1, clock=WallClock())
+        await service.start()
+        warm = [
+            service.submit_warmup(PublishRequest(f"obj-{i}", NET.node_at(i)))
+            for i in range(6)
+        ]
+        await asyncio.gather(*warm)
+        futs = [
+            service.submit_nowait(QueryRequest(f"obj-{i % 6}", NET.node_at(15 - i)))
+            for i in range(timed)
+        ]
+        await asyncio.gather(*futs)
+        await service.stop()
+        return service
+
+    service = run(asyncio.wait_for(scenario(), timeout=60))
+    m = service.metrics
+    assert m.total_warmup == 6
+    assert m.total_admitted == timed
+    assert sum(s.submitted for s in service.shards) == m.total_admitted
+    assert sum(s.completed_ops for s in service.shards) == timed
+    assert sum(s.latency.count for s in service.shards) == timed

@@ -1,106 +1,161 @@
-"""ShardCore's columnar apply path vs its scalar twin.
+"""ShardCore's one apply path against the sequential reference.
 
-``ShardCore(batch=True)`` swaps the per-op tracker calls for the
-struct-of-arrays :class:`~repro.core.batch.BatchMOTEngine` while the
-audit-facing state (epochs, op log, query log) stays core-owned. The
-contract: a batch-mode core fed the same request stream as a scalar
-core produces the same results, logs and epochs — and snapshots taken
-from either mode restore into either mode.
+A shard applies each drained batch as one
+:class:`~repro.core.batch.BatchMOTEngine` call. The contract: whatever
+the chunking, the per-op results equal applying the same request
+stream op by op through a :class:`~repro.core.mot.MOTTracker`
+(duplicate queries coalescing within a chunk), the engine-owned logs
+pass the sequential replay audit, and a snapshot restores and
+continues on the same path.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
-import pytest
-
-from repro.core.batch import audit_batch_core
+from repro.core.batch import BatchMOTEngine, audit_batch_core
 from repro.core.costs import close_to
-from repro.core.mot import MOTTracker
+from repro.core.mot import MOTConfig, MOTTracker
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
+from repro.serve.audit import audit_service
 from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest
 from repro.serve.shard import ShardCore
 from repro.serve.snapshot import capture_snapshot, restore_snapshot
 
 NET = grid_network(5, 5)
 HIER = build_hierarchy(NET, seed=2)
+CHUNKS = (1, 7, 64, 1024)
 
 
-def _request_stream(seed: int = 13, objects: int = 6, n: int = 120):
-    """A deterministic FIFO request mix, duplicate queries included."""
+def make_core() -> ShardCore:
+    return ShardCore(BatchMOTEngine(HIER))
+
+
+def _request_stream(seed: int = 13, objects: int = 6, n: int = 300):
+    """A FIFO request mix with duplicate queries and injected errors.
+
+    Errors: moves and queries of never-published objects, second
+    publishes, and nodes that are not sensors of the network.
+    """
     rng = random.Random(seed)
-    reqs = [
+    reqs: list = [
         PublishRequest(f"obj-{i}", NET.node_at(rng.randrange(NET.n)))
         for i in range(objects)
     ]
     for _ in range(n):
-        obj = f"obj-{rng.randrange(objects)}"
+        obj = f"obj-{rng.randrange(objects + 1)}"  # obj-<objects> is a ghost
+        node = NET.node_at(rng.randrange(NET.n))
         r = rng.random()
-        if r < 0.4:
-            reqs.append(MoveRequest(obj, NET.node_at(rng.randrange(NET.n))))
+        if r < 0.03:
+            reqs.append(PublishRequest(obj, node))
+        elif r < 0.06:
+            reqs.append(MoveRequest(obj, "nowhere"))
+        elif r < 0.4:
+            reqs.append(MoveRequest(obj, node))
         elif r < 0.7:
-            reqs.append(QueryRequest(obj, NET.node_at(rng.randrange(NET.n))))
+            reqs.append(QueryRequest(obj, node))
         else:
-            # repeat a recent query verbatim to exercise coalescing
+            # repeat a query verbatim to exercise coalescing
             reqs.append(QueryRequest(obj, NET.node_at(0)))
     return reqs
 
 
-def _drive_scalar(core: ShardCore, reqs, batch_size: int = 16):
-    """The scalar reference: apply_one per request, coalescing per batch."""
-    results = []
-    for i in range(0, len(reqs), batch_size):
+def _reference(reqs, chunk: int) -> list[tuple]:
+    """Op-by-op results of a sequential MOTTracker, coalescing per chunk."""
+    tracker = MOTTracker(HIER)
+    epochs: dict[str, int] = {}
+    results: list[tuple] = []
+    for i in range(0, len(reqs), chunk):
         answered: dict = {}
-        for req in reqs[i : i + batch_size]:
+        for req in reqs[i : i + chunk]:
             try:
-                proxy, cost, epoch, coalesced = core.apply_one(req, answered)
-                results.append(("ok", proxy, cost, epoch, coalesced))
+                if isinstance(req, PublishRequest):
+                    res = tracker.publish(req.obj, req.proxy)
+                    epochs[req.obj] = 0
+                    results.append(("ok", req.proxy, res.cost, 0, False))
+                elif isinstance(req, MoveRequest):
+                    res = tracker.move(req.obj, req.new_proxy)
+                    if res.new_proxy != res.old_proxy:
+                        epochs[req.obj] += 1
+                    results.append(
+                        ("ok", req.new_proxy, res.cost, epochs[req.obj], False)
+                    )
+                else:
+                    key = (req.obj, epochs.get(req.obj, -1), req.source)
+                    hit = answered.get(key)
+                    if hit is not None:
+                        results.append(("ok", hit[0], hit[1], key[1], True))
+                        continue
+                    res = tracker.query(req.obj, req.source)
+                    answered[key] = (res.proxy, res.cost)
+                    results.append(("ok", res.proxy, res.cost, key[1], False))
             except Exception as exc:  # noqa: BLE001 - parity needs them all
                 results.append(("err", exc))
     return results
 
 
-def _drive_batch(core: ShardCore, reqs, batch_size: int = 16):
+def _drive(core: ShardCore, reqs, chunk: int) -> list[tuple]:
     results = []
-    for i in range(0, len(reqs), batch_size):
-        results.extend(core.apply_requests(reqs[i : i + batch_size]))
+    for i in range(0, len(reqs), chunk):
+        results.extend(core.apply_requests(reqs[i : i + chunk]))
     return results
+
+
+def _assert_same(reqs, got, want) -> None:
+    assert len(got) == len(want) == len(reqs)
+    for k, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a[0] == b[0], (k, reqs[k], a, b)
+        if a[0] == "err":
+            assert type(a[1]) is type(b[1]) and str(a[1]) == str(b[1])
+        else:
+            assert a[1] == b[1], (k, reqs[k], a, b)  # proxy
+            assert close_to(a[2], b[2]), (k, reqs[k], a, b)  # cost
+            assert a[3] == b[3], (k, reqs[k], a, b)  # epoch
+            assert a[4] == b[4], (k, reqs[k], a, b)  # coalesced
+
+
+def _audit(core: ShardCore):
+    """The service's sequential replay audit over one core."""
+    fleet = SimpleNamespace(hierarchy=HIER, mot_config=MOTConfig(), shards=[core])
+    return audit_service(fleet)  # type: ignore[arg-type]
 
 
 class TestApplyParity:
     def test_batch_results_match_scalar(self):
-        reqs = _request_stream()
-        scalar = ShardCore(MOTTracker(HIER))
-        batch = ShardCore(MOTTracker(HIER), batch=True)
-        res_s = _drive_scalar(scalar, reqs)
-        res_b = _drive_batch(batch, reqs)
-        assert len(res_s) == len(res_b) == len(reqs)
-        for k, (a, b) in enumerate(zip(res_s, res_b)):
-            assert a[0] == b[0], (k, reqs[k], a, b)
-            if a[0] == "err":
-                assert type(a[1]) is type(b[1]) and str(a[1]) == str(b[1])
-            else:
-                assert a[1] == b[1], (k, reqs[k], a, b)  # proxy
-                assert close_to(a[2], b[2]), (k, reqs[k], a, b)  # cost
-                assert a[3] == b[3], (k, reqs[k], a, b)  # epoch
-                assert a[4] == b[4], (k, reqs[k], a, b)  # coalesced
+        for seed in (13, 14):
+            reqs = _request_stream(seed=seed)
+            for chunk in CHUNKS:
+                core = make_core()
+                got = _drive(core, reqs, chunk)
+                _assert_same(reqs, got, _reference(reqs, chunk))
+                assert any(r[0] == "err" for r in got)
+                assert any(r[0] == "ok" and r[4] for r in got) == (chunk > 1)
+                report = _audit(core)
+                assert report.ok and report.queries_checked, report.as_dict()
 
     def test_batch_core_keeps_audit_logs(self):
         reqs = _request_stream()
-        scalar = ShardCore(MOTTracker(HIER))
-        batch = ShardCore(MOTTracker(HIER), batch=True)
-        _drive_scalar(scalar, reqs)
-        _drive_batch(batch, reqs)
-        assert batch.epochs == scalar.epochs
-        assert batch.oplog == scalar.oplog
-        assert batch.query_log == scalar.query_log
-        # and the engine's own op log passes the columnar audit
-        audit = audit_batch_core(batch.engine)
+        core = make_core()
+        _drive(core, reqs, 16)
+        # the core's views are the engine's own state, not copies
+        assert core.oplog is core.engine.oplog
+        assert core.query_log is core.engine.query_log
+        assert core.ledger is core.engine.ledger
+        ref = MOTTracker(HIER)
+        for obj, ops in core.oplog.items():
+            for op, node in ops:
+                (ref.publish if op == "publish" else ref.move)(obj, node)
+            assert ref.proxy_of(obj) == core.engine.proxy_of(obj)
+        assert core.epochs == {
+            obj: core.engine.epoch_of(obj) for obj in core.oplog
+        }
+        audit = audit_batch_core(core.engine)
         assert audit.ok, audit.as_dict()
 
     def test_errors_carried_in_place(self):
-        core = ShardCore(MOTTracker(HIER), batch=True)
+        core = make_core()
         res = core.apply_requests(
             [
                 PublishRequest("a", NET.node_at(0)),
@@ -114,36 +169,24 @@ class TestApplyParity:
         # the failed ops never reached the audit logs
         assert list(core.oplog) == ["a"] and len(core.oplog["a"]) == 1
 
-    def test_apply_requests_requires_batch_mode(self):
-        core = ShardCore(MOTTracker(HIER))
-        with pytest.raises(RuntimeError, match="batch-mode"):
-            core.apply_requests([PublishRequest("a", NET.node_at(0))])
-
 
 class TestSnapshotRoundTrip:
-    @pytest.mark.parametrize("src_batch", [False, True])
-    @pytest.mark.parametrize("dst_batch", [False, True])
-    def test_capture_restore_across_modes(self, src_batch, dst_batch):
-        """Snapshots are mode-agnostic: any source restores into any mode."""
+    def test_capture_restore_continues_on_one_path(self):
         reqs = _request_stream(seed=21, objects=4, n=60)
-        tail = _request_stream(seed=22, objects=4, n=40)[4:]  # skip publishes
-        src = ShardCore(MOTTracker(HIER), batch=src_batch)
-        drive = _drive_batch if src_batch else _drive_scalar
-        drive(src, reqs)
+        tail = _request_stream(seed=22, objects=4, n=80)[4:]  # skip publishes
+        src = make_core()
+        _drive(src, reqs, 7)
         snap = capture_snapshot(src, shard_id=0)
 
-        dst = ShardCore(MOTTracker(HIER), batch=dst_batch)
+        dst = make_core()
         restore_snapshot(dst, snap)
         assert dst.epochs == src.epochs
         assert dst.oplog == src.oplog
+        assert dst.query_log == src.query_log
         assert dst.ledger == src.ledger
 
         # the restored core answers the continuation like the original
-        drive_dst = _drive_batch if dst_batch else _drive_scalar
-        res_src = drive(src, tail)
-        res_dst = drive_dst(dst, tail)
-        for k, (a, b) in enumerate(zip(res_src, res_dst)):
-            assert a[0] == b[0], (k, tail[k], a, b)
-            if a[0] == "ok":
-                assert a[1] == b[1] and a[3] == b[3]
-                assert close_to(a[2], b[2])
+        res_src = _drive(src, tail, 7)
+        res_dst = _drive(dst, tail, 7)
+        _assert_same(tail, res_dst, res_src)
+        assert _audit(dst).ok and _audit(src).ok

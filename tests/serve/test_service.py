@@ -1,9 +1,11 @@
 """Service-layer behaviour: client API, sharding, coalescing, audit."""
 
 import asyncio
+import multiprocessing
 
 import pytest
 
+from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network
 from repro.serve import (
     MoveRequest,
@@ -13,6 +15,7 @@ from repro.serve import (
     ServiceConfig,
     TrackingService,
     VirtualClock,
+    WallClock,
     audit_service,
     shard_index,
 )
@@ -204,7 +207,6 @@ class TestCoalescing:
     def test_audit_catches_wrong_cost_on_coalesced_record(self):
         # the exemption removal has teeth: corrupt one coalesced
         # record's cost and the audit must flag it
-        import dataclasses
 
         async def scenario():
             cfg = ServiceConfig(shards=1, batch_size=8)
@@ -222,9 +224,8 @@ class TestCoalescing:
             await service.stop()
             shard = service.shard_of("tiger")
             assert shard.query_log[1].coalesced
-            shard.query_log[1] = dataclasses.replace(
-                shard.query_log[1], cost=shard.query_log[1].cost + 100.0
-            )
+            rec = shard.query_log[1]
+            shard.query_log[1] = rec._replace(cost=rec.cost + 100.0)
             return audit_service(service)
 
         report = run(scenario())
@@ -292,7 +293,7 @@ class TestDrainAndLedger:
         ledger = service.merged_ledger()
         assert ledger.maintenance_ops == 9
         assert ledger.query_ops == 9
-        per_shard = sum(s.tracker.ledger.query_ops for s in service.shards)
+        per_shard = sum(s.ledger.query_ops for s in service.shards)
         assert per_shard == 9
 
     def test_config_validation(self):
@@ -302,3 +303,23 @@ class TestDrainAndLedger:
             ServiceConfig(batch_size=0)
         with pytest.raises(ValueError, match="rate_limit"):
             ServiceConfig(rate_limit=-1.0)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_parent_sets_refused_before_any_shard_starts(self, workers):
+        """The engine needs single default-parent chains; the service says
+        so up front. Pre-fix, a worker built with parent sets raised before
+        its ready frame and ``healthcheck()`` waited for ever."""
+        before = set(multiprocessing.active_children())
+
+        async def scenario():
+            with pytest.raises(ValueError, match="use_parent_sets"):
+                TrackingService(
+                    NET,
+                    ServiceConfig(workers=workers),
+                    seed=1,
+                    clock=WallClock(),
+                    mot_config=MOTConfig(use_parent_sets=True),
+                )
+
+        run(asyncio.wait_for(scenario(), timeout=30))
+        assert set(multiprocessing.active_children()) <= before

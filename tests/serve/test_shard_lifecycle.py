@@ -19,7 +19,7 @@ import asyncio
 
 import pytest
 
-from repro.core.mot import MOTTracker
+from repro.core.batch import BatchMOTEngine
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve import (
@@ -37,7 +37,7 @@ NET = grid_network(3, 3)
 def make_shard(clock):
     return TrackerShard(
         shard_id=0,
-        tracker=MOTTracker(build_hierarchy(NET, seed=1)),
+        engine=BatchMOTEngine(build_hierarchy(NET, seed=1)),
         clock=clock,
         metrics=ServiceMetrics(),
         batch_size=4,

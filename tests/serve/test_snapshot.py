@@ -3,8 +3,8 @@
 The load-bearing property is replay equivalence: a shard restored from
 a snapshot must answer every subsequent operation exactly like the
 shard that never went away — same proxies, same costs, same epochs —
-because restore replays the op log through the same deterministic MOT
-API that produced it. Ledgers are carried by value (not re-accrued), so
+because restore replays the op log through the same deterministic
+apply path that produced it. Ledgers are carried by value (not re-accrued), so
 cost totals across capture → restore → more traffic stay comparable.
 """
 
@@ -15,8 +15,8 @@ import random
 
 import pytest
 
+from repro.core.batch import BatchMOTEngine
 from repro.core.costs import CostLedger
-from repro.core.mot import MOTTracker
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve import (
@@ -29,6 +29,7 @@ from repro.serve.hashring import HashRing
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.shard import ShardCore, TrackerShard
 from repro.serve.snapshot import (
+    SNAPSHOT_VERSION,
     ShardSnapshot,
     capture_snapshot,
     merge_snapshots,
@@ -43,23 +44,23 @@ HIER = build_hierarchy(NET, seed=2)
 
 
 def make_core() -> ShardCore:
-    return ShardCore(MOTTracker(HIER))
+    return ShardCore(BatchMOTEngine(HIER))
 
 
 def drive(core: ShardCore, seed: int = 9, objects: int = 5) -> None:
     """Apply a deterministic publish/move/query mix to ``core``."""
     rng = random.Random(seed)
     for i in range(objects):
-        core.apply_one(
-            PublishRequest(f"obj-{i}", NET.node_at(rng.randrange(NET.n))), {}
+        core.apply_requests(
+            [PublishRequest(f"obj-{i}", NET.node_at(rng.randrange(NET.n)))]
         )
     for _ in range(3 * objects):
         obj = f"obj-{rng.randrange(objects)}"
-        core.apply_one(MoveRequest(obj, NET.node_at(rng.randrange(NET.n))), {})
+        core.apply_requests([MoveRequest(obj, NET.node_at(rng.randrange(NET.n)))])
     for _ in range(2 * objects):
         obj = f"obj-{rng.randrange(objects)}"
-        core.apply_one(
-            QueryRequest(obj, NET.node_at(rng.randrange(NET.n))), {}
+        core.apply_requests(
+            [QueryRequest(obj, NET.node_at(rng.randrange(NET.n)))]
         )
 
 
@@ -74,7 +75,7 @@ class TestCaptureRestore:
         assert restored.epochs == original.epochs
         assert restored.oplog == original.oplog
         assert list(restored.query_log) == list(original.query_log)
-        assert restored.tracker.ledger == original.tracker.ledger
+        assert restored.ledger == original.ledger
 
         # both timelines continue with identical traffic and must stay
         # indistinguishable — proxies, costs, epochs, accrued ledgers
@@ -85,14 +86,14 @@ class TestCaptureRestore:
                 req = MoveRequest(obj, NET.node_at(rng.randrange(NET.n)))
             else:
                 req = QueryRequest(obj, NET.node_at(rng.randrange(NET.n)))
-            assert original.apply_one(req, {}) == restored.apply_one(req, {})
+            assert original.apply_requests([req]) == restored.apply_requests([req])
         assert capture_snapshot(original, 0) == capture_snapshot(restored, 0)
 
     def test_capture_is_a_deep_copy(self):
         core = make_core()
         drive(core, objects=2)
         snap = capture_snapshot(core, shard_id=3)
-        core.apply_one(MoveRequest("obj-0", NET.node_at(0)), {})
+        core.apply_requests([MoveRequest("obj-0", NET.node_at(0))])
         assert len(snap.oplog["obj-0"]) < len(core.oplog["obj-0"])
         assert snap.shard_id == 3
         assert snap.objects == ("obj-0", "obj-1")
@@ -126,7 +127,9 @@ class TestBytesRoundTrip:
     def test_from_bytes_rejects_other_versions(self):
         core = make_core()
         drive(core, objects=1)
-        snap = dataclasses.replace(capture_snapshot(core, 0), version=2)
+        snap = dataclasses.replace(
+            capture_snapshot(core, 0), version=SNAPSHOT_VERSION + 1
+        )
         with pytest.raises(ValueError, match="version"):
             snapshot_from_bytes(pickle.dumps(snap))
 
@@ -196,7 +199,7 @@ class TestShardSurface:
             def make_shard(sid):
                 return TrackerShard(
                     shard_id=sid,
-                    tracker=MOTTracker(HIER),
+                    engine=BatchMOTEngine(HIER),
                     clock=clock,
                     metrics=metrics,
                     batch_size=8,
