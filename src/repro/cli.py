@@ -161,9 +161,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     PERF.reset()
     net = grid_network(args.side, args.side)
-    backend = args.distance_backend if args.distance_backend != "auto" else args.distance_mode
-    if backend != "auto":
-        net = SensorNetwork(net.graph, normalize=False, distance_backend=backend)
+    if args.distance_backend != "auto":
+        net = SensorNetwork(net.graph, normalize=False, distance_backend=args.distance_backend)
     wl = make_workload(net, num_objects=args.objects, moves_per_object=args.moves,
                        num_queries=args.queries, seed=args.seed)
     tracker = make_tracker("MOT", net, wl.traffic, seed=args.seed)
@@ -611,12 +610,9 @@ def main(argv: list[str] | None = None) -> int:
     p_perf.add_argument("--moves", type=int, default=50)
     p_perf.add_argument("--queries", type=int, default=50)
     p_perf.add_argument("--seed", type=int, default=1)
-    p_perf.add_argument("--distance-mode", choices=("auto", "full", "lazy"), default="auto",
-                        help="legacy alias of --distance-backend")
     p_perf.add_argument("--distance-backend",
                         choices=("auto", "full", "lazy", "landmark", "memmap"),
-                        default="auto",
-                        help="distance backend (supersedes --distance-mode)")
+                        default="auto", help="distance backend")
     p_perf.add_argument("--prometheus", action="store_true",
                         help="emit Prometheus text exposition instead of JSON")
     p_perf.add_argument("--out", help="write the report here instead of stdout")

@@ -13,7 +13,6 @@ from repro.experiments.config import (
     CostExperiment,
     LoadExperiment,
     PAPER_ALGORITHMS,
-    ServiceExperiment,
 )
 from repro.experiments.runner import (
     make_tracker,
@@ -24,15 +23,11 @@ from repro.experiments.runner import (
 )
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.reporting import format_cost_table, format_load_table
-from repro.experiments.service import ServiceSweepReport, run_service_sweep
 
 __all__ = [
     "CostExperiment",
     "LoadExperiment",
     "PAPER_ALGORITHMS",
-    "ServiceExperiment",
-    "ServiceSweepReport",
-    "run_service_sweep",
     "make_tracker",
     "execute_one_by_one",
     "execute_concurrent",

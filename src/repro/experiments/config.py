@@ -19,7 +19,6 @@ __all__ = [
     "CostExperiment",
     "LoadExperiment",
     "ChaosExperiment",
-    "ServiceExperiment",
 ]
 
 #: the four curves of Figs. 4–7 and 12–15
@@ -115,37 +114,3 @@ class ChaosExperiment:
             raise ValueError("message_loss must be in [0, 1)")
         if self.num_crashes < 0 or self.crash_duration < 0:
             raise ValueError("num_crashes and crash_duration must be >= 0")
-
-
-@dataclass(frozen=True)
-class ServiceExperiment:
-    """Parameters of a service sweep: shard count × offered load.
-
-    Each cell replays the same workload trace against a fresh
-    :class:`~repro.serve.service.TrackingService` under the
-    deterministic virtual clock (:mod:`repro.serve.bench`), so cells
-    differ *only* in shard count and offered rate — the knobs whose
-    interaction (service capacity ``shards / service_time_base_s`` vs
-    arrival rate) the sweep is mapping. Every cell is audited against
-    the sequential reference.
-    """
-
-    side: int = 8
-    num_objects: int = 24
-    moves_per_object: int = 10
-    num_queries: int = 60
-    shard_counts: tuple[int, ...] = (1, 2, 4)
-    rates: tuple[float, ...] = (200.0, 1000.0, 4000.0)
-    seed: int = 0
-    batch_size: int = 16
-    queue_capacity: int = 32
-    service_time_base_s: float = 1e-3
-    mobility: Literal["random_walk", "waypoint", "hotspot", "oscillation"] = "random_walk"
-
-    def __post_init__(self) -> None:
-        if not self.shard_counts or not self.rates:
-            raise ValueError("shard_counts and rates must be non-empty")
-        if any(s < 1 for s in self.shard_counts):
-            raise ValueError("shard counts must be >= 1")
-        if any(r <= 0 for r in self.rates):
-            raise ValueError("rates must be positive")

@@ -7,8 +7,8 @@ shortest-path work to a backend operating purely on integer node
 indices. The protocol is deliberately small — the six methods ROADMAP
 item 1 names (``distances_from``, ``distances_to_many``,
 ``pair_distances``, ``k_neighborhood``, ``diameter_bounds``, ``stats``)
-plus the single-pair / upper-bound / landmark helpers the trackers
-already consumed:
+plus the single-pair and landmark helpers the trackers already
+consumed:
 
 - :class:`FullMatrixBackend` (``"full"``) — one all-pairs Dijkstra up
   front; O(n²) memory, O(1) exact lookups. The seed oracle's full mode.
@@ -73,7 +73,7 @@ __all__ = [
     "register_backend",
 ]
 
-#: default landmark count for the upper-bound oracle / landmark backend
+#: default landmark count of the landmark backend (and of build_landmarks)
 DEFAULT_LANDMARKS = 16
 #: default exactness-fallback budget of the landmark backend: how many
 #: unlimited row queries may run a full Dijkstra before answers switch
@@ -296,10 +296,6 @@ class DistanceBackend(Protocol):
         """Pin ``k`` landmark rows; returns the chosen indices."""
         ...
 
-    def distance_upper_bound(self, i: int, j: int) -> float:
-        """Admissible upper bound on ``d(i, j)`` without a new exact solve."""
-        ...
-
     def stats(self) -> dict[str, int | float | str | bool]:
         """Counters describing oracle pressure (cache, solves, landmarks)."""
         ...
@@ -448,18 +444,6 @@ class _BackendBase:
         PERF.incr("oracle.landmark_ub")
         return float(np.min(self._landmark_rows[:, i] + self._landmark_rows[:, j]))
 
-    def distance_upper_bound(self, i: int, j: int) -> float:
-        """Exact when free (cached row of either endpoint), else the landmark bound."""
-        if i == j:
-            return 0.0
-        row = self._rows.peek(i)
-        if row is not None:
-            return float(row[j])
-        row = self._rows.peek(j)
-        if row is not None:
-            return float(row[i])
-        return self._landmark_bound(i, j)
-
     def stats(self) -> dict[str, int | float | str | bool]:
         lm = self._landmark_rows
         return {
@@ -545,9 +529,6 @@ class FullMatrixBackend(_BackendBase):
 
     def _pinned_row(self, i: int) -> np.ndarray:
         return np.asarray(self._ensure()[i])
-
-    def distance_upper_bound(self, i: int, j: int) -> float:
-        return float(self._ensure()[i, j])  # exact is free here
 
 
 class LazyLRUBackend(_BackendBase):
@@ -775,17 +756,6 @@ class LandmarkBackend(LazyLRUBackend):
         row = self._engine.solve(i)
         self._rows.put(i, row)
         return row
-
-    def distance_upper_bound(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        row = self._rows.peek(i)
-        if row is not None:
-            return float(row[j])
-        row = self._rows.peek(j)
-        if row is not None:
-            return float(row[i])
-        return self._landmark_bound(i, j)
 
     def stats(self) -> dict[str, int | float | str | bool]:
         out = super().stats()

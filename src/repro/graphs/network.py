@@ -21,9 +21,6 @@ algorithm in this package relies on:
   in row-backed modes — see :attr:`SensorNetwork.diameter_bounds`),
 - ``k``-neighborhoods (all nodes within distance ``k``, boundary nodes
   included up to the :mod:`repro.core.costs` tolerance),
-- an optional landmark-based *upper-bound* oracle
-  (:meth:`SensorNetwork.distance_upper_bound`) for callers that can
-  trade exactness for constant-time answers,
 - deterministic integer indexing of nodes (node identifiers are sorted
   once; positional access is by :meth:`SensorNetwork.node_at`).
 
@@ -72,24 +69,22 @@ class SensorNetwork:
     normalize:
         If true (default), rescale all weights so the minimum edge
         weight is exactly 1 (paper §2.1).
-    distance_mode:
-        Backwards-compatible backend selector: ``"full"`` precomputes
-        the all-pairs matrix (O(n²) memory, fastest repeated queries);
-        ``"lazy"`` computes single-source rows on demand and keeps the
-        most recent ones in a bounded LRU (scales to hundreds of
-        thousands of sensors); ``"auto"`` (default) picks ``full`` up
-        to :data:`LAZY_THRESHOLD` nodes. Components that genuinely need
-        the whole matrix (doubling-dimension estimation, sparse covers)
-        require a matrix-backed mode and say so.
     lazy_cache_rows:
         Capacity of the exact row cache (default
         :data:`LAZY_CACHE_ROWS`). Memory is ``capacity · n`` floats;
         unused by matrix-backed modes.
     distance_backend:
-        Full backend selector, superseding ``distance_mode`` when
-        given: any name in :data:`repro.graphs.backends.BACKEND_NAMES`
-        (``"full"``, ``"lazy"``, ``"landmark"``, ``"memmap"``) or
-        ``"auto"``.
+        Any name in :data:`repro.graphs.backends.BACKEND_NAMES` —
+        ``"full"`` precomputes the all-pairs matrix (O(n²) memory,
+        fastest repeated queries); ``"lazy"`` computes single-source
+        rows on demand and keeps the most recent ones in a bounded LRU
+        (scales to hundreds of thousands of sensors); ``"landmark"``
+        and ``"memmap"`` are described in :mod:`repro.graphs.backends`
+        — or ``"auto"`` (default), which picks ``full`` up to
+        :data:`LAZY_THRESHOLD` nodes and ``lazy`` beyond. Components
+        that genuinely need the whole matrix (doubling-dimension
+        estimation, sparse covers) require a matrix-backed backend and
+        say so.
     backend_options:
         Extra keyword arguments for the backend factory — the landmark
         backend accepts ``num_landmarks`` and ``exact_budget``, the
@@ -99,28 +94,23 @@ class SensorNetwork:
     ------
     ValueError
         If the graph is empty, disconnected, has a non-positive edge
-        weight, or the requested mode/backend is unknown.
+        weight, or the requested backend is unknown.
     """
 
     #: "auto" switches from the precomputed matrix to lazy rows here
     LAZY_THRESHOLD = 2048
     #: default lazy-mode row-cache capacity (rows of n floats each)
     LAZY_CACHE_ROWS = 256
-    #: default landmark count for the upper-bound oracle
-    DEFAULT_LANDMARKS = 16
 
     def __init__(
         self,
         graph: nx.Graph,
         positions: dict[Node, tuple[float, float]] | None = None,
         normalize: bool = True,
-        distance_mode: str = "auto",
         lazy_cache_rows: int | None = None,
-        distance_backend: str | None = None,
+        distance_backend: str = "auto",
         backend_options: dict[str, object] | None = None,
     ) -> None:
-        if distance_mode not in ("auto", "full", "lazy"):
-            raise ValueError(f"unknown distance_mode {distance_mode!r}")
         if graph.number_of_nodes() == 0:
             raise ValueError("sensor network must have at least one node")
         if not nx.is_connected(graph):
@@ -154,7 +144,7 @@ class SensorNetwork:
         self._all_idx = list(range(len(self._nodes)))
 
         self._positions = dict(positions) if positions else None
-        name = distance_backend if distance_backend is not None else distance_mode
+        name = distance_backend
         if name == "auto":
             name = "full" if len(self._nodes) <= self.LAZY_THRESHOLD else "lazy"
         self._adj_csr: csr_matrix | None = None
@@ -292,7 +282,7 @@ class SensorNetwork:
         Computed lazily once; O(n^2) memory. Only matrix-backed
         backends (``full``, ``memmap``) provide it — callers that need
         the whole matrix (doubling estimation, sparse covers) must
-        construct the network with ``distance_mode="full"``.
+        construct the network with ``distance_backend="full"``.
         """
         if not self._backend.supports_matrix:
             mode = self._backend.name
@@ -303,7 +293,7 @@ class SensorNetwork:
             )
             raise RuntimeError(
                 f"distance_matrix is unavailable {qualifier}; "
-                'construct the SensorNetwork with distance_mode="full"'
+                'construct the SensorNetwork with distance_backend="full"'
             )
         return self._backend.matrix()
 
@@ -469,20 +459,6 @@ class SensorNetwork:
         """
         chosen = self._backend.build_landmarks(k)
         return tuple(self._nodes[i] for i in chosen)
-
-    def distance_upper_bound(self, u: Node, v: Node) -> float:
-        """An upper bound on ``dist_G(u, v)`` that never runs a new Dijkstra.
-
-        Exact whenever it can be for free (matrix-backed modes,
-        identical endpoints, or a cached row for either endpoint);
-        otherwise the landmark bound ``min_L d(u, L) + d(L, v)`` —
-        admissible by the triangle inequality. Landmarks are built on
-        first use (:meth:`build_landmarks` tunes ``k``). Intended for
-        callers that can act on a safe over-estimate (search-radius
-        sizing, candidate pruning) without forcing exact work on the
-        hot path.
-        """
-        return self._backend.distance_upper_bound(self._index[u], self._index[v])
 
     @property
     def oracle_stats(self) -> dict[str, int | str | float | bool]:

@@ -6,17 +6,17 @@ request-serving system, the ROADMAP's "serves heavy traffic" substrate:
 - :mod:`repro.serve.protocol` — request/response records and the
   :class:`Overloaded` backpressure rejection;
 - :mod:`repro.serve.clock` — wall vs deterministic virtual time;
-- :mod:`repro.serve.shard` — :class:`TrackerShard` workers: hash
-  partition, per-wakeup batching, one columnar engine call per drained
-  batch with query coalescing (the clock-free apply path lives in
-  :class:`ShardCore`);
+- :mod:`repro.serve.shard` — :class:`TrackerShard`, the one shard
+  front end: bounded-queue gauge, per-wakeup batching, one columnar
+  engine call per drained batch with query coalescing;
 - :mod:`repro.serve.hashring` — consistent-hash object → shard
   routing (SHA-256 ring, ~K/n key movement on resize);
 - :mod:`repro.serve.transport` — length-prefixed pickle framing over
   socket pairs: the worker-process message boundary;
-- :mod:`repro.serve.worker` — forked shard worker processes
-  (:func:`worker_main`) and their in-service
-  :class:`ProcessShardHandle` fronts;
+- :mod:`repro.serve.worker` — :class:`ShardWorker`, a shard's engine
+  behind the frame protocol's handlers, reached by a direct call in
+  process or, with ``workers > 0``, over a socket from a forked
+  :func:`worker_main`;
 - :mod:`repro.serve.snapshot` — shard snapshot/restore plus
   split/merge for elastic resizing and crash-restart;
 - :mod:`repro.serve.service` — :class:`TrackingService`: admission
@@ -64,7 +64,7 @@ from repro.serve.protocol import (
     kind_of,
 )
 from repro.serve.service import ServiceConfig, TokenBucket, TrackingService, shard_index
-from repro.serve.shard import QueryRecord, ShardCore, TrackerShard, shard_sli
+from repro.serve.shard import QueryRecord, TrackerShard, shard_sli
 from repro.serve.snapshot import (
     ShardSnapshot,
     capture_snapshot,
@@ -74,7 +74,7 @@ from repro.serve.snapshot import (
     snapshot_to_bytes,
     split_snapshot,
 )
-from repro.serve.worker import ProcessShardHandle, ShardWorker, WorkerSpec
+from repro.serve.worker import ShardWorker, WorkerSpec
 
 __all__ = [
     "AuditReport",
@@ -101,7 +101,6 @@ __all__ = [
     "TrackingService",
     "shard_index",
     "QueryRecord",
-    "ShardCore",
     "TrackerShard",
     "shard_sli",
     "HashRing",
@@ -112,7 +111,6 @@ __all__ = [
     "snapshot_from_bytes",
     "split_snapshot",
     "merge_snapshots",
-    "ProcessShardHandle",
     "ShardWorker",
     "WorkerSpec",
 ]

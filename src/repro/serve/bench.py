@@ -72,7 +72,6 @@ class ServeBenchConfig:
     rate_limit: float | None = None  # admission token-bucket (None = off)
     burst: float = 16.0
     service_time_base_s: float = 1e-3
-    service_time_per_cost_s: float = 0.0
     clock: str = "virtual"  # "virtual" (deterministic) or "wall"
     mobility: str = "random_walk"
     #: distance backend of the shared SensorNetwork ("auto" keeps the
@@ -110,7 +109,6 @@ class ServeBenchConfig:
             rate_limit=self.rate_limit,
             burst=self.burst,
             service_time_base_s=self.service_time_base_s,
-            service_time_per_cost_s=self.service_time_per_cost_s,
             metrics_snapshot_interval_s=self.metrics_snapshot_interval_s,
         )
 

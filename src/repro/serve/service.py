@@ -3,13 +3,12 @@
 One service instance owns:
 
 - a hierarchy built **once** over the shared :class:`SensorNetwork`,
-- ``shards`` shard backends — in-process
-  :class:`~repro.serve.shard.TrackerShard` workers by default, or
-  (``workers > 0``) forked worker processes behind
-  :class:`~repro.serve.worker.ProcessShardHandle`s — objects are
-  partitioned with a :class:`~repro.serve.hashring.HashRing`
-  (SHA-256-based, so placement does not depend on ``PYTHONHASHSEED``
-  and resizing the fleet moves only ~K/n keys),
+- ``shards`` :class:`~repro.serve.shard.TrackerShard` front ends,
+  whose engines run in process by default or (``workers > 0``) in
+  forked worker processes — objects are partitioned with a
+  :class:`~repro.serve.hashring.HashRing` (SHA-256-based, so placement
+  does not depend on ``PYTHONHASHSEED`` and resizing the fleet moves
+  only ~K/n keys),
 - admission control: a token-bucket rate limiter over the whole
   service plus a bounded per-shard queue, both rejecting with
   :class:`~repro.serve.protocol.Overloaded` and a ``retry_after`` hint,
@@ -28,7 +27,6 @@ import asyncio
 from dataclasses import dataclass
 from typing import Hashable, Union
 
-from repro.core.batch import BatchMOTEngine
 from repro.core.costs import CostLedger, close_to
 from repro.core.mot import MOTConfig
 from repro.graphs.network import SensorNetwork
@@ -45,7 +43,7 @@ from repro.serve.protocol import (
     kind_of,
 )
 from repro.serve.shard import TrackerShard
-from repro.serve.worker import ProcessShardHandle, WorkerSpec
+from repro.serve.worker import WorkerSpec
 
 Node = Hashable
 
@@ -75,9 +73,9 @@ class ServiceConfig:
 
     - ``shards`` — shard count; objects are partitioned on a
       consistent-hash ring (see :mod:`repro.serve.hashring`).
-    - ``workers`` — 0 (default) runs every shard as an in-process
-      asyncio worker; ``N > 0`` forks ``N`` worker *processes* instead
-      (and overrides ``shards`` as the shard count). Worker processes
+    - ``workers`` — 0 (default) runs every shard's engine in process;
+      ``N > 0`` forks ``N`` worker *processes* for them instead (and
+      overrides ``shards`` as the shard count). Worker processes
       require a wall clock — see :mod:`repro.serve.worker`.
     - ``batch_size`` — max operations one shard drains per wakeup and
       applies in one engine call. The default is large enough that a
@@ -87,13 +85,12 @@ class ServiceConfig:
       beyond it, submits are rejected ``Overloaded("queue")``.
     - ``rate_limit`` — service-wide admitted ops/s through a token
       bucket of ``burst`` tokens (``None`` disables the limiter).
-    - ``exempt_publish`` — publishes skip the rate limiter (they are
-      one-time registrations, not steady-state traffic); the queue
-      bound still applies.
-    - ``service_time_base_s`` / ``service_time_per_cost_s`` — the
-      virtual-clock service model: each executed op occupies its shard
-      for ``base + per_cost · message cost`` seconds. Ignored under a
-      wall clock, where real compute time is the service time.
+      Publishes skip the limiter (they are one-time registrations, not
+      steady-state traffic); the queue bound still applies.
+    - ``service_time_base_s`` — the virtual-clock service model: each
+      executed op occupies its shard for this many seconds (a
+      coalesced twin for none). Ignored under a wall clock, where real
+      compute time is the service time.
     - ``metrics_snapshot_interval_s`` — with a value, the service takes
       a periodic counters snapshot (see
       :meth:`TrackingService.maybe_snapshot`) no more often than every
@@ -106,9 +103,7 @@ class ServiceConfig:
     queue_capacity: int = 64
     rate_limit: float | None = None
     burst: float = 16.0
-    exempt_publish: bool = True
     service_time_base_s: float = 1e-3
-    service_time_per_cost_s: float = 0.0
     metrics_snapshot_interval_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -124,8 +119,8 @@ class ServiceConfig:
             raise ValueError("rate_limit must be positive (or None)")
         if self.burst < 1:
             raise ValueError("burst must be >= 1")
-        if self.service_time_base_s < 0 or self.service_time_per_cost_s < 0:
-            raise ValueError("service-time parameters must be >= 0")
+        if self.service_time_base_s < 0:
+            raise ValueError("service_time_base_s must be >= 0")
         if (
             self.metrics_snapshot_interval_s is not None
             and self.metrics_snapshot_interval_s <= 0
@@ -171,10 +166,6 @@ class TokenBucket:
             self.tokens = max(0.0, self.tokens - 1.0)
             return 0.0
         return (1.0 - self.tokens) / self.rate
-
-
-#: one shard backend, either side of the process boundary
-Shard = Union[TrackerShard, ProcessShardHandle]
 
 
 class TrackingService:
@@ -223,8 +214,16 @@ class TrackingService:
         num_shards = self.config.num_shards
         #: object → shard routing; shard ids double as list indices
         self.ring = HashRing(range(num_shards))
-        self.shards: list[Shard] = [
-            self._make_shard(i) for i in range(num_shards)
+        self.shards = [
+            TrackerShard(
+                WorkerSpec(i, self.hierarchy, self.mot_config),
+                clock=self.clock,
+                metrics=self.metrics,
+                batch_size=self.config.batch_size,
+                service_time_base_s=self.config.service_time_base_s,
+                process=self.config.multiprocess,
+            )
+            for i in range(num_shards)
         ]
         self._bucket = (
             TokenBucket(self.config.rate_limit, self.config.burst, self.clock.now)
@@ -238,34 +237,11 @@ class TrackingService:
         self._closed = False
         self._drain_task: asyncio.Future | None = None
 
-    def _make_shard(self, shard_id: int) -> Shard:
-        if self.config.multiprocess:
-            return ProcessShardHandle(
-                shard_id=shard_id,
-                spec=WorkerSpec(
-                    shard_id=shard_id,
-                    hierarchy=self.hierarchy,
-                    mot_config=self.mot_config,
-                ),
-                clock=self.clock,
-                metrics=self.metrics,
-                batch_size=self.config.batch_size,
-            )
-        return TrackerShard(
-            shard_id=shard_id,
-            engine=BatchMOTEngine(self.hierarchy, self.mot_config),
-            clock=self.clock,
-            metrics=self.metrics,
-            batch_size=self.config.batch_size,
-            service_time_base_s=self.config.service_time_base_s,
-            service_time_per_cost_s=self.config.service_time_per_cost_s,
-        )
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn every shard worker (tasks or forked processes)."""
+        """Start every shard's drain loop (forking its worker process first)."""
         if self._closed:
             raise RuntimeError("service is closed")
         for shard in self.shards:
@@ -304,7 +280,7 @@ class TrackingService:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def shard_of(self, obj: str) -> Shard:
+    def shard_of(self, obj: str) -> TrackerShard:
         """The shard that owns ``obj`` (consistent-hash routing)."""
         return self.shards[self.ring.shard_for(obj)]
 
@@ -336,9 +312,7 @@ class TrackingService:
                     "serve.reject", obj=str(req.obj), reason="queue", retry_after=retry
                 )
             raise Overloaded("queue", retry)
-        if self._bucket is not None and not (
-            self.config.exempt_publish and isinstance(req, PublishRequest)
-        ):
+        if self._bucket is not None and not isinstance(req, PublishRequest):
             retry = self._bucket.try_admit(t)
             if retry > 0.0:
                 shard.rejected += 1
@@ -351,7 +325,7 @@ class TrackingService:
         self.metrics.record_admission(kind, shard.depth)
         return shard.submit(req, t)
 
-    def _queue_retry_after(self, shard: Shard, t: float) -> float:
+    def _queue_retry_after(self, shard: TrackerShard, t: float) -> float:
         """A useful ``retry_after`` for a full queue under either clock.
 
         Virtual mode knows the shard's busy horizon exactly. Under a
@@ -392,10 +366,10 @@ class TrackingService:
     # inspection
     # ------------------------------------------------------------------
     async def healthcheck(self) -> dict:
-        """Liveness of every shard backend plus a service-level verdict.
+        """Liveness of every shard plus a service-level verdict.
 
         For worker processes the probe is a real ``health`` frame
-        round-trip through the worker's queue — a hung or dead worker
+        round-trip through the shard's queue — a hung or dead worker
         fails the probe, not just a dead process handle.
         """
         shards = [await shard.health() for shard in self.shards]
@@ -443,10 +417,10 @@ class TrackingService:
     def merged_ledger(self) -> CostLedger:
         """All shards' cost ledgers folded into one.
 
-        Uniform across the process boundary: an in-process shard reads
-        its tracker's live ledger, a process handle the ledger its
-        worker shipped home in the final frame (so call after
-        :meth:`stop` in multiprocess mode).
+        An in-process shard reads its engine's live ledger, a worker
+        shard the ledger its final frame carried home — so in
+        multiprocess mode call this after :meth:`stop` (before it, a
+        worker shard's ledger raises ``RuntimeError``).
         """
         total = CostLedger()
         for shard in self.shards:

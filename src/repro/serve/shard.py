@@ -1,20 +1,29 @@
-"""`TrackerShard` — one worker coroutine owning one MOT instance.
+"""`TrackerShard` — the one shard front end: a queue, a drain loop, an engine.
 
 The service hash-partitions objects across shards; each shard runs a
-single ``asyncio`` worker that drains its queue in batches of up to
+single ``asyncio`` drain loop that takes its queue in batches of up to
 ``batch_size`` operations per wakeup and applies each batch as one
-call into its own :class:`~repro.core.batch.BatchMOTEngine`, built over
-the *shared* hierarchy. Because every MOT operation on an object
-touches only that object's spine, a shard holding a subset of the
-objects answers queries exactly like a sequential
-:class:`~repro.core.mot.MOTTracker` holding all of them — the property
-the consistency audit (:mod:`repro.serve.audit`) checks.
+``batch`` request to its :class:`~repro.serve.worker.ShardWorker` — a
+:class:`~repro.core.batch.BatchMOTEngine` built over the *shared*
+hierarchy. Because every MOT operation on an object touches only that
+object's spine, a shard holding a subset of the objects answers
+queries exactly like a sequential :class:`~repro.core.mot.MOTTracker`
+holding all of them — the property the consistency audit
+(:mod:`repro.serve.audit`) checks.
 
-The clock-free part of a shard — the engine and the request → op
-translation — lives in :class:`ShardCore`, which
-:mod:`repro.serve.worker` reuses verbatim on the far side of the
-process boundary: one apply path, two schedulers (an asyncio task
-here, a blocking frame loop there).
+The engine always sits behind the worker frame protocol
+(:data:`repro.serve.worker._HANDLERS`); only the transport differs:
+
+- **in process** (``process=False``): each request is a direct handler
+  call that never suspends. Health, snapshot and restore are answered
+  at once, and the state views (``epochs``, ``oplog``, ``query_log``,
+  ``ledger``) are the live engine's;
+- **worker process** (``process=True``): the engine lives in a child
+  forked by :func:`repro.serve.worker.spawn`, each request is one frame
+  round trip, and health/snapshot/restore queue FIFO behind the
+  admitted batches so the channel carries one conversation at a time.
+  The state views read the ``stop`` reply, a
+  :class:`~repro.serve.snapshot.ShardSnapshot`, and raise before it.
 
 Per wakeup the shard:
 
@@ -23,53 +32,43 @@ Per wakeup the shard:
    control reject deterministically);
 2. drains up to ``batch_size`` queued ops preserving FIFO order (so
    per-object operation order is preserved);
-3. applies them in one :meth:`ShardCore.apply_requests` call. The
-   engine **coalesces** duplicate queries within the call: queries for
-   the same ``(object, epoch, source)`` — same object and querying
-   node, no intervening move — execute one spine walk and share the
-   answer. The source is part of the key because query cost is charged
-   from the *querying* node's position: two sources asking about the
-   same object walk different prefixes of the spine;
+3. applies them in one engine call. The engine **coalesces** duplicate
+   queries within the call: queries for the same
+   ``(object, epoch, source)`` — same object and querying node, no
+   intervening move — execute one spine walk and share the answer. The
+   source is part of the key because query cost is charged from the
+   *querying* node's position: two sources asking about the same
+   object walk different prefixes of the spine;
 4. settles every op from the ``("ok" | "err", …)`` result tuples and
-   stamps completions: in virtual mode each op is charged an explicit
-   service time (``base + per_cost · cost``) on top of the shard's busy
-   horizon, in wall mode every op completes at the clock reading taken
-   when the engine returned.
-
-The engine keeps the audit-facing state — per-object epochs, the
-applied op log, the answered-query log and the cost ledger — once;
-the shard and the audit read it through :class:`ShardCore`.
+   stamps completions: in virtual mode each executed op is charged
+   ``service_time_base_s`` on top of the shard's busy horizon, in wall
+   mode every op completes at the clock reading taken when the engine
+   returned.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Union
+from typing import Any, Hashable, Sequence, Union
 
-from repro.core.batch import BatchMOTEngine
 from repro.core.batch import BatchQueryRecord as QueryRecord
 from repro.core.costs import CostLedger
 from repro.obs.trace import TRACER
 from repro.perf import TimerStat
 from repro.serve.clock import VirtualClock, WallClock
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.protocol import (
-    MoveRequest,
-    OpKind,
-    OpResponse,
-    PublishRequest,
-    QueryRequest,
-    Request,
-    kind_of,
-)
-from repro.serve.snapshot import ShardSnapshot, capture_snapshot, restore_snapshot
+from repro.serve.protocol import OpKind, OpResponse, Request, kind_of
+from repro.serve.snapshot import ShardSnapshot
+from repro.serve.transport import AsyncChannel
+from repro.serve.worker import _HANDLERS, ShardWorker, WorkerSpec, spawn
 
 Node = Hashable
 
-__all__ = ["ShardCore", "TrackerShard", "QueryRecord", "shard_sli"]
+__all__ = ["TrackerShard", "QueryRecord", "shard_sli"]
 
-#: queue sentinel that stops the worker after the queue fully drains
+#: queue sentinel that stops the drain loop after the queue fully drains
 _STOP = object()
 
 
@@ -89,127 +88,21 @@ class _Admitted:
     warmup: bool = False
 
 
-def _as_op(req: Request) -> tuple[str, str, Node]:
-    """The engine op ``(kind, obj, node)`` of one service request."""
-    if isinstance(req, MoveRequest):
-        return ("move", req.obj, req.new_proxy)
-    if isinstance(req, QueryRequest):
-        return ("query", req.obj, req.source)
-    if isinstance(req, PublishRequest):
-        return ("publish", req.obj, req.proxy)
-    raise TypeError(f"not a service request: {req!r}")
+@dataclass
+class _Control:
+    """A health/snapshot/restore request queued behind a worker's batches."""
+
+    kind: str
+    payload: Any
+    future: asyncio.Future
 
 
-class ShardCore:
-    """The clock-free state and apply path of one shard.
-
-    Wraps one :class:`~repro.core.batch.BatchMOTEngine`. Everything
-    here is synchronous and scheduler-agnostic — the asyncio
-    :class:`TrackerShard` and the process-boundary
-    :class:`~repro.serve.worker.ShardWorker` both drive it. The
-    audit-facing views below are the engine's own state, not copies.
-    """
-
-    def __init__(self, engine: BatchMOTEngine) -> None:
-        self.engine = engine
-
-    @property
-    def epochs(self) -> dict[str, int]:
-        """Per-object applied-move count (the audit's version number)."""
-        return self.engine.epochs
-
-    @property
-    def oplog(self) -> dict[str, list[tuple[str, Node]]]:
-        """Applied ops per object: ``[("publish", proxy), ("move", new), ...]``."""
-        return self.engine.oplog
-
-    @property
-    def query_log(self) -> list[QueryRecord]:
-        """Every answered query in execution order."""
-        return self.engine.query_log
-
-    @property
-    def ledger(self) -> CostLedger:
-        """The engine's cost ledger."""
-        return self.engine.ledger
-
-    def replay_history(
-        self,
-        oplog: dict[str, list[tuple[str, Node]]],
-        query_log: Iterable[QueryRecord],
-        ledger: CostLedger,
-    ) -> None:
-        """Rebuild the engine from a history (snapshot restore).
-
-        MOT state is deterministic in the operation history, so
-        replaying ``oplog`` through the engine reproduces it exactly.
-        The answered queries and the accrued ``ledger`` are then adopted
-        as recorded: costs are carried once, and the replay's own
-        accrual is discarded.
-        """
-        for obj, ops in oplog.items():
-            for op, _node in ops:
-                if op not in ("publish", "move"):
-                    raise ValueError(f"unknown oplog entry {op!r} for {obj!r}")
-        flat = [(op, obj, node) for obj, ops in oplog.items() for op, node in ops]
-        for out in self.engine.apply_ops(flat):
-            if out.error is not None:
-                raise out.error
-        self.engine.query_log[:] = query_log
-        self.engine.ledger = ledger
-
-    def apply_requests(self, reqs: list[Request]) -> list[tuple]:
-        """Apply a whole batch in one engine call.
-
-        Returns one tuple per request, positionally aligned:
-        ``("ok", proxy, cost, epoch, coalesced)`` or ``("err", exc)`` —
-        the worker-protocol result shape, so both the in-process shard
-        and the process-boundary worker consume it unchanged.
-        """
-        return [
-            ("ok", out.proxy, out.cost, out.epoch, out.coalesced)
-            if out.error is None
-            else ("err", out.error)
-            for out in self.engine.apply_ops([_as_op(req) for req in reqs])
-        ]
-
-
-def _settle(shard, item: _Admitted, res: tuple, completion: float) -> None:
-    """Resolve one applied op's future from its result tuple.
-
-    The one place an op's outcome is counted, for the in-process
-    :class:`TrackerShard` and the process-boundary
-    :class:`~repro.serve.worker.ProcessShardHandle` alike: failures
-    count under ``metrics.failed``; answers feed the service metrics
-    and the per-shard SLI counters, which leave warm-up ops out.
-    """
-    shard.depth -= 1
-    if res[0] == "err":
-        shard.metrics.record_failure()
-        if not item.future.done():
-            item.future.set_exception(res[1])
-        return
-    _tag, proxy, cost, epoch, coalesced = res
-    resp = OpResponse(
-        item.kind, item.req.obj, proxy, cost, epoch, coalesced, item.arrival_t, completion
-    )
-    latency = resp.latency_s
-    if not item.warmup:
-        shard.completed_ops += 1
-        shard.latency.add(latency)
-    shard.metrics.record_completion(item.kind, latency, coalesced)
-    if not item.future.done():
-        item.future.set_result(resp)
-
-
-def shard_sli(shard, makespan_s: float | None = None) -> dict:
+def shard_sli(shard: "TrackerShard", makespan_s: float | None = None) -> dict:
     """Per-shard SLIs: p50/p99 latency, drop ratio, sustained ops/s.
 
-    Works on anything with the shard counter attributes — the
-    in-process :class:`TrackerShard` and the process-boundary
-    :class:`~repro.serve.worker.ProcessShardHandle` alike. ``ops_s``
-    needs the run's makespan from the caller (the shard does not know
-    when the run started); omit it and the rate is reported as 0.
+    ``ops_s`` needs the run's makespan from the caller (the shard does
+    not know when the run started); omit it and the rate is reported
+    as 0.
     """
     submitted = shard.submitted
     rejected = shard.rejected
@@ -236,25 +129,23 @@ def shard_sli(shard, makespan_s: float | None = None) -> dict:
 
 
 class TrackerShard:
-    """One queue + one worker + one MOT engine (see module docstring)."""
+    """One queue + one drain loop + one engine (see module docstring)."""
 
     def __init__(
         self,
-        shard_id: int,
-        engine: BatchMOTEngine,
+        spec: WorkerSpec,
         clock: Union[VirtualClock, WallClock],
         metrics: ServiceMetrics,
         batch_size: int,
         service_time_base_s: float,
-        service_time_per_cost_s: float,
+        process: bool = False,
     ) -> None:
-        self.shard_id = shard_id
-        self.core = ShardCore(engine)
+        self.shard_id = spec.shard_id
+        self.spec = spec
         self.clock = clock
         self.metrics = metrics
         self.batch_size = batch_size
         self.service_time_base_s = service_time_base_s
-        self.service_time_per_cost_s = service_time_per_cost_s
 
         #: admitted-but-unserviced operations (the bounded-queue gauge)
         self.depth = 0
@@ -267,41 +158,62 @@ class TrackerShard:
         self.completed_ops = 0
         self.latency = TimerStat()
 
+        #: the in-process engine; ``None`` when it lives in a worker
+        self._local: ShardWorker | None = None if process else ShardWorker(spec)
+        self._proc: multiprocessing.process.BaseProcess | None = None
+        self._chan: AsyncChannel | None = None
+        #: a worker's state as its ``stop`` reply carried it home
+        self._final: ShardSnapshot | None = None
         self._queue: asyncio.Queue = asyncio.Queue()
         self._worker: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
-    # core state views (the audit and the service read these)
+    # state views (the audit and the service read these)
     # ------------------------------------------------------------------
+    def _state(self) -> ShardWorker | ShardSnapshot:
+        if self._local is not None:
+            return self._local
+        if self._final is None:
+            raise RuntimeError(
+                f"shard {self.shard_id} runs in a worker process; its state "
+                "comes home with the final frame: read it after stop()"
+            )
+        return self._final
+
     @property
     def epochs(self) -> dict[str, int]:
         """Per-object applied-move counts."""
-        return self.core.epochs
+        return self._state().epochs
 
     @property
     def oplog(self) -> dict[str, list[tuple[str, Node]]]:
         """Applied operations per object, in order."""
-        return self.core.oplog
+        return self._state().oplog
 
     @property
-    def query_log(self) -> list[QueryRecord]:
+    def query_log(self) -> Sequence[QueryRecord]:
         """Every answered query in execution order."""
-        return self.core.query_log
+        return self._state().query_log
 
     @property
     def ledger(self) -> CostLedger:
-        """The shard's cost ledger (uniform with process handles)."""
-        return self.core.ledger
+        """The shard's cost ledger."""
+        return self._state().ledger
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the worker task (requires a running event loop)."""
-        if self._worker is None:
-            self._worker = asyncio.create_task(
-                self._run(), name=f"tracker-shard-{self.shard_id}"
-            )
+        """Start the drain loop (requires a running event loop); a worker
+        shard forks its process first."""
+        if self._worker is not None:
+            return
+        if self._local is None and self._chan is None:
+            self._proc, self._chan = spawn(self.spec)
+            self._final = None
+        self._worker = asyncio.create_task(
+            self._run(), name=f"tracker-shard-{self.shard_id}"
+        )
 
     def submit(
         self, req: Request, arrival_t: float, warmup: bool = False
@@ -328,12 +240,15 @@ class TrackerShard:
         return item.future
 
     async def stop(self) -> None:
-        """Drain the queue completely, then retire the worker.
+        """Drain the queue completely, retire the drain loop, then collect
+        a worker's final frame and join its process.
 
-        Claims the worker *before* awaiting it: two concurrent ``stop()``
-        calls must not both pass the ``is not None`` guard (each would
-        enqueue a ``_STOP`` sentinel, and the leftover one is never
-        ``task_done()``-ed, deadlocking any later ``join()``).
+        Claims the drain loop (and then the channel) *before* awaiting
+        it: two concurrent ``stop()`` calls must not both pass the
+        ``is not None`` guard (each would enqueue a ``_STOP`` sentinel,
+        and the leftover one is never ``task_done()``-ed, deadlocking
+        any later ``join()``). The process is joined, never killed: it
+        exits on its own once its frame loop returns.
         """
         await self._queue.join()
         worker = self._worker
@@ -342,91 +257,234 @@ class TrackerShard:
         self._worker = None
         self._queue.put_nowait(_STOP)
         await worker
+        chan = self._chan
+        if chan is None:
+            return
+        self._chan = None
+        await chan.send("stop")
+        _kind, final = await chan.recv()
+        chan.close()
+        self._final = final
+        proc = self._proc
+        if proc is not None:
+            # the worker leaves its frame loop right after the final
+            # frame; the join waits for it to exit (a wrapper around
+            # worker_main may still be flushing), bounded at 5 s
+            proc.join(timeout=5.0)
 
-    async def health(self) -> dict:
-        """Liveness probe, uniform with the process-handle flavour."""
+    async def restart(self, snap: ShardSnapshot | None = None) -> None:
+        """Crash recovery: retire the drain loop, kill a live worker
+        process, bring up a fresh engine, and optionally restore ``snap``.
+
+        Queued (unserviced) operations survive in the queue and are
+        applied to the restored state; operations that were in flight
+        inside a dead worker are lost — the caller decides what to
+        resubmit.
+        """
         worker = self._worker
-        return {
+        self._worker = None
+        if worker is not None:
+            worker.cancel()
+            await asyncio.gather(worker, return_exceptions=True)
+        chan = self._chan
+        self._chan = None
+        if chan is not None:
+            chan.close()
+        proc = self._proc
+        self._proc = None
+        if proc is not None:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=5.0)
+        if self._local is not None:
+            self._local = ShardWorker(self.spec)
+        self.start()
+        if snap is not None:
+            await self.restore(snap)
+
+    # ------------------------------------------------------------------
+    # control plane (health / snapshot / restore)
+    # ------------------------------------------------------------------
+    async def health(self) -> dict:
+        """Liveness probe.
+
+        A live worker's probe is a real health-frame round trip through
+        its queue, so a hung worker fails it, and it reports the child's
+        ``pid``. An in-process shard reports no ``pid``: the service's
+        own process is not the shard's.
+        """
+        worker = self._worker
+        proc = self._proc
+        alive = (
+            worker is not None
+            and not worker.done()
+            and (proc is None or proc.is_alive())
+        )
+        head: dict[str, Any] = {
             "shard_id": self.shard_id,
-            "mode": "inprocess",
-            "alive": worker is not None and not worker.done(),
-            "depth": self.depth,
-            "objects": len(self.core.oplog),
+            "mode": "inprocess" if self._local is not None else "process",
+            "alive": alive,
         }
+        if self._local is not None or alive:
+            vitals = await self._control("health")
+        else:  # a stopped or dead worker: only its final frame is left
+            vitals = {"objects": len(self._final.oplog) if self._final else 0}
+        if alive and proc is not None:
+            head["pid"] = proc.pid
+        return {**head, "depth": self.depth, **vitals}
 
     async def snapshot(self) -> ShardSnapshot:
         """Capture this shard's state (quiesce first: drain or stop)."""
-        return capture_snapshot(self.core, self.shard_id)
+        return await self._control("snapshot")
 
     async def restore(self, snap: ShardSnapshot) -> None:
         """Rebuild state from ``snap``; the shard must still be empty."""
-        restore_snapshot(self.core, snap)
+        await self._control("restore", snap)
+
+    async def _control(self, kind: str, payload: Any = None) -> Any:
+        """One health/snapshot/restore request.
+
+        In process it is a direct handler call, answered at once: under
+        a virtual clock a probe queued behind a gated batch would wait
+        on the load generator that is awaiting it. A worker's request
+        queues FIFO behind the admitted batches.
+        """
+        if self._local is not None:
+            return await self._call(kind, payload)
+        if self._worker is None:
+            raise RuntimeError(f"shard {self.shard_id} has no running worker")
+        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._queue.put_nowait(_Control(kind, payload, fut))
+        return await fut
+
+    async def _call(self, kind: str, payload: Any = None) -> Any:
+        """One request to the engine: a direct handler call in process
+        (never suspends), else one frame round trip to the worker."""
+        local = self._local
+        if local is not None:
+            return _HANDLERS[kind](local, payload)[1]
+        chan = self._chan
+        if chan is None:
+            raise RuntimeError(f"shard {self.shard_id} has no worker channel")
+        await chan.send(kind, payload)
+        _kind, reply = await chan.recv()
+        return reply
 
     # ------------------------------------------------------------------
-    # worker
+    # drain loop
     # ------------------------------------------------------------------
     async def _run(self) -> None:
+        chan = self._chan
+        if chan is not None:
+            kind, _hello = await chan.recv()
+            if kind != "ready":
+                raise RuntimeError(f"worker sent {kind!r} instead of ready frame")
+        queue = self._queue
         while True:
-            item = await self._queue.get()
+            item = await queue.get()
             if item is _STOP:
-                self._queue.task_done()
+                queue.task_done()
                 return
+            if isinstance(item, _Control):
+                await self._converse(item)
+                queue.task_done()
+                continue
             # Virtual mode: the shard may not service ops before the
             # arrival clock reaches its busy horizon — while it waits
             # here, the queue fills and admission control pushes back.
             if self.clock.virtual and self.busy_until > self.clock.now:
                 await self.clock.wait_until(self.busy_until)
             batch = [item]
+            control_after: _Control | None = None
             stopping = False
             while len(batch) < self.batch_size:
                 try:
-                    nxt = self._queue.get_nowait()
+                    nxt = queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
                 if nxt is _STOP:
-                    self._queue.task_done()
+                    queue.task_done()
                     stopping = True
                     break
+                if isinstance(nxt, _Control):
+                    # keep FIFO: finish this batch, then run the control
+                    control_after = nxt
+                    break
                 batch.append(nxt)
-            self._apply_batch(batch)
+            await self._apply_batch(batch)
             for _ in batch:
-                self._queue.task_done()
+                queue.task_done()
+            if control_after is not None:
+                await self._converse(control_after)
+                queue.task_done()
             if stopping:
                 return
 
-    # ------------------------------------------------------------------
-    # batch application (synchronous: no awaits between ops)
-    # ------------------------------------------------------------------
-    def _apply_batch(self, batch: list[_Admitted]) -> None:
+    async def _converse(self, item: _Control) -> None:
+        """Run one queued control request; errors go to its waiter."""
+        try:
+            reply = await self._call(item.kind, item.payload)
+        except Exception as exc:  # noqa: BLE001 — surface on the waiter
+            if not item.future.done():
+                item.future.set_exception(exc)
+            return
+        if not item.future.done():
+            item.future.set_result(reply)
+
+    async def _apply_batch(self, batch: list[_Admitted]) -> None:
         """Apply one drained batch in one engine call, then settle it.
 
         Virtual mode charges each op a service time on the shard's busy
-        horizon — ``base + per_cost · cost`` per executed op, ``base``
-        per failure, nothing for a coalesced twin — so completions are
+        horizon — ``service_time_base_s`` per executed op or failure,
+        nothing for a coalesced twin — so completions are
         deterministic. Wall mode stamps every op with one clock reading
-        taken when the engine returned.
+        taken when the engine returned. The clock and ``busy_until`` are
+        read after the engine call; in process that call never
+        suspends, so the readings equal those before it.
         """
-        virtual = self.clock.virtual
-        start = max(self.busy_until, self.clock.now) if virtual else 0.0
-        results = self.core.apply_requests([item.req for item in batch])
+        results = await self._call("batch", [item.req for item in batch])
         completion = self.clock.now
+        virtual = self.clock.virtual
+        start = max(self.busy_until, completion) if virtual else 0.0
+        base = self.service_time_base_s
         elapsed = 0.0
         tracing = TRACER.enabled
         for item, res in zip(batch, results, strict=True):
             if tracing:
                 self._trace(item, res, len(batch))
             if virtual:
-                if res[0] == "err":
-                    elapsed += self.service_time_base_s
-                elif not res[4]:  # a coalesced twin costs no service time
-                    elapsed += (
-                        self.service_time_base_s + self.service_time_per_cost_s * res[2]
-                    )
+                if res[0] == "err" or not res[4]:  # a coalesced twin is free
+                    elapsed += base
                 completion = start + elapsed
-            _settle(self, item, res, completion)
+            self._settle(item, res, completion)
         if virtual:
             self.busy_until = start + elapsed
         self.metrics.record_batch(len(batch))
+
+    def _settle(self, item: _Admitted, res: tuple, completion: float) -> None:
+        """Resolve one applied op's future from its result tuple.
+
+        The one place an op's outcome is counted: failures count under
+        ``metrics.failed``; answers feed the service metrics and the
+        per-shard SLI counters, which leave warm-up ops out.
+        """
+        self.depth -= 1
+        if res[0] == "err":
+            self.metrics.record_failure()
+            if not item.future.done():
+                item.future.set_exception(res[1])
+            return
+        _tag, proxy, cost, epoch, coalesced = res
+        resp = OpResponse(
+            item.kind, item.req.obj, proxy, cost, epoch, coalesced, item.arrival_t, completion
+        )
+        latency = resp.latency_s
+        if not item.warmup:
+            self.completed_ops += 1
+            self.latency.add(latency)
+        self.metrics.record_completion(item.kind, latency, coalesced)
+        if not item.future.done():
+            item.future.set_result(resp)
 
     def _trace(self, item: _Admitted, res: tuple, size: int) -> None:
         """One ``serve.<kind>`` span per settled op (tracing on only)."""

@@ -1,17 +1,18 @@
 """Shard snapshot/restore — serialized MOT shard state for migration.
 
-A :class:`ShardSnapshot` is the portable value of one shard: the
-per-object epoch map, the applied op log, the answered-query log and
-the accrued cost ledger. It is a plain picklable dataclass, so it
-crosses the worker process boundary as-is (the ``snapshot`` /
-``restore`` frames of :mod:`repro.serve.transport`) and round-trips
-through :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` for
-on-disk checkpoints.
+A :class:`ShardSnapshot` is the portable value of one shard, and its
+one snapshot format: the per-object epoch map, the applied op log, the
+answered-query log and the accrued cost ledger. It is a plain
+picklable dataclass, so it crosses the worker process boundary as-is —
+the ``snapshot``, ``restore`` and ``final`` frames of
+:mod:`repro.serve.transport` carry it — and round-trips through
+:func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` for on-disk
+checkpoints.
 
 Restore is **replay-based**: rather than serializing the engine's
 columnar arrays (private state the engine is free to re-shape),
-restore replays the op log through the shard's apply path against a
-fresh engine over the same hierarchy. Determinism of the MOT structure
+restore replays the op log through a fresh engine over the same
+hierarchy. Determinism of the MOT structure
 makes the rebuilt state bit-identical to the original; the ledger is
 then overwritten with the snapshot's ledger so costs are carried once,
 not re-accrued (the replay's own accrual is discarded). This is the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import copy
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.costs import CostLedger
 
@@ -61,7 +62,9 @@ class ShardSnapshot:
     shard_id: int
     epochs: dict[str, int]
     oplog: dict[str, list[tuple[str, Node]]]
-    query_log: tuple  # BatchQueryRecord entries, execution order
+    #: BatchQueryRecord entries in execution order: a tuple when
+    #: captured, the engine's own list in a worker's final frame
+    query_log: Sequence[Any]
     ledger: CostLedger
     version: int = SNAPSHOT_VERSION
 
@@ -71,39 +74,54 @@ class ShardSnapshot:
         return tuple(sorted(self.oplog))
 
 
-def capture_snapshot(core, shard_id: int) -> ShardSnapshot:
-    """Deep-copy ``core``'s state into a :class:`ShardSnapshot`.
+def capture_snapshot(state, shard_id: int) -> ShardSnapshot:
+    """Deep-copy ``state`` into a :class:`ShardSnapshot`.
 
-    ``core`` is a :class:`~repro.serve.shard.ShardCore` (duck-typed to
-    avoid a module cycle): anything with ``epochs``/``oplog``/
-    ``query_log`` and a ``ledger``.
+    ``state`` is anything with ``epochs``/``oplog``/``query_log`` and a
+    ``ledger`` — a :class:`~repro.serve.worker.ShardWorker` or a
+    :class:`~repro.serve.shard.TrackerShard` (duck-typed to avoid a
+    module cycle).
     """
     return ShardSnapshot(
         shard_id=shard_id,
-        epochs=dict(core.epochs),
-        oplog={obj: list(ops) for obj, ops in core.oplog.items()},
-        query_log=tuple(core.query_log),
-        ledger=copy.deepcopy(core.ledger),
+        epochs=dict(state.epochs),
+        oplog={obj: list(ops) for obj, ops in state.oplog.items()},
+        query_log=tuple(state.query_log),
+        ledger=copy.deepcopy(state.ledger),
     )
 
 
-def restore_snapshot(core, snap: ShardSnapshot) -> None:
-    """Rebuild ``snap``'s state inside the empty shard ``core``.
+def restore_snapshot(worker, snap: ShardSnapshot) -> None:
+    """Rebuild ``snap``'s state inside the empty shard ``worker``.
 
-    Replays the op log through the core's apply path (see module
-    docstring), then adopts the snapshot's query log and ledger; the
-    replayed epochs must equal the snapshot's. ``core`` must be fresh —
+    ``worker`` is a :class:`~repro.serve.worker.ShardWorker`
+    (duck-typed to avoid a module cycle). MOT state is deterministic in
+    the operation history, so replaying the op log through its engine
+    reproduces it exactly (see module docstring); the snapshot's query
+    log and ledger are then adopted as recorded, and the replayed
+    epochs must equal the snapshot's. The engine must be fresh —
     restoring over live objects would interleave two histories.
     """
     if snap.version != SNAPSHOT_VERSION:
         raise ValueError(
             f"snapshot version {snap.version} != supported {SNAPSHOT_VERSION}"
         )
-    if core.oplog:
+    engine = worker.engine
+    if engine.oplog:
         raise ValueError("restore requires an empty shard core")
+    ops = []
+    for obj, entries in snap.oplog.items():
+        for op, node in entries:
+            if op not in ("publish", "move"):
+                raise ValueError(f"unknown oplog entry {op!r} for {obj!r}")
+            ops.append((op, obj, node))
+    for out in engine.apply_ops(ops):
+        if out.error is not None:
+            raise out.error
+    engine.query_log[:] = snap.query_log
     # carry accrued costs once: the replay's own accrual is discarded
-    core.replay_history(snap.oplog, snap.query_log, copy.deepcopy(snap.ledger))
-    if core.epochs != snap.epochs:
+    engine.ledger = copy.deepcopy(snap.ledger)
+    if engine.epochs != snap.epochs:
         raise ValueError("snapshot epochs disagree with its op log")
 
 

@@ -1,65 +1,54 @@
-"""Shard worker processes: the far side of the message boundary.
+"""One shard's engine behind the worker frame protocol.
 
-This module is both halves of one protocol:
+:class:`ShardWorker` is a shard's whole state and apply path: one
+:class:`~repro.core.batch.BatchMOTEngine`, the request → op
+translation, and one handler per request kind, dispatched through the
+module-level :data:`_HANDLERS` table. The table is held to
+:data:`~repro.serve.transport.REQUEST_KINDS` by the RPL105 flow rule —
+a request kind without a handler is a static error, not a runtime
+``KeyError`` in a child process.
 
-- :class:`ShardWorker` + :func:`worker_main` run **inside a forked
-  worker process**: a blocking frame loop over the
-  :class:`~repro.serve.transport.Channel`, dispatching each request
-  kind through the module-level :data:`_HANDLERS` table onto the same
-  :class:`~repro.serve.shard.ShardCore` apply path the in-process
-  shards use. The table is held to :data:`REQUEST_KINDS` by the RPL105
-  flow rule — a request kind without a handler is a static error, not
-  a runtime ``KeyError`` in a child process.
-- :class:`ProcessShardHandle` runs **in the service process**: it has
-  the same submit/stop/health surface as
-  :class:`~repro.serve.shard.TrackerShard`, so the service, audit, and
-  bench treat both uniformly. Internally it pumps its admission queue
-  over an :class:`~repro.serve.transport.AsyncChannel` in batches and
-  resolves futures from the reply frames.
+The one shard front end, :class:`~repro.serve.shard.TrackerShard`,
+reaches its ShardWorker over one of two transports:
+
+- **in process** (``workers=0``): each request is a direct handler
+  call;
+- **in a forked worker process** (``workers>0``): :func:`spawn` forks
+  :func:`worker_main`, a blocking frame loop over a
+  :class:`~repro.serve.transport.Channel`, and each request is one
+  frame round trip.
 
 Workers are **forked**, not spawned: the hierarchy and the shared
-:class:`SensorNetwork` (including a PR-6 ``memmap`` distance backend
+:class:`SensorNetwork` (including a ``memmap`` distance backend
 attached read-only before the fork) are inherited copy-on-write, so
 per-worker memory is the MOT state, not the graph. Fork also means a
 worker is always the same code version as its parent — the pickle
 framing never crosses versions.
 
-Clock semantics: worker processes are **wall-clock only**. The virtual
-clock's determinism contract needs every state transition on one
-cooperative loop; across a process boundary completions are stamped
-with real time on the parent loop and correctness is checked by the
-sequential-replay audit instead (the handle carries the worker's
-``epochs``/``oplog``/``query_log`` home in the final frame, so
-:func:`repro.serve.audit.audit_service` runs unchanged).
+Worker processes are **wall-clock only**. The virtual clock's
+determinism contract needs every state transition on one cooperative
+loop; across a process boundary completions are stamped with real time
+on the parent loop, and correctness is checked by the sequential-replay
+audit instead — the ``stop`` reply carries the worker's state home as
+a :class:`~repro.serve.snapshot.ShardSnapshot`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import os
 import socket
-import time
 from dataclasses import dataclass
-from typing import Any, Hashable, Union
+from typing import Any, Hashable
 
 from repro.core.batch import BatchMOTEngine
+from repro.core.batch import BatchQueryRecord as QueryRecord
 from repro.core.costs import CostLedger
 from repro.core.mot import MOTConfig
 from repro.hierarchy.structure import BaseHierarchy
 from repro.obs.trace import TRACER
-from repro.perf import TimerStat
-from repro.serve.clock import VirtualClock, WallClock
-from repro.serve.metrics import ServiceMetrics
-from repro.serve.protocol import Request, kind_of
-from repro.serve.shard import QueryRecord, ShardCore, _Admitted, _settle
-from repro.serve.snapshot import (
-    ShardSnapshot,
-    capture_snapshot,
-    restore_snapshot,
-    snapshot_from_bytes,
-    snapshot_to_bytes,
-)
+from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest, Request
+from repro.serve.snapshot import ShardSnapshot, capture_snapshot, restore_snapshot
 from repro.serve.transport import (
     REQUEST_KINDS,
     AsyncChannel,
@@ -69,99 +58,98 @@ from repro.serve.transport import (
 
 Node = Hashable
 
-__all__ = ["ProcessShardHandle", "ShardWorker", "WorkerSpec", "worker_main"]
-
-#: queue sentinel that stops the pump after the queue fully drains
-_STOP = object()
+__all__ = ["ShardWorker", "WorkerSpec", "spawn", "worker_main"]
 
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker process needs to build its shard."""
+    """Everything needed to build one shard's :class:`ShardWorker`."""
 
     shard_id: int
     hierarchy: BaseHierarchy
     mot_config: MOTConfig
 
 
-@dataclass
-class _Control:
-    """An out-of-band request (health/snapshot/restore) riding the queue.
-
-    Controls share the admission queue so they serialize with batches
-    in FIFO order — the channel carries exactly one request/reply
-    conversation at a time, by construction.
-    """
-
-    kind: str
-    payload: Any
-    future: asyncio.Future
+def _as_op(req: Request) -> tuple[str, str, Node]:
+    """The engine op ``(kind, obj, node)`` of one service request."""
+    if isinstance(req, MoveRequest):
+        return ("move", req.obj, req.new_proxy)
+    if isinstance(req, QueryRequest):
+        return ("query", req.obj, req.source)
+    if isinstance(req, PublishRequest):
+        return ("publish", req.obj, req.proxy)
+    raise TypeError(f"not a service request: {req!r}")
 
 
-# ----------------------------------------------------------------------
-# child side
-# ----------------------------------------------------------------------
 class ShardWorker:
-    """The worker-process shard: one :class:`ShardCore` plus counters."""
+    """One shard's engine, request → op translation and frame handlers.
+
+    Everything here is synchronous and transport-agnostic. The
+    audit-facing views are the engine's own state, not copies.
+    """
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.shard_id = spec.shard_id
-        self.core = ShardCore(BatchMOTEngine(spec.hierarchy, spec.mot_config))
-        self.ops_applied = 0
-        self.batches = 0
-        self.failures = 0
-        self.apply_time = TimerStat()
+        self.engine = BatchMOTEngine(spec.hierarchy, spec.mot_config)
+
+    @property
+    def epochs(self) -> dict[str, int]:
+        """Per-object applied-move count (the audit's version number)."""
+        return self.engine.epochs
+
+    @property
+    def oplog(self) -> dict[str, list[tuple[str, Node]]]:
+        """Applied ops per object: ``[("publish", proxy), ("move", new), ...]``."""
+        return self.engine.oplog
+
+    @property
+    def query_log(self) -> list[QueryRecord]:
+        """Every answered query in execution order."""
+        return self.engine.query_log
+
+    @property
+    def ledger(self) -> CostLedger:
+        """The engine's cost ledger."""
+        return self.engine.ledger
+
+    def apply_requests(self, reqs: list[Request]) -> list[tuple]:
+        """Apply a whole batch in one engine call.
+
+        Returns one tuple per request, positionally aligned:
+        ``("ok", proxy, cost, epoch, coalesced)`` or ``("err", exc)`` —
+        exceptions are carried by value, so a batch reply pickles.
+        """
+        return [
+            ("ok", out.proxy, out.cost, out.epoch, out.coalesced)
+            if out.error is None
+            else ("err", out.error)
+            for out in self.engine.apply_ops([_as_op(req) for req in reqs])
+        ]
 
     # each handler returns (reply_kind, payload) for one request frame
     def handle_batch(self, reqs: list[Request]) -> tuple[str, Any]:
         """Apply one batch; per-op results, exceptions carried by value."""
-        t0 = time.perf_counter()
-        results = self.core.apply_requests(reqs)
-        failed = sum(1 for res in results if res[0] == "err")
-        self.failures += failed
-        self.ops_applied += len(results) - failed
-        self.batches += 1
-        self.apply_time.add(time.perf_counter() - t0)
-        return "results", results
+        return "results", self.apply_requests(reqs)
 
     def handle_health(self, _payload: Any) -> tuple[str, Any]:
-        """Liveness + shard vitals; the parent merges in queue depth."""
-        return "healthy", {
-            "shard_id": self.shard_id,
-            "mode": "process",
-            "alive": True,
-            "pid": os.getpid(),
-            "objects": len(self.core.oplog),
-            "ops_applied": self.ops_applied,
-            "failures": self.failures,
-        }
+        """Shard vitals; the front end adds liveness, depth and pid."""
+        return "healthy", {"objects": len(self.engine.oplog)}
 
     def handle_snapshot(self, _payload: Any) -> tuple[str, Any]:
-        """Serialize the shard state (quiesced by the FIFO queue)."""
-        return "snapshot_data", snapshot_to_bytes(
-            capture_snapshot(self.core, self.shard_id)
-        )
+        """A deep copy of the shard state (quiesced by the FIFO queue)."""
+        return "snapshot_data", capture_snapshot(self, self.shard_id)
 
-    def handle_restore(self, payload: bytes) -> tuple[str, Any]:
-        """Rebuild state from snapshot bytes into the (empty) core."""
-        restore_snapshot(self.core, snapshot_from_bytes(payload))
+    def handle_restore(self, snap: ShardSnapshot) -> tuple[str, Any]:
+        """Rebuild state from ``snap`` into the (empty) engine."""
+        restore_snapshot(self, snap)
         return "restored", None
 
     def handle_stop(self, _payload: Any) -> tuple[str, Any]:
-        """The final frame: everything the audit and ledger need at home."""
+        """The final frame: the shard state as an uncopied snapshot."""
         # the frame is pickled on send, so the logs travel uncopied
-        return "final", {
-            "epochs": self.core.epochs,
-            "oplog": self.core.oplog,
-            "query_log": self.core.query_log,
-            "ledger": self.core.ledger,
-            "stats": {
-                "ops_applied": self.ops_applied,
-                "batches": self.batches,
-                "failures": self.failures,
-                "apply_time": self.apply_time.as_dict(),
-            },
-        }
+        return "final", ShardSnapshot(
+            self.shard_id, self.epochs, self.oplog, self.query_log, self.ledger
+        )
 
 
 #: request kind → handler; RPL105 holds the key set to REQUEST_KINDS
@@ -205,272 +193,21 @@ def worker_main(
         chan.close()
 
 
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
-class ProcessShardHandle:
-    """A :class:`TrackerShard`-shaped front for one worker process.
+def spawn(spec: WorkerSpec) -> tuple[multiprocessing.process.BaseProcess, AsyncChannel]:
+    """Fork one worker process running :func:`worker_main` for ``spec``.
 
-    Same submission surface (``depth``/``submit``/``stop``) and same
-    post-stop audit surface (``epochs``/``oplog``/``query_log``/
-    ``ledger``) as the in-process shard; the MOT state itself lives in
-    the child until the final frame carries it home at ``stop``.
+    Returns the process and the parent's end of its channel. The
+    target is this module's ``worker_main`` attribute as it stands at
+    fork time, so a wrapper installed on it (a tracing hook) runs in
+    the child.
     """
-
-    def __init__(
-        self,
-        shard_id: int,
-        spec: WorkerSpec,
-        clock: Union[VirtualClock, WallClock],
-        metrics: ServiceMetrics,
-        batch_size: int,
-    ) -> None:
-        if clock.virtual:
-            raise ValueError(
-                "worker processes are wall-clock only; the virtual clock's "
-                "determinism holds on a single cooperative loop (see module docs)"
-            )
-        self.shard_id = shard_id
-        self.spec = spec
-        self.clock = clock
-        self.metrics = metrics
-        self.batch_size = batch_size
-
-        #: admitted-but-unserviced operations (the bounded-queue gauge)
-        self.depth = 0
-        #: uniform with TrackerShard; never advances under a wall clock
-        self.busy_until = 0.0
-        #: per-shard SLI counters (see :func:`repro.serve.shard.shard_sli`);
-        #: warm-up publishes are left out, they count under ``metrics.warmup``
-        self.submitted = 0
-        self.rejected = 0
-        self.completed_ops = 0
-        self.latency = TimerStat()
-
-        # audit-facing state, ingested from the final frame at stop()
-        self.epochs: dict[str, int] = {}
-        self.oplog: dict[str, list[tuple[str, Node]]] = {}
-        self.query_log: list[QueryRecord] = []
-        self.worker_stats: dict = {}
-        self._ledger = CostLedger()
-
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._pump: asyncio.Task | None = None
-        self._proc: multiprocessing.process.BaseProcess | None = None
-        self._chan: AsyncChannel | None = None
-
-    @property
-    def ledger(self) -> CostLedger:
-        """The worker tracker's ledger (empty until ``stop`` ingests it)."""
-        return self._ledger
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Fork the worker and spawn the pump (requires a running loop)."""
-        if self._proc is None:
-            self._spawn()
-        if self._pump is None:
-            self._pump = asyncio.create_task(
-                self._run(), name=f"shard-pump-{self.shard_id}"
-            )
-
-    def _spawn(self) -> None:
-        parent_sock, child_sock = socket_pair()
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(
-            target=worker_main,
-            args=(child_sock, self.spec, parent_sock),
-            name=f"repro-shard-{self.shard_id}",
-            daemon=True,
-        )
-        proc.start()
-        child_sock.close()
-        self._proc = proc
-        self._chan = AsyncChannel(parent_sock)
-
-    def submit(
-        self, req: Request, arrival_t: float, warmup: bool = False
-    ) -> asyncio.Future:
-        """Enqueue an admitted request; resolves to its :class:`OpResponse`.
-
-        ``warmup`` ops stay out of the per-shard SLI counters.
-        """
-        item = _Admitted(
-            req,
-            kind_of(req),
-            arrival_t,
-            asyncio.get_running_loop().create_future(),
-            warmup,
-        )
-        self.depth += 1
-        if not warmup:
-            self.submitted += 1
-        self._queue.put_nowait(item)
-        return item.future
-
-    async def stop(self) -> None:
-        """Drain, retire the pump, then collect the worker's final frame.
-
-        Mirrors :meth:`TrackerShard.stop`'s claim-before-await: the pump
-        (and then the channel) is claimed before any await so concurrent
-        stops cannot both retire the worker.
-        """
-        await self._queue.join()
-        pump = self._pump
-        if pump is None:
-            return
-        self._pump = None
-        self._queue.put_nowait(_STOP)
-        await pump
-        chan = self._chan
-        if chan is None:
-            return
-        self._chan = None
-        await chan.send("stop")
-        kind, final = await chan.recv()
-        chan.close()
-        if kind != "final":
-            raise RuntimeError(f"worker sent {kind!r} instead of final frame")
-        self._ingest_final(final)
-        proc = self._proc
-        self._proc = None
-        if proc is not None:
-            # the worker already returned from its frame loop; this join
-            # only reaps the process entry, it does not block the loop
-            proc.join(timeout=5.0)
-
-    def _ingest_final(self, final: dict) -> None:
-        self.epochs = final["epochs"]
-        self.oplog = final["oplog"]
-        self.query_log = final["query_log"]
-        self._ledger = final["ledger"]
-        self.worker_stats = final["stats"]
-
-    async def restart(self, snap: ShardSnapshot | None = None) -> None:
-        """Crash recovery: kill any live worker, respawn, optionally restore.
-
-        Queued (unserviced) operations survive in the parent-side queue
-        and are replayed against the restored state; operations that
-        were in flight inside the dead worker are lost — the caller
-        decides what to resubmit.
-        """
-        pump = self._pump
-        self._pump = None
-        if pump is not None:
-            pump.cancel()
-            await asyncio.gather(pump, return_exceptions=True)
-        chan = self._chan
-        self._chan = None
-        if chan is not None:
-            chan.close()
-        proc = self._proc
-        self._proc = None
-        if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-        self.start()
-        if snap is not None:
-            await self.restore(snap)
-
-    # ------------------------------------------------------------------
-    # control plane (health / snapshot / restore)
-    # ------------------------------------------------------------------
-    async def _control(self, kind: str, payload: Any = None) -> Any:
-        """One control conversation, serialized FIFO with the batches."""
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(_Control(kind, payload, fut))
-        _reply_kind, reply = await fut
-        return reply
-
-    async def health(self) -> dict:
-        """Probe the worker; a dead/stopped worker reports unalive."""
-        if self._pump is None or self._proc is None or not self._proc.is_alive():
-            return {
-                "shard_id": self.shard_id,
-                "mode": "process",
-                "alive": False,
-                "depth": self.depth,
-                "objects": len(self.oplog),
-            }
-        vitals = await self._control("health")
-        return {**vitals, "depth": self.depth}
-
-    async def snapshot(self) -> ShardSnapshot:
-        """Capture the worker's shard state through the snapshot frame."""
-        return snapshot_from_bytes(await self._control("snapshot"))
-
-    async def restore(self, snap: ShardSnapshot) -> None:
-        """Rebuild the worker's (empty) shard from ``snap``."""
-        await self._control("restore", snapshot_to_bytes(snap))
-
-    # ------------------------------------------------------------------
-    # pump
-    # ------------------------------------------------------------------
-    async def _run(self) -> None:
-        chan = self._chan
-        if chan is None:  # pragma: no cover - start() always spawns first
-            raise RuntimeError("pump started without a channel")
-        kind, _hello = await chan.recv()
-        if kind != "ready":
-            raise RuntimeError(f"worker sent {kind!r} instead of ready frame")
-        queue = self._queue
-        while True:
-            item = await queue.get()
-            if item is _STOP:
-                queue.task_done()
-                return
-            if isinstance(item, _Control):
-                await self._converse(chan, item)
-                queue.task_done()
-                continue
-            batch = [item]
-            control_after: _Control | None = None
-            stopping = False
-            while len(batch) < self.batch_size:
-                try:
-                    nxt = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is _STOP:
-                    queue.task_done()
-                    stopping = True
-                    break
-                if isinstance(nxt, _Control):
-                    # keep FIFO: finish this batch, then run the control
-                    control_after = nxt
-                    break
-                batch.append(nxt)
-            await self._round_trip(chan, batch)
-            for _ in batch:
-                queue.task_done()
-            if control_after is not None:
-                await self._converse(chan, control_after)
-                queue.task_done()
-            if stopping:
-                return
-
-    async def _converse(self, chan: AsyncChannel, item: _Control) -> None:
-        """One control request/reply; transport errors go to the waiter."""
-        try:
-            await chan.send(item.kind, item.payload)
-            reply = await chan.recv()
-        except Exception as exc:  # noqa: BLE001 — surface on the waiter
-            if not item.future.done():
-                item.future.set_exception(exc)
-            return
-        if not item.future.done():
-            item.future.set_result(reply)
-
-    async def _round_trip(self, chan: AsyncChannel, batch: list[_Admitted]) -> None:
-        """Ship one batch to the worker and settle its futures."""
-        await chan.send("batch", [item.req for item in batch])
-        kind, results = await chan.recv()
-        if kind != "results":
-            raise RuntimeError(f"worker sent {kind!r} instead of results frame")
-        now = self.clock.now
-        for item, res in zip(batch, results, strict=True):
-            _settle(self, item, res, now)
-        self.metrics.record_batch(len(batch))
+    parent_sock, child_sock = socket_pair()
+    proc = multiprocessing.get_context("fork").Process(
+        target=worker_main,
+        args=(child_sock, spec, parent_sock),
+        name=f"repro-shard-{spec.shard_id}",
+        daemon=True,
+    )
+    proc.start()
+    child_sock.close()
+    return proc, AsyncChannel(parent_sock)

@@ -1,4 +1,4 @@
-"""Full vs lazy ``distance_mode`` must be observationally identical.
+"""Full vs lazy distance backends must be observationally identical.
 
 The lazy oracle answers every query with exact Dijkstra distances, so
 switching modes may change *when* work happens but never *what* any
@@ -22,8 +22,8 @@ from repro.hierarchy.levels import build_levels
 
 
 def _both_modes(base):
-    full = SensorNetwork(base.graph, normalize=False, distance_mode="full")
-    lazy = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
+    full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+    lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
     return full, lazy
 
 
@@ -120,7 +120,7 @@ class TestSpineBookkeepingInvariant:
     @pytest.mark.parametrize("mode", ["full", "lazy"])
     def test_no_orphans_after_long_random_walk(self, mode):
         base = grid_network(8, 8)
-        net = SensorNetwork(base.graph, normalize=False, distance_mode=mode)
+        net = SensorNetwork(base.graph, normalize=False, distance_backend=mode)
         tr = MOTTracker.build(net, seed=9)
         rng = random.Random(mode)  # distinct but reproducible walks
         for i in range(4):

@@ -1,5 +1,5 @@
 """Tests for the batched distance API, the bounded row LRU, the iterated
-double-sweep diameter, and the landmark upper-bound oracle."""
+double-sweep diameter, and landmark upper bounds."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.graphs.network import SensorNetwork
 
 def _grid_net(side, mode, **kw):
     base = grid_network(side, side)
-    return SensorNetwork(base.graph, normalize=False, distance_mode=mode, **kw)
+    return SensorNetwork(base.graph, normalize=False, distance_backend=mode, **kw)
 
 
 class TestBatchedQueries:
@@ -201,8 +201,8 @@ class TestDiameter:
     def test_iterated_sweep_exact_on_geometric(self):
         for seed in (1, 2, 3):
             base = random_geometric_network(60, seed=seed)
-            full = SensorNetwork(base.graph, normalize=False, distance_mode="full")
-            lazy = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
+            full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+            lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
             lo, hi = lazy.diameter_bounds
             assert lo <= full.diameter + 1e-9
             assert hi >= full.diameter - 1e-9
@@ -217,34 +217,35 @@ class TestDiameter:
 
 
 class TestLandmarks:
+    """Landmark upper bounds, served by the ``landmark`` backend once its
+    exactness budget is spent."""
+
     def test_upper_bound_is_admissible(self):
         base = random_geometric_network(50, seed=4)
-        full = SensorNetwork(base.graph, normalize=False, distance_mode="full")
-        lazy = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
-        lazy.build_landmarks(8)
+        full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+        approx = SensorNetwork(
+            base.graph, normalize=False, distance_backend="landmark",
+            backend_options={"num_landmarks": 8, "exact_budget": 0},
+        )
         rnd_pairs = [(0, 49), (5, 30), (12, 41), (7, 7), (20, 21)]
         for u, v in rnd_pairs:
-            ub = lazy.distance_upper_bound(u, v)
+            ub = approx.distance(u, v)
             assert ub >= full.distance(u, v) - 1e-9
 
     def test_exact_when_row_cached(self):
         full = _grid_net(6, "full")
-        lazy = _grid_net(6, "lazy")
-        lazy.distances_from(3)
-        assert lazy.distance_upper_bound(3, 30) == pytest.approx(full.distance(3, 30))
-        assert lazy.distance_upper_bound(30, 3) == pytest.approx(full.distance(3, 30))
+        approx = _grid_net(6, "landmark", backend_options={"exact_budget": 1})
+        approx.distances_from(3)  # spends the whole budget on an exact row
+        assert approx.distance(3, 30) == pytest.approx(full.distance(3, 30))
+        assert approx.distance(30, 3) == pytest.approx(full.distance(3, 30))
 
     def test_landmarks_build_on_first_use(self):
-        lazy = _grid_net(6, "lazy")
-        assert lazy.oracle_stats["landmarks"] == 0
-        lazy.distance_upper_bound(0, 35)
-        assert lazy.oracle_stats["landmarks"] > 0
+        approx = _grid_net(6, "landmark", backend_options={"exact_budget": 0})
+        assert approx.oracle_stats["landmarks"] == 0
+        approx.distance(0, 35)
+        assert approx.oracle_stats["landmarks"] > 0
 
     def test_landmark_count_capped_at_n(self):
         lazy = _grid_net(3, "lazy")
         marks = lazy.build_landmarks(100)
         assert len(marks) <= 9
-
-    def test_full_mode_exact(self):
-        full = _grid_net(5, "full")
-        assert full.distance_upper_bound(0, 24) == full.distance(0, 24)

@@ -8,7 +8,7 @@ from repro.graphs.network import SensorNetwork
 
 def _grid_net(side, mode):
     base = grid_network(side, side)
-    return SensorNetwork(base.graph, normalize=False, distance_mode=mode)
+    return SensorNetwork(base.graph, normalize=False, distance_backend=mode)
 
 
 class TestModes:
@@ -20,7 +20,7 @@ class TestModes:
         assert _grid_net(4, "auto").distance_mode == "lazy"
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="distance_mode"):
+        with pytest.raises(ValueError, match="unknown distance backend"):
             _grid_net(3, "psychic")
 
 

@@ -68,7 +68,7 @@ class TestDiameterTruncationRegression:
         from repro.graphs.network import SensorNetwork
 
         base = grid_network(12, 12)
-        lazy = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
+        lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
         ls = build_levels(lazy, seed=3)
         assert len(ls.levels[-1]) == 1
 
@@ -76,8 +76,8 @@ class TestDiameterTruncationRegression:
         from repro.graphs.network import SensorNetwork
 
         base = grid_network(10, 10)
-        full = SensorNetwork(base.graph, normalize=False, distance_mode="full")
-        lazy = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
+        full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+        lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
         assert build_levels(full, seed=7).levels == build_levels(lazy, seed=7).levels
 
 

@@ -45,7 +45,6 @@ def test_queue_rejection_is_token_neutral():
             queue_capacity=4,
             rate_limit=100.0,
             burst=8.0,
-            exempt_publish=True,
         )
         service = TrackingService(NET, cfg, seed=1, clock=VirtualClock())
         await service.start()

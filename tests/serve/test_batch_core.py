@@ -1,4 +1,4 @@
-"""ShardCore's one apply path against the sequential reference.
+"""ShardWorker's one apply path against the sequential reference.
 
 A shard applies each drained batch as one
 :class:`~repro.core.batch.BatchMOTEngine` call. The contract: whatever
@@ -14,23 +14,23 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 
-from repro.core.batch import BatchMOTEngine, audit_batch_core
+from repro.core.batch import audit_batch_core
 from repro.core.costs import close_to
 from repro.core.mot import MOTConfig, MOTTracker
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve.audit import audit_service
 from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest
-from repro.serve.shard import ShardCore
 from repro.serve.snapshot import capture_snapshot, restore_snapshot
+from repro.serve.worker import ShardWorker, WorkerSpec
 
 NET = grid_network(5, 5)
 HIER = build_hierarchy(NET, seed=2)
 CHUNKS = (1, 7, 64, 1024)
 
 
-def make_core() -> ShardCore:
-    return ShardCore(BatchMOTEngine(HIER))
+def make_core() -> ShardWorker:
+    return ShardWorker(WorkerSpec(0, HIER, MOTConfig()))
 
 
 def _request_stream(seed: int = 13, objects: int = 6, n: int = 300):
@@ -96,7 +96,7 @@ def _reference(reqs, chunk: int) -> list[tuple]:
     return results
 
 
-def _drive(core: ShardCore, reqs, chunk: int) -> list[tuple]:
+def _drive(core: ShardWorker, reqs, chunk: int) -> list[tuple]:
     results = []
     for i in range(0, len(reqs), chunk):
         results.extend(core.apply_requests(reqs[i : i + chunk]))
@@ -116,7 +116,7 @@ def _assert_same(reqs, got, want) -> None:
             assert a[4] == b[4], (k, reqs[k], a, b)  # coalesced
 
 
-def _audit(core: ShardCore):
+def _audit(core: ShardWorker):
     """The service's sequential replay audit over one core."""
     fleet = SimpleNamespace(hierarchy=HIER, mot_config=MOTConfig(), shards=[core])
     return audit_service(fleet)  # type: ignore[arg-type]

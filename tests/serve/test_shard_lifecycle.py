@@ -19,7 +19,7 @@ import asyncio
 
 import pytest
 
-from repro.core.batch import BatchMOTEngine
+from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve import (
@@ -30,19 +30,18 @@ from repro.serve import (
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.shard import TrackerShard
+from repro.serve.worker import WorkerSpec
 
 NET = grid_network(3, 3)
 
 
 def make_shard(clock):
     return TrackerShard(
-        shard_id=0,
-        engine=BatchMOTEngine(build_hierarchy(NET, seed=1)),
+        WorkerSpec(0, build_hierarchy(NET, seed=1), MOTConfig()),
         clock=clock,
         metrics=ServiceMetrics(),
         batch_size=4,
         service_time_base_s=0.001,
-        service_time_per_cost_s=0.0,
     )
 
 

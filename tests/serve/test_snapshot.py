@@ -15,8 +15,8 @@ import random
 
 import pytest
 
-from repro.core.batch import BatchMOTEngine
 from repro.core.costs import CostLedger
+from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve import (
@@ -27,7 +27,7 @@ from repro.serve import (
 )
 from repro.serve.hashring import HashRing
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.shard import ShardCore, TrackerShard
+from repro.serve.shard import TrackerShard
 from repro.serve.snapshot import (
     SNAPSHOT_VERSION,
     ShardSnapshot,
@@ -38,16 +38,17 @@ from repro.serve.snapshot import (
     snapshot_to_bytes,
     split_snapshot,
 )
+from repro.serve.worker import ShardWorker, WorkerSpec
 
 NET = grid_network(5, 5)
 HIER = build_hierarchy(NET, seed=2)
 
 
-def make_core() -> ShardCore:
-    return ShardCore(BatchMOTEngine(HIER))
+def make_core() -> ShardWorker:
+    return ShardWorker(WorkerSpec(0, HIER, MOTConfig()))
 
 
-def drive(core: ShardCore, seed: int = 9, objects: int = 5) -> None:
+def drive(core: ShardWorker, seed: int = 9, objects: int = 5) -> None:
     """Apply a deterministic publish/move/query mix to ``core``."""
     rng = random.Random(seed)
     for i in range(objects):
@@ -198,13 +199,11 @@ class TestShardSurface:
 
             def make_shard(sid):
                 return TrackerShard(
-                    shard_id=sid,
-                    engine=BatchMOTEngine(HIER),
+                    WorkerSpec(sid, HIER, MOTConfig()),
                     clock=clock,
                     metrics=metrics,
                     batch_size=8,
                     service_time_base_s=1e-3,
-                    service_time_per_cost_s=0.0,
                 )
 
             # free-running virtual time: nobody drives arrivals here, so

@@ -100,13 +100,11 @@ class TestParity:
             mp_ledger.maintenance_optimal, ref_ledger.maintenance_optimal
         )
 
-        # the final frame also carried the worker's own counters home
-        for shard in mp_service.shards:
-            assert shard.worker_stats["batches"] >= 1
-            assert shard.worker_stats["failures"] == 0
-        assert sum(
-            s.worker_stats["ops_applied"] for s in mp_service.shards
-        ) == mp_result.completed + mp_result.warmup_completed
+        # the parent's metrics count every op the workers applied
+        m = mp_service.metrics
+        assert m.batches >= len(mp_service.shards)
+        assert m.failed == 0
+        assert m.total_completed == mp_result.completed + mp_result.warmup_completed
 
 
 class TestHealth:
@@ -170,3 +168,126 @@ class TestCrashRecovery:
             assert len(handle.oplog["obj-0"]) == 3
 
         run(scenario())
+
+
+class TestOneShardFrontEnd:
+    """In-process and worker shards share one front end; these pin the
+    places where the two transports must still differ."""
+
+    def test_worker_state_reads_before_stop_raise(self):
+        """A running worker shard's logs live in the child: reading them
+        (or auditing) before ``stop()`` must fail loudly, not look clean."""
+
+        async def scenario():
+            cfg = ServiceConfig(workers=1)
+            service = TrackingService(NET, cfg, seed=2, clock=WallClock())
+            await service.start()
+            for i in range(3):
+                await service.submit(PublishRequest(f"obj-{i}", NET.node_at(i)))
+                await service.submit(MoveRequest(f"obj-{i}", NET.node_at(20 + i)))
+            shard = service.shards[0]
+            for view in ("epochs", "oplog", "query_log", "ledger"):
+                with pytest.raises(RuntimeError, match=r"stop\(\)"):
+                    getattr(shard, view)
+            with pytest.raises(RuntimeError, match=r"stop\(\)"):
+                audit_service(service)
+            with pytest.raises(RuntimeError, match=r"stop\(\)"):
+                service.merged_ledger()
+            await service.stop()
+            return service
+
+        service = run(scenario())
+        report = audit_service(service)
+        assert report.ok
+        assert report.objects_checked == 3 and report.moves_replayed == 3
+        assert service.merged_ledger().maintenance_ops == 3
+
+    def test_patched_worker_main_runs_in_the_child(self, monkeypatch, tmp_path):
+        """The fork looks ``worker_main`` up on its module at fork time, so
+        a wrapper installed there (a tracing hook) runs in every child."""
+        import repro.serve.worker as worker_module
+
+        original = worker_module.worker_main
+
+        def wrapped(sock, spec, *args, **kwargs):
+            (tmp_path / f"ran-{os.getpid()}").write_text(str(spec.shard_id))
+            return original(sock, spec, *args, **kwargs)
+
+        monkeypatch.setattr(worker_module, "worker_main", wrapped)
+
+        async def scenario():
+            cfg = ServiceConfig(workers=2)
+            service = TrackingService(NET, cfg, seed=1, clock=WallClock())
+            await service.start()
+            health = await service.healthcheck()
+            await service.stop()
+            return health
+
+        health = run(scenario())
+        ran = {int(path.name.split("-")[1]) for path in tmp_path.glob("ran-*")}
+        assert ran == {s["pid"] for s in health["shards"]}
+        assert os.getpid() not in ran
+
+    def test_stopped_worker_exits_cleanly(self):
+        """``stop()`` joins the worker after its final frame, never kills it."""
+
+        async def scenario():
+            cfg = ServiceConfig(workers=1)
+            service = TrackingService(NET, cfg, seed=1, clock=WallClock())
+            await service.start()
+            await service.submit(PublishRequest("tiger", NET.node_at(0)))
+            proc = service.shards[0]._proc
+            await service.stop()
+            return proc, await service.healthcheck()
+
+        proc, after = run(scenario())
+        assert proc.exitcode == 0
+        # the final frame carried the state home for the probe to report
+        assert after["shards"][0]["objects"] == 1
+        assert not after["shards"][0]["alive"] and "pid" not in after["shards"][0]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_only_worker_shards_report_a_pid(self, workers):
+        async def scenario():
+            cfg = ServiceConfig(shards=2, workers=workers)
+            service = TrackingService(NET, cfg, seed=1, clock=WallClock())
+            await service.start()
+            health = await service.healthcheck()
+            procs = [shard._proc for shard in service.shards]
+            await service.stop()
+            return health, procs
+
+        health, procs = run(scenario())
+        assert health["ok"]
+        if workers:
+            assert [s["mode"] for s in health["shards"]] == ["process"] * 2
+            assert [s["pid"] for s in health["shards"]] == [p.pid for p in procs]
+        else:
+            assert [s["mode"] for s in health["shards"]] == ["inprocess"] * 2
+            assert all("pid" not in s for s in health["shards"])
+
+    def test_inprocess_restart_restores_and_keeps_serving(self):
+        async def scenario():
+            cfg = ServiceConfig(shards=1, queue_capacity=1000)
+            service = TrackingService(NET, cfg, seed=4, clock=WallClock())
+            await service.start()
+            for i in range(4):
+                await service.submit(PublishRequest(f"obj-{i}", NET.node_at(i)))
+            await service.submit(MoveRequest("obj-0", NET.node_at(7)))
+            shard = service.shards[0]
+            snap = await shard.snapshot()
+
+            await shard.restart(snap)
+            assert shard.oplog == snap.oplog  # a fresh engine, restored
+            resp = await service.submit(QueryRequest("obj-0", NET.node_at(24)))
+            assert resp.proxy == NET.node_at(7) and resp.epoch == 1
+            mv = await service.submit(MoveRequest("obj-0", NET.node_at(12)))
+            assert mv.epoch == 2
+            assert (await service.healthcheck())["ok"]
+            await service.stop()
+            return service
+
+        service = run(scenario())
+        report = audit_service(service)
+        assert report.ok and report.objects_checked == 4
+        assert len(service.shards[0].oplog["obj-0"]) == 3

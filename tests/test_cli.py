@@ -41,7 +41,7 @@ def test_perf_report_to_stdout(capsys):
     import json
 
     assert main(["perf", "--side", "6", "--objects", "3", "--moves", "10",
-                 "--queries", "5", "--distance-mode", "lazy"]) == 0
+                 "--queries", "5", "--distance-backend", "lazy"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["run"]["distance_mode"] == "lazy"
     # oracle hit/miss pressure and per-operation timers must be present

@@ -19,7 +19,7 @@ from repro.graphs.network import SensorNetwork
 @pytest.mark.slow
 def test_lazy_10k_grid_build_and_workload():
     base = grid_network(100, 100)
-    net = SensorNetwork(base.graph, normalize=False, distance_mode="lazy")
+    net = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
     assert net.n == 10_000
 
     tracker = MOTTracker.build(net, seed=1)
