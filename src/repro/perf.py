@@ -17,8 +17,7 @@ latency go?* — funnels through this module. It deliberately stays tiny:
 - **timers** accumulate count / total / max wall-clock seconds per
   dotted name (``"mot.move"``) via a context manager, the :func:`timed`
   decorator, or :meth:`PerfRegistry.observe` for durations measured
-  elsewhere (the service layer folds its virtual-clock latencies in
-  this way). Each timer also keeps a bounded reservoir of samples so
+  elsewhere. Each timer also keeps a bounded reservoir of samples so
   the report can quote p50/p95/p99 — exact up to
   :data:`TimerStat.RESERVOIR_CAP` observations, a seeded uniform
   reservoir beyond (deterministic for a fixed observation sequence).
@@ -51,7 +50,7 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 __all__ = ["PerfRegistry", "TimerStat", "PERF", "timed"]
 
@@ -83,16 +82,52 @@ class TimerStat:
 
     def add(self, dt: float) -> None:
         """Fold one observation of ``dt`` seconds into the stat."""
-        self.count += 1
+        self.count = n = self.count + 1
         self.total_s += dt
         if dt > self.max_s:
             self.max_s = dt
-        if len(self.samples) < self.RESERVOIR_CAP:
-            self.samples.append(dt)
-        else:
-            k = self._rng.randrange(self.count)
-            if k < self.RESERVOIR_CAP:
-                self.samples[k] = dt
+        samples = self.samples
+        if len(samples) < self.RESERVOIR_CAP:
+            samples.append(dt)
+            return
+        # ``randrange(n)`` inlined: the same rejection loop over
+        # ``getrandbits(n.bit_length())``, so the same draws
+        getrandbits = self._rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        if r < self.RESERVOIR_CAP:
+            samples[r] = dt
+
+    def add_many(self, values: Iterable[float]) -> None:
+        """Fold ``values`` in order: the exact state of one :meth:`add`
+        per value (same count, same sequentially summed ``total_s``,
+        same max, same reservoir from the same RNG draws), at a loop
+        iteration per value instead of a method call."""
+        n = self.count
+        total = self.total_s
+        top = self.max_s
+        samples = self.samples
+        cap = self.RESERVOIR_CAP
+        getrandbits = self._rng.getrandbits
+        for dt in values:
+            n += 1
+            total += dt  # an explicit loop: sum() compensates on 3.12
+            if dt > top:
+                top = dt
+            if len(samples) < cap:
+                samples.append(dt)
+                continue
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            if r < cap:
+                samples[r] = dt
+        self.count = n
+        self.total_s = total
+        self.max_s = top
 
     @property
     def mean_s(self) -> float:
@@ -166,12 +201,8 @@ class PerfRegistry:
 
     def observe(self, name: str, dt: float) -> None:
         """Fold an externally measured duration of ``dt`` seconds into
-        timer ``name`` (no-op when disabled).
-
-        The service layer measures request latencies against its own
-        (possibly virtual) clock and records them here, so they land in
-        the same report as context-manager timings.
-        """
+        timer ``name`` (no-op when disabled), so it lands in the same
+        report as context-manager timings."""
         if not self.enabled:
             return
         stat = self._timers.get(name)

@@ -22,11 +22,17 @@ Determinism rules (the same contract ``shard_index`` always had):
 points per shard, per-shard load concentrates around ``1/n`` with
 relative spread ``O(1/√r)``; the default of 128 keeps a 4-shard ring
 within a few percent of even.
+
+Lookups are memoized: the service routes every submitted op, and a hit
+in the memo skips the SHA-256. The memo is a bounded LRU
+(:data:`ROUTE_MEMO_SIZE` keys) because clients choose the object
+names, and :meth:`HashRing.add` / :meth:`HashRing.remove` clear it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 from typing import Iterable, Iterator
 
@@ -34,6 +40,9 @@ __all__ = ["HashRing", "ring_hash"]
 
 #: default virtual-node count per shard (see module docstring)
 DEFAULT_REPLICAS = 128
+
+#: routing-memo bound, in keys (see module docstring)
+ROUTE_MEMO_SIZE = 1 << 16
 
 
 def ring_hash(data: str) -> int:
@@ -54,6 +63,8 @@ class HashRing:
         #: sorted (point, shard_id) pairs — the lookup table
         self._points: list[tuple[int, int]] = []
         self._shards: set[int] = set()
+        #: key → shard memo of :meth:`_locate` (cleared on membership change)
+        self._route = functools.lru_cache(maxsize=ROUTE_MEMO_SIZE)(self._locate)
         for sid in shard_ids:
             self.add(sid)
 
@@ -71,6 +82,7 @@ class HashRing:
         )
         # ties break on the pair's second element: smaller shard id wins
         self._points.sort()
+        self._route.cache_clear()
 
     def remove(self, shard_id: int) -> None:
         """Drop every virtual node of ``shard_id`` from the ring."""
@@ -78,15 +90,19 @@ class HashRing:
             raise KeyError(f"shard {shard_id} not on the ring")
         self._shards.discard(shard_id)
         self._points = [p for p in self._points if p[1] != shard_id]
+        self._route.cache_clear()
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def shard_for(self, key: str) -> int:
         """The shard owning ``key``: first ring point at/after its hash."""
+        return self._route(str(key))
+
+    def _locate(self, key: str) -> int:
         if not self._points:
             raise LookupError("empty hash ring")
-        h = ring_hash(str(key))
+        h = ring_hash(key)
         # strictly-after points of h itself still route to h's owner:
         # search on (h, -1) so an exact point hit resolves to that point
         i = bisect.bisect_left(self._points, (h, -1))

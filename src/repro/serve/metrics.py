@@ -1,13 +1,14 @@
 """Service-side accounting: latency, queue depth, batching, admissions.
 
 Everything measurable about one service run funnels through a single
-:class:`ServiceMetrics` instance. Distributions reuse
-:class:`repro.perf.TimerStat` (count/total/max + reservoir
-percentiles), so ``p50/p95/p99`` come for free and behave identically
-to every other timer in the project; the headline counters are also
-mirrored into the process-wide :data:`repro.perf.PERF` registry under
-the ``serve.*`` family so ``python -m repro serve-bench`` reports and
-generic perf dumps agree.
+:class:`ServiceMetrics` instance, and only there: the service keeps no
+copy in the process-wide :data:`repro.perf.PERF` registry, and reports
+(serve-bench's JSON and its Prometheus text) read :meth:`as_dict` and
+:meth:`perf_view`. Distributions reuse :class:`repro.perf.TimerStat`
+(count/total/max + reservoir percentiles), so ``p50/p95/p99`` come for
+free and behave identically to every other timer in the project.
+Shards fold a settled batch in once (:meth:`record_completions`), not
+op by op.
 
 Units: latency stats are service-clock **seconds** (virtual or wall);
 queue-depth and batch-size stats reuse the TimerStat machinery but are
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.perf import PERF, TimerStat
+from repro.perf import TimerStat
 
 __all__ = ["ServiceMetrics"]
 
@@ -63,7 +64,6 @@ class ServiceMetrics:
         """One request passed admission control onto a queue of ``depth``."""
         self.admitted[kind] = self.admitted.get(kind, 0) + 1
         self.queue_depth.add(float(depth))
-        PERF.incr("serve.admitted")
 
     def record_warmup(self, kind: str) -> None:
         """One bring-up request bypassed admission control (warm-up).
@@ -74,7 +74,6 @@ class ServiceMetrics:
         ``test_warmup_not_counted_as_admitted``).
         """
         self.warmup[kind] = self.warmup.get(kind, 0) + 1
-        PERF.incr("serve.warmup")
 
     def record_rejection(self, reason: str) -> None:
         """One request bounced by admission control (``rate``/``queue``)."""
@@ -82,34 +81,34 @@ class ServiceMetrics:
             self.rejected_rate += 1
         else:
             self.rejected_queue += 1
-        PERF.incr(f"serve.rejected.{reason}")
 
     def record_batch(self, size: int) -> None:
         """One shard wakeup drained ``size`` operations."""
         self.batches += 1
         self.batch_size.add(float(size))
         self.batch_size_hist[size] = self.batch_size_hist.get(size, 0) + 1
-        PERF.incr("serve.batches")
 
-    def record_completion(self, kind: str, latency_s: float, coalesced: bool) -> None:
-        """One operation finished with ``latency_s`` on the service clock."""
-        self.completed[kind] = self.completed.get(kind, 0) + 1
-        stat = self.latency.get(kind)
-        if stat is None:
-            stat = self.latency[kind] = TimerStat()
-        stat.add(latency_s)
-        if kind == "query":
-            if coalesced:
-                self.queries_coalesced += 1
-                PERF.incr("serve.queries_coalesced")
-            else:
-                self.queries_executed += 1
-        PERF.observe(f"serve.latency.{kind}", latency_s)
+    def record_completions(
+        self, latencies: dict[str, list[float]], coalesced_queries: int
+    ) -> None:
+        """One settled batch: each kind's service-clock latencies in
+        settle order, and how many of its queries were coalesced."""
+        for kind, values in latencies.items():
+            if not values:
+                continue
+            self.completed[kind] = self.completed.get(kind, 0) + len(values)
+            stat = self.latency.get(kind)
+            if stat is None:
+                stat = self.latency[kind] = TimerStat()
+            stat.add_many(values)
+        queries = latencies.get("query")
+        if queries:
+            self.queries_coalesced += coalesced_queries
+            self.queries_executed += len(queries) - coalesced_queries
 
-    def record_failure(self) -> None:
-        """One admitted operation raised instead of completing."""
-        self.failed += 1
-        PERF.incr("serve.failed")
+    def record_failures(self, n: int) -> None:
+        """``n`` admitted operations raised instead of completing."""
+        self.failed += n
 
     # ------------------------------------------------------------------
     # reporting
@@ -158,10 +157,8 @@ class ServiceMetrics:
         Same ``{"counters", "timers"}`` layout as
         :meth:`repro.perf.PerfRegistry.report`, so
         :func:`repro.obs.prometheus.render_prometheus` consumes either.
-        Unlike the process-wide :data:`repro.perf.PERF` mirror — which
-        accumulates across every run in the process and mixes in
-        wall-clock MOT timers — this view is per-service and, under a
-        virtual clock, fully deterministic.
+        The view is per-service and, under a virtual clock, fully
+        deterministic.
         """
         timers = {
             f"serve.latency.{kind}": stat.as_dict()

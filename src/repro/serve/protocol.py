@@ -10,7 +10,7 @@ healthy service returns, always carrying a ``retry_after`` hint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Literal, Union
+from typing import Hashable, Literal, NamedTuple, Union
 
 Node = Hashable
 OpKind = Literal["publish", "move", "query"]
@@ -64,8 +64,7 @@ def kind_of(req: Request) -> OpKind:
     raise TypeError(f"not a service request: {req!r}")
 
 
-@dataclass(frozen=True)
-class OpResponse:
+class OpResponse(NamedTuple):
     """Completion record of one admitted operation.
 
     ``proxy`` is the object's proxy after the operation (for queries:
@@ -75,7 +74,9 @@ class OpResponse:
     marks a query answered from a duplicate in-flight query's execution
     rather than its own spine walk (its ``cost`` is then the executed
     twin's cost). Timestamps are service-clock seconds (virtual or
-    wall, see :mod:`repro.serve.clock`).
+    wall, see :mod:`repro.serve.clock`). A named tuple, not a frozen
+    dataclass: a shard builds one per settled op, and the tuple costs a
+    third as much to build.
     """
 
     kind: OpKind

@@ -323,7 +323,7 @@ class TrackingService:
                     )
                 raise Overloaded("rate", retry)
         self.metrics.record_admission(kind, shard.depth)
-        return shard.submit(req, t)
+        return shard.submit(req, t, kind=kind)
 
     def _queue_retry_after(self, shard: TrackerShard, t: float) -> float:
         """A useful ``retry_after`` for a full queue under either clock.
@@ -359,8 +359,9 @@ class TrackingService:
         if not self._started or self._closed:
             raise RuntimeError("service is not running")
         shard = self.shard_of(req.obj)
-        self.metrics.record_warmup(kind_of(req))
-        return shard.submit(req, self.clock.now, warmup=True)
+        kind = kind_of(req)
+        self.metrics.record_warmup(kind)
+        return shard.submit(req, self.clock.now, warmup=True, kind=kind)
 
     # ------------------------------------------------------------------
     # inspection

@@ -25,11 +25,14 @@ The engine always sits behind the worker frame protocol
   The state views read the ``stop`` reply, a
   :class:`~repro.serve.snapshot.ShardSnapshot`, and raise before it.
 
-Per wakeup the shard:
+The queue is a :class:`collections.deque` of admitted ops (plus the
+queued control requests and the stop sentinel) with one
+:class:`asyncio.Event` that wakes the drain loop. Per wakeup the shard:
 
 1. gates on the service clock in virtual mode (it may not run ahead of
    the arrival process — that is what makes queues fill and admission
-   control reject deterministically);
+   control reject deterministically). The ops wait at the head of the
+   deque, not off it;
 2. drains up to ``batch_size`` queued ops preserving FIFO order (so
    per-object operation order is preserved);
 3. applies them in one engine call. The engine **coalesces** duplicate
@@ -39,17 +42,28 @@ Per wakeup the shard:
    source is part of the key because query cost is charged from the
    *querying* node's position: two sources asking about the same
    object walk different prefixes of the spine;
-4. settles every op from the ``("ok" | "err", …)`` result tuples and
-   stamps completions: in virtual mode each executed op is charged
-   ``service_time_base_s`` on top of the shard's busy horizon, in wall
-   mode every op completes at the clock reading taken when the engine
-   returned.
+4. settles the batch in one pass over the ``("ok" | "err", …)`` result
+   tuples: it stamps completions (in virtual mode each executed op is
+   charged ``service_time_base_s`` on top of the shard's busy horizon,
+   in wall mode every op completes at the clock reading taken when the
+   engine returned), resolves each future, and folds the batch's
+   latencies and counters into the metrics once.
+
+**No admitted op is stranded.** An op leaves the deque only when its
+batch goes to the engine, so a :meth:`TrackerShard.restart` that
+cancels the clock gate leaves it queued, in order, for the fresh
+engine. Every op of a batch whose engine round trip fails (a dead
+worker's closed channel) or is cancelled by a restart fails once with
+an explicit exception: it counts once in ``metrics.failed`` and leaves
+``depth``. A worker shard whose round trip failed drops its channel;
+later batches then fail at once until :meth:`TrackerShard.restart`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Hashable, Sequence, Union
 
@@ -72,7 +86,7 @@ __all__ = ["TrackerShard", "QueryRecord", "shard_sli"]
 _STOP = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Admitted:
     """One queued operation: the request, its stamp, and its waiter.
 
@@ -164,8 +178,13 @@ class TrackerShard:
         self._chan: AsyncChannel | None = None
         #: a worker's state as its ``stop`` reply carried it home
         self._final: ShardSnapshot | None = None
-        self._queue: asyncio.Queue = asyncio.Queue()
+        #: queued ops, control requests and the stop sentinel, FIFO
+        self._pending: deque[Any] = deque()
+        #: set on every enqueue; the drain loop clears it before parking
+        self._wakeup = asyncio.Event()
         self._worker: asyncio.Task | None = None
+        #: the memoized retirement every ``stop()`` caller awaits
+        self._retiring: asyncio.Future | None = None
 
     # ------------------------------------------------------------------
     # state views (the audit and the service read these)
@@ -211,12 +230,17 @@ class TrackerShard:
         if self._local is None and self._chan is None:
             self._proc, self._chan = spawn(self.spec)
             self._final = None
+        self._retiring = None
         self._worker = asyncio.create_task(
             self._run(), name=f"tracker-shard-{self.shard_id}"
         )
 
     def submit(
-        self, req: Request, arrival_t: float, warmup: bool = False
+        self,
+        req: Request,
+        arrival_t: float,
+        warmup: bool = False,
+        kind: OpKind | None = None,
     ) -> asyncio.Future:
         """Enqueue an admitted request; resolves to its :class:`OpResponse`.
 
@@ -224,47 +248,51 @@ class TrackerShard:
         reaches the shard it has already been accepted, so the queue
         itself is unbounded and ``depth`` is the gauge the service
         checks against ``queue_capacity``. ``warmup`` ops stay out of
-        the per-shard SLI counters.
+        the per-shard SLI counters. The service passes the ``kind`` it
+        computed at admission.
         """
-        item = _Admitted(
-            req,
-            kind_of(req),
-            arrival_t,
-            asyncio.get_running_loop().create_future(),
-            warmup,
+        fut = asyncio.get_running_loop().create_future()
+        self._pending.append(
+            _Admitted(req, kind or kind_of(req), arrival_t, fut, warmup)
         )
+        self._wakeup.set()
         self.depth += 1
         if not warmup:
             self.submitted += 1
-        self._queue.put_nowait(item)
-        return item.future
+        return fut
 
     async def stop(self) -> None:
         """Drain the queue completely, retire the drain loop, then collect
         a worker's final frame and join its process.
 
-        Claims the drain loop (and then the channel) *before* awaiting
-        it: two concurrent ``stop()`` calls must not both pass the
-        ``is not None`` guard (each would enqueue a ``_STOP`` sentinel,
-        and the leftover one is never ``task_done()``-ed, deadlocking
-        any later ``join()``). The process is joined, never killed: it
-        exits on its own once its frame loop returns.
+        The retirement runs once, memoized as a task every caller
+        awaits (the discipline of :meth:`TrackingService.stop`): a
+        concurrent second ``stop()`` returns only when the first one's
+        drain is over, and exactly one stop sentinel is ever queued.
+        The process is joined, never killed: it exits on its own once
+        its frame loop returns.
         """
-        await self._queue.join()
-        worker = self._worker
-        if worker is None:
-            return
-        self._worker = None
-        self._queue.put_nowait(_STOP)
-        await worker
-        chan = self._chan
-        if chan is None:
-            return
-        self._chan = None
-        await chan.send("stop")
-        _kind, final = await chan.recv()
-        chan.close()
-        self._final = final
+        retiring = self._retiring
+        if retiring is None:
+            if self._worker is None and self._chan is None:
+                return
+            retiring = self._retiring = asyncio.ensure_future(self._retire())
+        await asyncio.shield(retiring)
+
+    async def _retire(self) -> None:
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            self._push(_STOP)  # behind every queued op: they drain first
+            await worker
+        chan, self._chan = self._chan, None
+        if chan is not None:
+            try:
+                await chan.send("stop")
+                _kind, self._final = await chan.recv()
+            except OSError:
+                pass  # a dead worker took its state along; restart() restores one
+            finally:
+                chan.close()
         proc = self._proc
         if proc is not None:
             # the worker leaves its frame loop right after the final
@@ -276,25 +304,23 @@ class TrackerShard:
         """Crash recovery: retire the drain loop, kill a live worker
         process, bring up a fresh engine, and optionally restore ``snap``.
 
-        Queued (unserviced) operations survive in the queue and are
-        applied to the restored state; operations that were in flight
-        inside a dead worker are lost — the caller decides what to
-        resubmit.
+        Queued (unserviced) operations survive in the queue, in order,
+        and are applied to the restored state. A batch in flight inside
+        the worker fails, op by op, with an explicit exception: whether
+        the dead worker applied it is unknown, so the caller decides
+        what to resubmit.
         """
-        worker = self._worker
-        self._worker = None
+        worker, self._worker = self._worker, None
         if worker is not None:
             worker.cancel()
             await asyncio.gather(worker, return_exceptions=True)
-        chan = self._chan
-        self._chan = None
+        chan, self._chan = self._chan, None
         if chan is not None:
             chan.close()
-        proc = self._proc
-        self._proc = None
+        proc, self._proc = self._proc, None
         if proc is not None:
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()  # SIGKILL: a stopped or hung worker cannot defer it
             proc.join(timeout=5.0)
         if self._local is not None:
             self._local = ShardWorker(self.spec)
@@ -310,15 +336,16 @@ class TrackerShard:
 
         A live worker's probe is a real health-frame round trip through
         its queue, so a hung worker fails it, and it reports the child's
-        ``pid``. An in-process shard reports no ``pid``: the service's
-        own process is not the shard's.
+        ``pid``; a worker shard that dropped its channel is not alive.
+        An in-process shard reports no ``pid``: the service's own
+        process is not the shard's.
         """
         worker = self._worker
         proc = self._proc
         alive = (
             worker is not None
             and not worker.done()
-            and (proc is None or proc.is_alive())
+            and (proc is None or (proc.is_alive() and self._chan is not None))
         )
         head: dict[str, Any] = {
             "shard_id": self.shard_id,
@@ -354,7 +381,7 @@ class TrackerShard:
         if self._worker is None:
             raise RuntimeError(f"shard {self.shard_id} has no running worker")
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(_Control(kind, payload, fut))
+        self._push(_Control(kind, payload, fut))
         return await fut
 
     async def _call(self, kind: str, payload: Any = None) -> Any:
@@ -373,57 +400,57 @@ class TrackerShard:
     # ------------------------------------------------------------------
     # drain loop
     # ------------------------------------------------------------------
+    def _push(self, item: Any) -> None:
+        self._pending.append(item)
+        self._wakeup.set()
+
     async def _run(self) -> None:
         chan = self._chan
         if chan is not None:
             kind, _hello = await chan.recv()
             if kind != "ready":
                 raise RuntimeError(f"worker sent {kind!r} instead of ready frame")
-        queue = self._queue
+        pending = self._pending
+        wakeup = self._wakeup
+        clock = self.clock
         while True:
-            item = await queue.get()
-            if item is _STOP:
-                queue.task_done()
+            if not pending:
+                wakeup.clear()
+                await wakeup.wait()
+                continue
+            head = pending[0]
+            if head is _STOP:
+                pending.popleft()
                 return
-            if isinstance(item, _Control):
-                await self._converse(item)
-                queue.task_done()
+            if isinstance(head, _Control):
+                pending.popleft()
+                await self._converse(head)
                 continue
             # Virtual mode: the shard may not service ops before the
             # arrival clock reaches its busy horizon — while it waits
             # here, the queue fills and admission control pushes back.
-            if self.clock.virtual and self.busy_until > self.clock.now:
-                await self.clock.wait_until(self.busy_until)
-            batch = [item]
-            control_after: _Control | None = None
-            stopping = False
-            while len(batch) < self.batch_size:
-                try:
-                    nxt = queue.get_nowait()
-                except asyncio.QueueEmpty:
+            # The ops wait at the head of the deque, so a restart()
+            # that cancels this wait leaves them queued, in order.
+            if clock.virtual and self.busy_until > clock.now:
+                await clock.wait_until(self.busy_until)
+            # FIFO up to batch_size ops; a control request or the stop
+            # sentinel ends the batch and runs after it
+            batch: list[_Admitted] = []
+            limit = self.batch_size
+            while pending and len(batch) < limit:
+                head = pending[0]
+                if head is _STOP or isinstance(head, _Control):
                     break
-                if nxt is _STOP:
-                    queue.task_done()
-                    stopping = True
-                    break
-                if isinstance(nxt, _Control):
-                    # keep FIFO: finish this batch, then run the control
-                    control_after = nxt
-                    break
-                batch.append(nxt)
+                batch.append(pending.popleft())
             await self._apply_batch(batch)
-            for _ in batch:
-                queue.task_done()
-            if control_after is not None:
-                await self._converse(control_after)
-                queue.task_done()
-            if stopping:
-                return
 
     async def _converse(self, item: _Control) -> None:
         """Run one queued control request; errors go to its waiter."""
         try:
             reply = await self._call(item.kind, item.payload)
+        except asyncio.CancelledError:
+            item.future.cancel()  # a restart cancelled the conversation
+            raise
         except Exception as exc:  # noqa: BLE001 — surface on the waiter
             if not item.future.done():
                 item.future.set_exception(exc)
@@ -434,6 +461,29 @@ class TrackerShard:
     async def _apply_batch(self, batch: list[_Admitted]) -> None:
         """Apply one drained batch in one engine call, then settle it.
 
+        A round trip that raises, or that a restart cancels, settles
+        every op of the batch as that failure: whether a dead worker
+        applied the batch is unknown, so no op is answered.
+        """
+        try:
+            results = await self._call("batch", [item.req for item in batch])
+        except asyncio.CancelledError:
+            lost = RuntimeError(
+                f"shard {self.shard_id} restarted with this op in flight; "
+                "it may or may not have been applied"
+            )
+            self._settle_batch(batch, [("err", lost)] * len(batch))
+            raise
+        except Exception as exc:  # noqa: BLE001 — a failed round trip fails its ops
+            chan, self._chan = self._chan, None
+            if chan is not None:
+                chan.close()  # the conversation is lost; restart() opens a new one
+            results = [("err", exc)] * len(batch)
+        self._settle_batch(batch, results)
+
+    def _settle_batch(self, batch: list[_Admitted], results: list[tuple]) -> None:
+        """Settle a batch in one pass over its result tuples.
+
         Virtual mode charges each op a service time on the shard's busy
         horizon — ``service_time_base_s`` per executed op or failure,
         nothing for a coalesced twin — so completions are
@@ -441,50 +491,61 @@ class TrackerShard:
         taken when the engine returned. The clock and ``busy_until`` are
         read after the engine call; in process that call never
         suspends, so the readings equal those before it.
+
+        The pass resolves each future in FIFO order and collects the
+        latencies; the service metrics and the per-shard SLIs take them
+        once per batch. Nothing runs between the first resolution and
+        the fold, so no reader sees a half-settled batch.
         """
-        results = await self._call("batch", [item.req for item in batch])
         completion = self.clock.now
         virtual = self.clock.virtual
         start = max(self.busy_until, completion) if virtual else 0.0
         base = self.service_time_base_s
         elapsed = 0.0
+        size = len(batch)
         tracing = TRACER.enabled
+        latencies: dict[str, list[float]] = {"publish": [], "move": [], "query": []}
+        sli: list[float] = []  # the per-shard SLI leaves warm-up ops out
+        coalesced_queries = 0
+        failed = 0
         for item, res in zip(batch, results, strict=True):
             if tracing:
-                self._trace(item, res, len(batch))
+                self._trace(item, res, size)
+            ok = res[0] == "ok"
             if virtual:
-                if res[0] == "err" or not res[4]:  # a coalesced twin is free
+                if not ok or not res[4]:  # a coalesced twin is free
                     elapsed += base
                 completion = start + elapsed
-            self._settle(item, res, completion)
+            fut = item.future
+            if not ok:
+                failed += 1
+                if not fut.done():
+                    fut.set_exception(res[1])
+                continue
+            _tag, proxy, cost, epoch, coalesced = res
+            kind = item.kind
+            latency = completion - item.arrival_t
+            latencies[kind].append(latency)
+            if not item.warmup:
+                sli.append(latency)
+            if coalesced and kind == "query":
+                coalesced_queries += 1
+            if not fut.done():
+                fut.set_result(
+                    OpResponse(
+                        kind, item.req.obj, proxy, cost, epoch, coalesced,
+                        item.arrival_t, completion,
+                    )
+                )
         if virtual:
             self.busy_until = start + elapsed
-        self.metrics.record_batch(len(batch))
-
-    def _settle(self, item: _Admitted, res: tuple, completion: float) -> None:
-        """Resolve one applied op's future from its result tuple.
-
-        The one place an op's outcome is counted: failures count under
-        ``metrics.failed``; answers feed the service metrics and the
-        per-shard SLI counters, which leave warm-up ops out.
-        """
-        self.depth -= 1
-        if res[0] == "err":
-            self.metrics.record_failure()
-            if not item.future.done():
-                item.future.set_exception(res[1])
-            return
-        _tag, proxy, cost, epoch, coalesced = res
-        resp = OpResponse(
-            item.kind, item.req.obj, proxy, cost, epoch, coalesced, item.arrival_t, completion
-        )
-        latency = resp.latency_s
-        if not item.warmup:
-            self.completed_ops += 1
-            self.latency.add(latency)
-        self.metrics.record_completion(item.kind, latency, coalesced)
-        if not item.future.done():
-            item.future.set_result(resp)
+        self.depth -= size
+        self.completed_ops += len(sli)
+        self.latency.add_many(sli)
+        self.metrics.record_completions(latencies, coalesced_queries)
+        if failed:
+            self.metrics.record_failures(failed)
+        self.metrics.record_batch(size)
 
     def _trace(self, item: _Admitted, res: tuple, size: int) -> None:
         """One ``serve.<kind>`` span per settled op (tracing on only)."""

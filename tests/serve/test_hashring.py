@@ -7,7 +7,9 @@ The routing contract the service depends on:
 - growing the fleet from ``n`` to ``n + 1`` shards moves ~``K/n`` of
   ``K`` keys (the Karger bound), and every moved key lands on the *new*
   shard — no key ever shuffles between surviving shards;
-- removing a shard relocates only that shard's keys.
+- removing a shard relocates only that shard's keys;
+- the lookup memo is bounded (clients choose the keys), is cleared by
+  every membership change, and never changes an answer.
 """
 
 import os
@@ -16,8 +18,9 @@ import sys
 
 import pytest
 
-from repro.serve import shard_index
-from repro.serve.hashring import HashRing, ring_hash
+from repro.graphs.generators import grid_network
+from repro.serve import ServiceConfig, TrackingService, hashring, shard_index
+from repro.serve.hashring import ROUTE_MEMO_SIZE, HashRing, ring_hash
 
 KEYS = [f"obj-{i}" for i in range(2000)]
 
@@ -123,3 +126,48 @@ class TestMembership:
         assert 0 in ring and 2 in ring and 1 not in ring
         assert list(ring) == [0, 2]
         assert ring.shards == (0, 2)
+
+
+class TestRoutingMemo:
+    @staticmethod
+    def memo_size(ring: HashRing) -> int:
+        return ring._route.cache_info().currsize
+
+    def test_unseen_names_leave_the_memo_at_its_bound(self):
+        ring = HashRing(range(4))
+        for i in range(100_000):
+            ring.shard_for(f"client-chosen-{i}")
+        assert self.memo_size(ring) == ROUTE_MEMO_SIZE
+
+    def test_add_and_remove_clear_the_memo(self):
+        ring = HashRing(range(4))
+        owner = {k: ring.shard_for(k) for k in KEYS}
+        assert self.memo_size(ring) == len(KEYS)
+        ring.add(4)
+        assert self.memo_size(ring) == 0
+        grown = {k: ring.shard_for(k) for k in KEYS}
+        five = HashRing(range(5))
+        assert grown == {k: five.shard_for(k) for k in KEYS}
+        assert any(grown[k] == 4 != owner[k] for k in KEYS)  # a stale memo would hide these
+        ring.remove(4)
+        assert self.memo_size(ring) == 0
+        assert {k: ring.shard_for(k) for k in KEYS} == owner
+
+    @pytest.mark.parametrize("bound", [ROUTE_MEMO_SIZE, 64])
+    def test_memoized_lookups_agree_with_a_fresh_ring(self, monkeypatch, bound):
+        # the small bound evicts on almost every lookup of the second pass
+        monkeypatch.setattr(hashring, "ROUTE_MEMO_SIZE", bound)
+        keys = [f"key-{i}" for i in range(10_000)]
+        ring = HashRing(range(7))
+        for key in keys:
+            ring.shard_for(key)
+        memoized = [ring.shard_for(key) for key in keys]
+        assert self.memo_size(ring) == min(bound, len(keys))
+        fresh = HashRing(range(7))
+        assert memoized == [fresh.shard_for(key) for key in keys]
+
+    def test_shard_index_matches_the_service_routing(self):
+        service = TrackingService(grid_network(3, 3), ServiceConfig(shards=4), seed=1)
+        for _ in range(2):  # a cold pass, then a memoized one
+            for key in KEYS[:500]:
+                assert service.shard_of(key).shard_id == shard_index(key, 4)

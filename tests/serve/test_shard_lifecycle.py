@@ -2,10 +2,17 @@
 
 Regression for the PR-7 RPL102 finding: ``stop()`` used to guard-read
 ``self._worker``, await, and only then clear it. Two concurrent stops
-could both pass the guard, enqueue two ``_STOP`` sentinels, and the
-leftover sentinel — never ``task_done()``-ed — deadlocked every later
-``queue.join()``. The fix claims the worker before the await; these
-tests drive the exact interleaving and time out (fail) on the old code.
+could both pass the guard and enqueue two ``_STOP`` sentinels; the
+leftover one deadlocked every later drain. ``stop()`` now memoizes the
+retirement as one task every caller awaits, so exactly one sentinel is
+ever queued and a second caller still waits for the whole drain; these
+tests drive the exact interleaving and time out (fail) on a regression.
+
+A restart must not strand an admitted op either: the drain loop used to
+take an op off the queue before parking on the virtual clock's gate, so
+a ``restart()`` that cancelled the wait lost the op — its future never
+resolved, ``depth`` stayed at 1, and ``stop()`` hung
+(`test_restart_during_clock_gate_keeps_the_op_queued`).
 
 The service had the dual bug one layer up: ``TrackingService.stop``
 set ``_closed = True`` *before* awaiting the shard drains, so a second
@@ -23,6 +30,7 @@ from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve import (
+    MoveRequest,
     PublishRequest,
     ServiceConfig,
     TrackingService,
@@ -47,19 +55,31 @@ def make_shard(clock):
 
 def test_concurrent_stop_leaves_no_stale_sentinel():
     async def scenario():
-        shard = make_shard(VirtualClock())
+        clock = VirtualClock()
+        shard = make_shard(clock)
         shard.start()
-        fut = shard.submit(PublishRequest("tiger", NET.node_at(0)), 0.0)
-        stop1 = asyncio.create_task(shard.stop())
-        stop2 = asyncio.create_task(shard.stop())
-        await asyncio.sleep(0)  # both stops are now parked on queue.join()
-        await asyncio.wait_for(fut, timeout=2)
+        await shard.submit(PublishRequest("tiger", NET.node_at(0)), 0.0)
+        # the next op waits on the clock, so the drain outlasts both stops
+        fut = shard.submit(MoveRequest("tiger", NET.node_at(4)), 0.0)
+        # each stop() records whether the op had resolved when it returned
+        resolved_at_return: list[bool] = []
+
+        async def stop_and_look():
+            await shard.stop()
+            resolved_at_return.append(fut.done())
+
+        stop1 = asyncio.create_task(stop_and_look())
+        stop2 = asyncio.create_task(stop_and_look())
+        for _ in range(3):
+            await asyncio.sleep(0)  # both stops are now parked on the drain
+        assert resolved_at_return == [] and not fut.done()
+        clock.release()
         await asyncio.wait_for(asyncio.gather(stop1, stop2), timeout=2)
-        # exactly one _STOP was enqueued and consumed: nothing lingers,
-        # and a later join() returns instead of deadlocking
-        assert shard._queue.qsize() == 0
-        await asyncio.wait_for(shard._queue.join(), timeout=2)
-        assert shard._worker is None
+        assert resolved_at_return == [True, True]
+        assert (await fut).proxy == NET.node_at(4)
+        # exactly one _STOP was queued and consumed: nothing lingers
+        assert not shard._pending
+        assert shard._worker is None and shard.depth == 0
 
     asyncio.run(scenario())
 
@@ -71,7 +91,33 @@ def test_sequential_stop_is_idempotent():
         await asyncio.wait_for(shard.stop(), timeout=2)
         await asyncio.wait_for(shard.stop(), timeout=2)  # no worker: no-op
         assert shard._worker is None
-        assert shard._queue.qsize() == 0
+        assert not shard._pending
+
+    asyncio.run(scenario())
+
+
+def test_restart_during_clock_gate_keeps_the_op_queued():
+    async def scenario():
+        clock = VirtualClock()
+        shard = make_shard(clock)
+        shard.start()
+        published = shard.submit(PublishRequest("tiger", NET.node_at(0)), 0.0)
+        await asyncio.wait_for(published, timeout=2)
+        assert shard.busy_until > clock.now  # the next op waits on the clock
+        moved = shard.submit(MoveRequest("tiger", NET.node_at(4)), 0.0)
+        for _ in range(3):
+            await asyncio.sleep(0)  # the drain loop parks on the gate
+        assert not moved.done() and shard.depth == 1
+        snap = await shard.snapshot()
+        await asyncio.wait_for(shard.restart(snap), timeout=2)
+        clock.advance(1.0)
+        resp = await asyncio.wait_for(moved, timeout=2)
+        assert resp.proxy == NET.node_at(4) and resp.epoch == 1
+        assert shard.depth == 0 and shard.metrics.failed == 0
+        await asyncio.wait_for(shard.stop(), timeout=2)
+        assert shard.oplog["tiger"] == [
+            ("publish", NET.node_at(0)), ("move", NET.node_at(4))
+        ]
 
     asyncio.run(scenario())
 

@@ -10,6 +10,7 @@ cost ledgers, with the sequential-replay audit green on both sides.
 
 import asyncio
 import os
+import signal
 
 import pytest
 
@@ -166,6 +167,91 @@ class TestCrashRecovery:
             # restored history + post-crash ops replay clean end to end
             assert audit_service(service).ok
             assert len(handle.oplog["obj-0"]) == 3
+
+        run(scenario())
+
+
+class TestNoStrandedOps:
+    """An admitted op resolves exactly once, even when its worker dies
+    under it: the batch fails op by op, ``depth`` is restored, and
+    ``stop()`` returns. (The drain task used to die on the closed
+    channel, so the future never resolved and ``stop()`` hung.)"""
+
+    @staticmethod
+    async def bring_up():
+        cfg = ServiceConfig(workers=1, queue_capacity=1000)
+        service = TrackingService(NET, cfg, seed=4, clock=WallClock())
+        await service.start()
+        await service.submit(PublishRequest("obj-0", NET.node_at(0)))
+        shard = service.shards[0]
+        return service, shard, await shard.snapshot()
+
+    def test_op_on_a_killed_worker_fails_and_restart_serves_again(self):
+        async def scenario():
+            service, shard, snap = await self.bring_up()
+            shard._proc.kill()
+            shard._proc.join(5.0)
+            fut = service.submit_nowait(MoveRequest("obj-0", NET.node_at(7)))
+            with pytest.raises(OSError):  # the closed channel, by value
+                await asyncio.wait_for(fut, timeout=5)
+            assert service.metrics.failed == 1 and shard.depth == 0
+            assert not (await shard.health())["alive"]
+            await asyncio.wait_for(shard.restart(snap), timeout=10)
+            mv = await asyncio.wait_for(
+                service.submit(MoveRequest("obj-0", NET.node_at(7))), timeout=5
+            )
+            assert mv.epoch == 1 and service.metrics.failed == 1
+            await asyncio.wait_for(service.stop(), timeout=10)
+            return service
+
+        service = run(scenario())
+        assert audit_service(service).ok
+        assert service.shards[0].oplog["obj-0"][-1] == ("move", NET.node_at(7))
+
+    def test_stop_returns_after_the_worker_died(self):
+        async def scenario():
+            service, shard, _snap = await self.bring_up()
+            shard._proc.kill()
+            shard._proc.join(5.0)
+            futs = [
+                service.submit_nowait(MoveRequest("obj-0", NET.node_at(i)))
+                for i in (3, 4, 5)
+            ]
+            await asyncio.wait_for(service.stop(), timeout=10)
+            outcomes = await asyncio.gather(*futs, return_exceptions=True)
+            assert all(isinstance(o, OSError) for o in outcomes)
+            assert service.metrics.failed == 3 and shard.depth == 0
+            with pytest.raises(RuntimeError, match=r"stop\(\)"):
+                _ = shard.oplog  # no final frame came home
+
+        run(scenario())
+
+    def test_restart_fails_the_batch_in_flight(self):
+        """A stalled worker holds a batch; the restart that replaces it
+        fails that batch explicitly, because whether the dead worker
+        applied it is unknown."""
+
+        async def scenario():
+            service, shard, snap = await self.bring_up()
+            stalled = shard._proc
+            os.kill(stalled.pid, signal.SIGSTOP)
+            try:
+                fut = service.submit_nowait(MoveRequest("obj-0", NET.node_at(7)))
+                await asyncio.sleep(0.2)  # the frame is sent; no reply comes
+                assert not fut.done() and shard.depth == 1
+                await asyncio.wait_for(shard.restart(snap), timeout=10)
+            finally:
+                if stalled.is_alive():  # never leave a stopped child behind
+                    stalled.kill()
+            assert not stalled.is_alive()
+            with pytest.raises(RuntimeError, match="in flight"):
+                await asyncio.wait_for(fut, timeout=1)
+            assert service.metrics.failed == 1 and shard.depth == 0
+            mv = await asyncio.wait_for(
+                service.submit(MoveRequest("obj-0", NET.node_at(8))), timeout=5
+            )
+            assert mv.epoch == 1
+            await asyncio.wait_for(service.stop(), timeout=10)
 
         run(scenario())
 

@@ -1,10 +1,14 @@
 """Tests for the repro.perf instrumentation module."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.perf import PERF, PerfRegistry, TimerStat, timed
+
+CAP = TimerStat.RESERVOIR_CAP
 
 
 class TestPercentiles:
@@ -58,6 +62,84 @@ class TestPercentiles:
         assert d["p50_s"] == stat.percentile(50.0)
         assert d["p95_s"] == stat.percentile(95.0)
         assert d["p99_s"] == stat.percentile(99.0)
+
+
+def _values(seed: int, n: int) -> list[float]:
+    """``n`` floats of mixed sign and magnitude: any reordering of their
+    sum changes its low bits."""
+    rng = random.Random(seed)
+    return [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 3) for _ in range(n)]
+
+
+def _state(stat: TimerStat) -> tuple:
+    return (
+        stat.count,
+        stat.total_s.hex(),  # bit-equal, not approximately equal
+        stat.max_s.hex(),
+        [v.hex() for v in stat.samples],
+        stat._rng.getstate(),
+    )
+
+
+class TestFoldedAdds:
+    """``add_many`` folds a batch into the exact state of one ``add`` per
+    value; the service's per-batch accounting rests on it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        prefix=st.integers(min_value=0, max_value=CAP + 64),
+        n=st.integers(min_value=1, max_value=2 * CAP),
+        chunks=st.lists(st.integers(min_value=1, max_value=CAP // 2), min_size=1, max_size=12),
+    )
+    def test_chunked_add_many_equals_one_add_per_value(self, seed, prefix, n, chunks):
+        values = _values(seed, prefix + n)
+        one_by_one, folded = TimerStat(), TimerStat()
+        for v in values:
+            one_by_one.add(v)
+        for v in values[:prefix]:  # both paths may start from a filled stat
+            folded.add(v)
+        i, k = prefix, 0
+        while i < len(values):
+            step = chunks[k % len(chunks)]
+            folded.add_many(values[i : i + step])
+            i, k = i + step, k + 1
+        assert _state(folded) == _state(one_by_one)
+
+    def test_runs_cross_the_reservoir_cap(self):
+        # the case the property exists for: the reservoir path, chunks
+        # straddling the cap, an empty chunk
+        values = _values(7, 3 * CAP)
+        one_by_one, folded = TimerStat(), TimerStat()
+        for v in values:
+            one_by_one.add(v)
+        folded.add_many(values[: CAP - 5])
+        folded.add_many([])
+        folded.add_many(values[CAP - 5 : CAP + 300])
+        folded.add_many(iter(values[CAP + 300 :]))
+        assert len(folded.samples) == CAP
+        assert _state(folded) == _state(one_by_one)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_add_draws_like_randrange(self, seed):
+        """``add`` inlines ``randrange``'s rejection loop: the reservoir
+        and RNG state equal algorithm R over ``Random(0x7E5CA1E).randrange``."""
+        values = _values(seed, 2 * CAP + 123)
+        rng = random.Random(0x7E5CA1E)
+        reference: list[float] = []
+        for count, v in enumerate(values, start=1):
+            if len(reference) < CAP:
+                reference.append(v)
+            else:
+                slot = rng.randrange(count)
+                if slot < CAP:
+                    reference[slot] = v
+        stat = TimerStat()
+        for v in values:
+            stat.add(v)
+        assert stat.samples == reference
+        assert stat._rng.getstate() == rng.getstate()
 
 
 class TestCounters:
