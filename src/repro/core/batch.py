@@ -1,12 +1,11 @@
-"""Columnar MOT batch engine — struct-of-arrays kernels (ROADMAP item 3).
+"""Columnar MOT batch engine — one vectorized pass per batch of ops.
 
 The scalar :class:`~repro.core.mot.MOTTracker` walks python objects per
 hop: every publish/move/query builds ``HNode`` tuples, probes dict-of-set
 detection lists, and issues per-level distance lookups. This module is
 the data-oriented rewrite of the same algorithm: all tracker state lives
-in numpy arrays and the three operations execute as vectorized kernels
-over *batches* of queued requests — thousands of ops per python-level
-call.
+in numpy arrays, and :meth:`BatchMOTEngine.apply_ops` solves a whole
+FIFO batch of requests in one vectorized pass.
 
 The rewrite leans on one structural invariant of the configuration the
 paper's experiments (and the serve layer) run, ``use_parent_sets=False``:
@@ -15,10 +14,15 @@ every parent set is the singleton default parent, so
 - ``DPath(x)`` has exactly one ``HNode`` per level — a sensor's whole
   detection path is a row ``chain[x] = [x, home¹(x), …, root]`` of node
   indices;
-- an object's spine has exactly one entry per level ``0..h``, so spine
-  state is a row ``spine[obj] = [proxy, …, root]`` and the DL membership
-  test "is ``obj`` in the DL of ``(ℓ, v)``" collapses to the array
-  compare ``spine[obj, ℓ] == v``;
+- an object's spine — its DL entries from the proxy up to the root —
+  **is** ``chain[proxy]``. Publish installs ``DPath(proxy)``. A move to
+  ``new`` climbs ``chain[new]`` until it meets the spine at the peak
+  level, installs ``chain[new]`` below it and keeps the spine above it;
+  but above the peak the two chains already coincide, because
+  ``home`` is a function of the node alone. So the DL membership test
+  "is ``obj`` in the DL of ``(ℓ, v)``" collapses to
+  ``chain[proxy, ℓ] == v``, and the hop costs along the spine are
+  ``chain_hop[proxy]``;
 - the special parent of the spine entry at level ``ℓ`` is determined by
   the entry's *node* alone (``home^σ`` of it), so SDL hits need no extra
   per-object state either.
@@ -40,23 +44,33 @@ same hierarchy):
   entry at level ``ℓ`` (``home^{min(ℓ+σ,h)-ℓ}``), the table behind the
   vectorized SDL probe.
 
-Per-object state is three arrays plus a row map: ``spine`` (int32,
-``m × (h+1)``), ``spine_hop`` (float64 hop distances along the spine),
-``epoch`` (int64), and ``published`` (bool).
+Per-object state is three columns plus a row map: ``proxy`` (node
+index), ``epoch`` (applied moves) and ``published``. Each op's answer
+depends only on the object's proxy just before it, so one pass over a
+whole batch keeps sequential semantics. :meth:`BatchMOTEngine.apply_ops`
+takes an :class:`OpBatch` (three columns ``kind``/``obj``/``node``)
+and, in one pass: translates the columns to integers, validates them vectorized,
+stable-sorts the applied ops by object, forward-fills each op's prior
+proxy, takes epochs as a segmented cumulative sum of real moves,
+coalesces duplicate queries with one ``np.unique``, and runs the move
+kernel and the query kernel once each. It returns a
+:class:`BatchResult` of result columns. ``len()`` of a batch and of a
+result is its op count.
 
-Kernel contracts (all FIFO-order preserving; see :meth:`apply_ops`):
+Contracts:
 
-- :meth:`batch_publish` / :meth:`batch_move` require **distinct**
-  objects per call — one state write per row. :meth:`apply_ops`
-  guarantees this by decomposing a batch into *waves*: per wave each
-  object gets at most one publish, then at most one move, then any
-  number of queries, executed as publish→move→query kernel calls so
-  every op observes exactly the state its FIFO position implies.
-- Proxies/spines/epochs are **bit-identical** to the scalar tracker;
-  costs match up to float summation order (:func:`close_to` — climb
-  costs are bit-exact, descend sums may differ by ulps).
-- Ledger deltas are reduced per kernel call through the
-  ``CostLedger.record_*_batch`` APIs.
+- Proxies and epochs are **bit-identical** to the scalar tracker; costs
+  match up to float summation order (:func:`close_to` — climb costs are
+  bit-exact, descend sums may differ by ulps). Failed ops carry the
+  scalar tracker's exception type and message and leave no trace in
+  the state, the logs or the ledger.
+- Ledger deltas are reduced once per op kind per call through the
+  ``CostLedger.record_*_batch`` APIs. Float totals can differ from a
+  per-op accumulation by float grouping only (bit-identical on
+  unit-weight networks).
+- The applied-op log and the answered-query log are appended to
+  capacity-doubling column buffers; :attr:`BatchMOTEngine.oplog` and
+  :attr:`BatchMOTEngine.query_log` are read-only views built on read.
 
 :func:`audit_batch_core` is the equivalence gate: it replays an engine's
 op log through a fresh sequential :class:`MOTTracker` and asserts
@@ -67,9 +81,10 @@ for the serve layer, gated in CI by ``repro audit-batch``.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -82,9 +97,10 @@ Node = Hashable
 
 __all__ = [
     "BatchMOTEngine",
-    "BatchOutcome",
     "BatchQueryRecord",
+    "BatchResult",
     "BatchAuditReport",
+    "OpBatch",
     "audit_batch_core",
 ]
 
@@ -198,38 +214,92 @@ def _tables_for(hs: BaseHierarchy, config: MOTConfig) -> _Tables:
     return tables
 
 
+
+
 # ----------------------------------------------------------------------
-# outcomes
+# batch and result columns
 # ----------------------------------------------------------------------
+#: op kind → code in the engine's columns and logs
+_PUBLISH, _MOVE, _QUERY = 0, 1, 2
+_KIND_NAMES: tuple[str, ...] = ("publish", "move", "query")
+_KIND_CODE = {name: code for code, name in enumerate(_KIND_NAMES)}
+
+#: the default of every ``map(mapping.get, keys, _MISSING)`` translation
+#: (an endless iterator: ``map`` stops at the key column)
+_MISSING = itertools.repeat(-1)
+
+#: the log buffers' record layouts (packed: 9 and 29 bytes per entry)
+_OP_DTYPE = np.dtype([("row", np.int32), ("kind", np.int8), ("node", np.int32)])
+_QUERY_DTYPE = np.dtype(
+    [
+        ("row", np.int32),
+        ("epoch", np.int64),
+        ("source", np.int32),
+        ("proxy", np.int32),
+        ("cost", np.float64),
+        ("coalesced", np.bool_),
+    ]
+)
+
+
 @dataclass(slots=True)
-class BatchOutcome:
-    """Per-operation result of :meth:`BatchMOTEngine.apply_ops` (FIFO order)."""
+class OpBatch:
+    """One FIFO batch of ops as three columns; ``len()`` is the op count.
 
-    kind: str
-    obj: str
-    proxy: Node = None
-    cost: float = 0.0
-    epoch: int = -1
-    coalesced: bool = False
-    found_level: int = 0
-    via_sdl: bool = False
-    messages: int = 0
-    optimal: float = 0.0
-    error: Exception | None = None
+    ``kind[i]`` is ``"publish"`` / ``"move"`` / ``"query"`` and
+    ``node[i]`` the op's proxy / new proxy / query source. Pickled as
+    its three lists, so a batch frame carries no per-op objects.
+    """
 
-    @property
-    def ok(self) -> bool:
-        """Whether the operation applied (``error`` carries the failure)."""
-        return self.error is None
+    kind: list[str]
+    obj: list[str]
+    node: list[Node]
+
+    @classmethod
+    def of(cls, ops: Iterable[tuple[str, str, Node]]) -> "OpBatch":
+        """The batch of ``(kind, obj, node)`` tuples, in order."""
+        kind: list[str] = []
+        obj: list[str] = []
+        node: list[Node] = []
+        for k, o, x in ops:
+            kind.append(k)
+            obj.append(o)
+            node.append(x)
+        return cls(kind, obj, node)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __reduce__(self) -> tuple:
+        return (OpBatch, (self.kind, self.obj, self.node))
+
+
+@dataclass(slots=True)
+class BatchResult:
+    """Result columns of one :meth:`BatchMOTEngine.apply_ops` call.
+
+    Plain lists in the batch's FIFO order, one entry per op: ``proxy``
+    (node index of the proxy after the op; for a query, the answer),
+    ``cost``, ``epoch``, ``coalesced``, ``optimal`` and ``messages``.
+    ``errors`` maps the position of each failed op to the exception
+    the scalar tracker would have raised; the columns hold zeros there.
+    ``len()`` is the op count.
+    """
+
+    proxy: list[int]
+    cost: list[float]
+    epoch: list[int]
+    coalesced: list[bool]
+    optimal: list[float]
+    messages: list[int]
+    errors: dict[int, Exception]
+
+    def __len__(self) -> int:
+        return len(self.proxy)
 
 
 class BatchQueryRecord(NamedTuple):
-    """One answered query, shaped for the equivalence audit.
-
-    A named tuple, not a dataclass: ``apply_ops`` creates one per
-    answered query on the hot path and tuple construction is several
-    times cheaper than a frozen dataclass ``__init__``.
-    """
+    """One answered query, shaped for the equivalence audit."""
 
     obj: str
     epoch: int
@@ -237,6 +307,16 @@ class BatchQueryRecord(NamedTuple):
     proxy: Node
     cost: float
     coalesced: bool
+
+
+def _grown(buf: np.ndarray, need: int) -> np.ndarray:
+    """``buf`` copied into a buffer of at least ``need`` entries (doubling)."""
+    cap = len(buf)
+    while cap < need:
+        cap *= 2
+    out = np.zeros(cap, dtype=buf.dtype)
+    out[: len(buf)] = buf
+    return out
 
 
 class BatchMOTEngine:
@@ -260,19 +340,31 @@ class BatchMOTEngine:
         self.ledger = CostLedger()
         self._t = _tables_for(hierarchy, self.config)
         self.h = self._t.h
+        self._index = self.net.index_map
+        # SDL probe coordinates: a source chain at level ell (gap < ell
+        # < h) hits the special parent of the spine entry at ell - gap
+        gap = self._t.gap
+        probe = (
+            np.arange(gap + 1, self.h)
+            if self.config.use_special_parents
+            else np.arange(0)
+        )
+        self._sdl_from = probe - gap
+        self._sdl_col = probe - 1
 
-        #: object id -> row in the state arrays
+        #: object id -> row in the state columns
         self._row: dict[str, int] = {}
         self._obj_of_row: list[str] = []
         cap = 64
-        self._spine = np.zeros((cap, self.h + 1), dtype=np.int32)
-        self._spine_hop = np.zeros((cap, max(self.h, 1)), dtype=np.float64)
+        self._proxy = np.zeros(cap, dtype=np.int64)
         self._epoch = np.zeros(cap, dtype=np.int64)
         self._published = np.zeros(cap, dtype=bool)
 
-        #: applied mutations per object + answered queries, for the audit
-        self.oplog: dict[str, list[tuple[str, Node]]] = {}
-        self.query_log: list[BatchQueryRecord] = []
+        #: applied publishes/moves and answered queries, FIFO, for the audit
+        self._op_log = np.zeros(cap, dtype=_OP_DTYPE)
+        self._n_ops = 0
+        self._query_log = np.zeros(cap, dtype=_QUERY_DTYPE)
+        self._n_queries = 0
 
     @classmethod
     def build(
@@ -304,19 +396,24 @@ class BatchMOTEngine:
         """All published objects."""
         return tuple(o for o, r in self._row.items() if self._published[r])
 
-    def proxy_of(self, obj: str) -> Node:
-        """Current proxy sensor of ``obj`` (KeyError when unpublished)."""
+    @property
+    def object_count(self) -> int:
+        """How many objects are published (no log view is built)."""
+        return int(np.count_nonzero(self._published[: len(self._obj_of_row)]))
+
+    def _published_row(self, obj: str) -> int:
         row = self._row.get(obj)
         if row is None or not self._published[row]:
             raise KeyError(f"object {obj!r} was never published")
-        return self.net.node_at(int(self._spine[row, 0]))
+        return row
+
+    def proxy_of(self, obj: str) -> Node:
+        """Current proxy sensor of ``obj`` (KeyError when unpublished)."""
+        return self.net.node_at(int(self._proxy[self._published_row(obj)]))
 
     def epoch_of(self, obj: str) -> int:
         """Applied-move count of ``obj`` (no-op moves excluded)."""
-        row = self._row.get(obj)
-        if row is None or not self._published[row]:
-            raise KeyError(f"object {obj!r} was never published")
-        return int(self._epoch[row])
+        return int(self._epoch[self._published_row(obj)])
 
     @property
     def epochs(self) -> dict[str, int]:
@@ -334,478 +431,425 @@ class BatchMOTEngine:
         }
 
     def spine_row(self, obj: str) -> np.ndarray:
-        """The object's spine as node indices, level 0..h (a copy)."""
-        row = self._row.get(obj)
-        if row is None or not self._published[row]:
-            raise KeyError(f"object {obj!r} was never published")
-        return self._spine[row].copy()
+        """The object's spine as node indices, level 0..h (a copy).
+
+        The spine is the proxy's detection path (module docstring).
+        """
+        return self._t.chain[self._proxy[self._published_row(obj)]].copy()
+
+    @property
+    def oplog(self) -> dict[str, list[tuple[str, Node]]]:
+        """Applied ops per object: ``[("publish", proxy), ("move", new), ...]``.
+
+        A read-only view, built from the log buffer on every read.
+        """
+        obj_of = self._obj_of_row
+        node_at = self.net.node_at
+        out: dict[str, list[tuple[str, Node]]] = {}
+        for row, kind, node in self._op_log[: self._n_ops].tolist():
+            out.setdefault(obj_of[row], []).append((_KIND_NAMES[kind], node_at(node)))
+        return out
+
+    @property
+    def query_log(self) -> tuple[BatchQueryRecord, ...]:
+        """Every answered query in execution order (a view built on read)."""
+        obj_of = self._obj_of_row
+        node_at = self.net.node_at
+        return tuple(
+            BatchQueryRecord(obj_of[row], epoch, node_at(src), node_at(proxy), cost, coal)
+            for row, epoch, src, proxy, cost, coal in self._query_log[
+                : self._n_queries
+            ].tolist()
+        )
+
+    def adopt_query_log(self, records: Iterable[BatchQueryRecord]) -> None:
+        """Replace the query log with ``records`` (snapshot restore).
+
+        Every record's object must already have a row.
+        """
+        recs = list(records)
+        log = np.zeros(max(64, len(recs)), dtype=_QUERY_DTYPE)
+        index_of = self.net.index_of
+        log[: len(recs)] = [
+            (self._row[r.obj], r.epoch, index_of(r.source), index_of(r.proxy), r.cost, r.coalesced)
+            for r in recs
+        ]
+        self._query_log = log
+        self._n_queries = len(recs)
 
     # ------------------------------------------------------------------
     # row management
     # ------------------------------------------------------------------
-    def _ensure_capacity(self, need: int) -> None:
-        cap = self._spine.shape[0]
-        if need <= cap:
-            return
-        new_cap = cap
-        while new_cap < need:
-            new_cap *= 2
-        for name in ("_spine", "_spine_hop", "_epoch", "_published"):
-            old = getattr(self, name)
-            grown = np.zeros((new_cap,) + old.shape[1:], dtype=old.dtype)
-            grown[:cap] = old
-            setattr(self, name, grown)
-
     def _claim_row(self, obj: str) -> int:
-        row = self._row.get(obj)
-        if row is None:
-            row = len(self._obj_of_row)
-            self._ensure_capacity(row + 1)
-            self._row[obj] = row
-            self._obj_of_row.append(obj)
+        row = len(self._obj_of_row)
+        if row == len(self._proxy):
+            self._proxy = _grown(self._proxy, row + 1)
+            self._epoch = _grown(self._epoch, row + 1)
+            self._published = _grown(self._published, row + 1)
+        self._row[obj] = row
+        self._obj_of_row.append(obj)
         return row
 
     # ------------------------------------------------------------------
-    # kernels (distinct objects per call for publish/move)
+    # the one pass
     # ------------------------------------------------------------------
-    def batch_publish(self, objs: Sequence[str], proxies: Sequence[Node]) -> np.ndarray:
-        """Publish ``objs[k]`` at ``proxies[k]``; returns per-op costs.
+    def apply_ops(self, batch: OpBatch) -> BatchResult:
+        """Apply one FIFO batch in one vectorized pass; result columns.
 
-        Objects must be distinct and unpublished, proxies valid sensors
-        (:meth:`apply_ops` pre-validates; direct callers must comply).
-        """
-        if not objs:
-            return np.empty(0)
-        rows = np.fromiter(
-            map(self._claim_row, objs), dtype=np.int64, count=len(objs)
-        )
-        pidx = np.fromiter(
-            map(self.net.index_map.__getitem__, proxies), dtype=np.int64, count=len(proxies)
-        )
-        t = self._t
-        self._spine[rows] = t.chain[pidx]
-        self._spine_hop[rows, : self.h] = t.chain_hop[pidx]
-        self._epoch[rows] = 0
-        self._published[rows] = True
-        costs = t.pub_cost[pidx]
-        self.ledger.record_publish_batch(float(costs.sum()), len(objs))
-        return costs
-
-    def batch_move(
-        self, objs: Sequence[str], new_proxies: Sequence[Node]
-    ) -> list[BatchOutcome]:
-        """Move distinct published ``objs`` to ``new_proxies``; per-op outcomes.
-
-        No-op moves (already at the target) are detected here and charge
-        the ledger's ``noop_moves`` tally, exactly like the scalar path.
-        """
-        if not objs:
-            return []
-        n = len(objs)
-        rows = np.fromiter(map(self._row.__getitem__, objs), dtype=np.int64, count=n)
-        nidx = np.fromiter(
-            map(self.net.index_map.__getitem__, new_proxies), dtype=np.int64, count=n
-        )
-        t = self._t
-        old_idx = self._spine[rows, 0].astype(np.int64)
-        noop = old_idx == nidx
-        n_noop = int(noop.sum())
-        if n_noop:
-            self.ledger.record_noop_moves(n_noop)
-        act = np.nonzero(~noop)[0]
-
-        cost_full = np.zeros(n)
-        opt_full = np.zeros(n)
-        msg_full = np.zeros(n, dtype=np.int64)
-        peak_full = np.zeros(n, dtype=np.int64)
-        if act.size:
-            arows = rows[act]
-            anew = nidx[act]
-
-            # peak level: first level >= 1 where the old spine meets the
-            # new chain (the root guarantees a hit)
-            eq = self._spine[arows, 1:] == t.chain[anew, 1:]
-            peak = 1 + np.argmax(eq, axis=1)
-
-            up = t.up_cum[anew, peak]
-            hop_cum = np.cumsum(self._spine_hop[arows, : self.h], axis=1)
-            down = hop_cum[np.arange(act.size), peak - 1]
-            if t.sdl_cost is not None:
-                # removal messages for the deleted entries at levels 1..peak-1
-                lvl = np.arange(1, self.h + 1)
-                del_mask = lvl[None, :] < peak[:, None]
-                down = down + np.where(
-                    del_mask, t.sdl_cost[self._spine[arows, 1:], lvl[None, :]], 0.0
-                ).sum(axis=1)
-            cost = up + down
-
-            optimal = self.net.pair_index_distances(
-                np.stack([old_idx[act], anew], axis=1)
-            )
-            messages = 2 * peak
-
-            # state update: levels below the peak come from the new chain
-            lvl_all = np.arange(self.h + 1)
-            upd = lvl_all[None, :] < peak[:, None]
-            self._spine[arows] = np.where(upd, t.chain[anew], self._spine[arows])
-            if self.h:
-                upd_h = lvl_all[None, : self.h] < peak[:, None]
-                self._spine_hop[arows, : self.h] = np.where(
-                    upd_h, t.chain_hop[anew], self._spine_hop[arows, : self.h]
-                )
-            self._epoch[arows] += 1
-
-            ratio_mask = optimal > 0
-            self.ledger.record_maintenance_batch(
-                float(cost.sum()),
-                float(optimal.sum()),
-                int(act.size),
-                int(messages.sum()),
-                (cost[ratio_mask] / optimal[ratio_mask]).tolist(),
-            )
-            cost_full[act] = cost
-            opt_full[act] = optimal
-            msg_full[act] = messages
-            peak_full[act] = peak
-
-        # one pass over plain-python lists, positional construction in
-        # field order (kind, obj, proxy, cost, epoch, coalesced,
-        # found_level, via_sdl, messages, optimal) — this runs once per
-        # move and keyword passing measurably slows the hot path;
-        # epochs read *after* the bump
-        cl = cost_full.tolist()
-        el = self._epoch[rows].tolist()
-        fl = peak_full.tolist()
-        ml = msg_full.tolist()
-        ol = opt_full.tolist()
-        return [
-            BatchOutcome(
-                "move", o, new_proxies[k], cl[k], el[k], False, fl[k], False,
-                ml[k], ol[k],
-            )
-            for k, o in enumerate(objs)
-        ]
-
-    def batch_query(
-        self, objs: Sequence[str], sources: Sequence[Node]
-    ) -> list[BatchOutcome]:
-        """Query published ``objs`` from ``sources``; per-op outcomes.
-
-        Read-only — duplicate objects per call are fine. Local hits
-        (source == proxy) cost nothing and land in the ledger's
-        ``local_queries`` tally, mirroring the scalar fast path.
-        """
-        if not objs:
-            return []
-        node_at = self.net.node_at
-        n = len(objs)
-        rows = np.fromiter(map(self._row.__getitem__, objs), dtype=np.int64, count=n)
-        sidx = np.fromiter(
-            map(self.net.index_map.__getitem__, sources), dtype=np.int64, count=n
-        )
-        t = self._t
-        proxy_idx = self._spine[rows, 0].astype(np.int64)
-        local = proxy_idx == sidx
-        n_local = int(local.sum())
-        if n_local:
-            self.ledger.record_local_queries(n_local)
-
-        cost_full = np.zeros(n)
-        opt_full = np.zeros(n)
-        msg_full = np.zeros(n, dtype=np.int64)
-        lvl_full = np.zeros(n, dtype=np.int64)
-        sdl_full = np.zeros(n, dtype=bool)
-        act = np.nonzero(~local)[0]
-        if act.size == 0:
-            return self._query_outcomes(
-                objs, rows, proxy_idx, cost_full, opt_full, msg_full, lvl_full, sdl_full
-            )
-        arows = rows[act]
-        asrc = sidx[act]
-
-        # climb: DL hit when the source chain meets the spine; SDL hit
-        # when it meets a spine entry's special parent (level l-gap
-        # installed it; root-level SDL is shadowed by the root DL)
-        src_chain = t.chain[asrc, 1:]
-        dl_hit = self._spine[arows, 1:] == src_chain
-        hit = dl_hit.copy()
-        gap = t.gap
-        if self.config.use_special_parents:
-            for ell in range(gap + 1, self.h):
-                src_lvl = ell - gap
-                sp_host = t.lift[src_lvl][self._spine[arows, src_lvl]]
-                hit[:, ell - 1] |= sp_host == src_chain[:, ell - 1]
-        level = 1 + np.argmax(hit, axis=1)
-        k_ar = np.arange(act.size)
-        via_sdl = ~dl_hit[k_ar, level - 1]
-
-        climb = t.cum_q[asrc, level]
-        hop_cum = np.cumsum(self._spine_hop[arows, : self.h], axis=1)
-        desc_level = np.where(via_sdl, level - gap, level)
-        descend = np.where(
-            desc_level > 0, hop_cum[k_ar, np.maximum(desc_level, 1) - 1], 0.0
-        )
-        cost = climb + descend
-        messages = level + desc_level
-
-        sdl_rows = np.nonzero(via_sdl)[0]
-        if sdl_rows.size:
-            # one extra hop from the hit node to the special child that
-            # installed the entry (the spine entry at level - gap)
-            sc_hop = self.net.pair_index_distances(
-                np.stack(
-                    [
-                        t.chain[asrc[sdl_rows], level[sdl_rows]],
-                        self._spine[arows[sdl_rows], level[sdl_rows] - gap],
-                    ],
-                    axis=1,
-                ).astype(np.int64)
-            )
-            cost[sdl_rows] += sc_hop
-            messages[sdl_rows] += 1
-
-        optimal = self.net.pair_index_distances(
-            np.stack([asrc, proxy_idx[act]], axis=1)
-        )
-        ratio_mask = optimal > 0
-        self.ledger.record_query_batch(
-            float(cost.sum()),
-            float(optimal.sum()),
-            int(act.size),
-            int(messages.sum()),
-            (cost[ratio_mask] / optimal[ratio_mask]).tolist(),
-        )
-        cost_full[act] = cost
-        opt_full[act] = optimal
-        msg_full[act] = messages
-        lvl_full[act] = level
-        sdl_full[act] = via_sdl
-        return self._query_outcomes(
-            objs, rows, proxy_idx, cost_full, opt_full, msg_full, lvl_full, sdl_full
-        )
-
-    def _query_outcomes(
-        self,
-        objs: Sequence[str],
-        rows: np.ndarray,
-        proxy_idx: np.ndarray,
-        cost_full: np.ndarray,
-        opt_full: np.ndarray,
-        msg_full: np.ndarray,
-        lvl_full: np.ndarray,
-        sdl_full: np.ndarray,
-    ) -> list[BatchOutcome]:
-        """Materialize :meth:`batch_query` outcomes from the filled columns."""
-        node_at = self.net.node_at
-        cl = cost_full.tolist()
-        el = self._epoch[rows].tolist()
-        ol = opt_full.tolist()
-        ml = msg_full.tolist()
-        fl = lvl_full.tolist()
-        sl = sdl_full.tolist()
-        pl = proxy_idx.tolist()
-        # positional construction in field order (kind, obj, proxy, cost,
-        # epoch, coalesced, found_level, via_sdl, messages, optimal) —
-        # one object per answered query, keywords cost on this path
-        return [
-            BatchOutcome(
-                "query", o, node_at(pl[k]), cl[k], el[k], False, fl[k], sl[k],
-                ml[k], ol[k],
-            )
-            for k, o in enumerate(objs)
-        ]
-
-    # ------------------------------------------------------------------
-    # the batched apply path
-    # ------------------------------------------------------------------
-    def apply_ops(self, ops: Iterable[tuple[str, str, Node]]) -> list[BatchOutcome]:
-        """Apply a FIFO batch of ``(kind, obj, node)`` ops; outcomes in order.
-
-        ``kind`` is ``"publish"`` / ``"move"`` / ``"query"``; ``node``
-        is the proxy / new proxy / query source respectively. Sequential
-        semantics are preserved exactly: each op observes every earlier
-        op's effect (wave decomposition), failures raise nothing here —
-        the matching outcome carries the exception the scalar tracker
+        Sequential semantics are preserved exactly: each op observes
+        every earlier op's effect. Failures raise nothing here — the
+        result's ``errors`` carries the exception the scalar tracker
         would have raised, and the op leaves no trace in the state, the
         logs or the ledger.
 
-        Duplicate queries for the same ``(obj, epoch, source)`` coalesce
-        exactly like the serve shard's scalar path: one executed walk,
-        the twins reuse its answer and are excluded from the ledger.
+        Duplicate queries for the same ``(obj, epoch, source)`` within
+        the batch coalesce: the first executes, the twins reuse its
+        answer (``coalesced``) and are excluded from the ledger.
         """
-        ops = list(ops)
-        if not ops:
-            return []
-        # outcomes fill in as the grouping pass and the kernels run:
-        # errors/publishes here, moves/queries by their kernel, coalesced
-        # twins in the stitch pass — every index is set exactly once
-        outcomes: list = [None] * len(ops)
+        n = len(batch)
+        errors: dict[int, Exception] = {}
+        if n == 0:
+            return BatchResult([], [], [], [], [], [], errors)
 
-        # C-level membership probes: the loop validates one node per op
-        idx_map = self.net.index_map
-        row_of = self._row.get
-        node_at = self.net.node_at
-        # simulated per-object view of (published, proxy-node, epoch,
-        # wave, stage) as the grouping pass walks the FIFO order
-        sim: dict[str, list] = {}
-        # one wave = ([publish indices], [move indices], [query indices]);
-        # plain tuples — attribute access on a dataclass costs on this loop
-        waves: list[tuple[list[int], list[int], list[int]]] = []
-        answered: dict[tuple[str, int, Node], int] = {}
-        twin_of: dict[int, int] = {}
+        # 1. translate once: kind -> code, obj -> row, node -> index
+        # (-1 where unknown), as one (3, n) array
+        cols = np.fromiter(
+            itertools.chain(
+                map(_KIND_CODE.get, batch.kind, _MISSING),
+                map(self._row.get, batch.obj, _MISSING),
+                map(self._index.get, batch.node, _MISSING),
+            ),
+            np.int64,
+            3 * n,
+        ).reshape(3, n)
+        code, rows, nidx = cols
 
-        for i, (kind, obj, node) in enumerate(ops):
-            st = sim.get(obj)
-            if st is None:
-                row = row_of(obj)
-                if row is not None and self._published[row]:
-                    st = [
-                        True,
-                        node_at(int(self._spine[row, 0])),
-                        int(self._epoch[row]),
-                        0,
-                        0,
-                    ]
-                else:
-                    st = [False, None, -1, 0, 0]
-                sim[obj] = st
-            if kind == "query":
-                if not st[0]:
-                    outcomes[i] = BatchOutcome(
-                        kind=kind,
-                        obj=obj,
-                        error=KeyError(f"object {obj!r} was never published"),
-                    )
-                    continue
-                if node not in idx_map:
-                    outcomes[i] = BatchOutcome(
-                        kind=kind,
-                        obj=obj,
-                        error=KeyError(f"{node!r} is not a sensor of this network"),
-                    )
-                    continue
-                key = (obj, st[2], node)
-                twin = answered.get(key)
-                if twin is not None:
-                    twin_of[i] = twin
-                    continue
-                answered[key] = i
-                st[4] = 3
-                w = st[3]
-                while len(waves) <= w:
-                    waves.append(([], [], []))
-                waves[w][2].append(i)
-            elif kind == "move":
-                if not st[0]:
-                    outcomes[i] = BatchOutcome(
-                        kind=kind,
-                        obj=obj,
-                        error=KeyError(f"object {obj!r} was never published"),
-                    )
-                    continue
-                if node not in idx_map:
-                    outcomes[i] = BatchOutcome(
-                        kind=kind,
-                        obj=obj,
-                        error=KeyError(f"{node!r} is not a sensor of this network"),
-                    )
-                    continue
-                if node != st[1]:
-                    st[2] += 1
-                st[1] = node
-                if st[4] >= 2:  # move after a move/query: next wave
-                    st[3] += 1
-                st[4] = 2
-                w = st[3]
-                while len(waves) <= w:
-                    waves.append(([], [], []))
-                waves[w][1].append(i)
-            elif kind == "publish":
-                if st[0]:
-                    outcomes[i] = BatchOutcome(
-                        kind=kind,
-                        obj=obj,
-                        error=ValueError(f"object {obj!r} is already published"),
-                    )
-                    continue
-                if node not in idx_map:
-                    outcomes[i] = BatchOutcome(
-                        kind=kind,
-                        obj=obj,
-                        error=KeyError(f"{node!r} is not a sensor of this network"),
-                    )
-                    continue
-                if st[4] > 0:  # earlier op this wave: start a fresh one
-                    st[3] += 1
-                st[0], st[1], st[2], st[4] = True, node, 0, 1
-                outcomes[i] = BatchOutcome(kind=kind, obj=obj, proxy=node, epoch=0)
-                w = st[3]
-                while len(waves) <= w:
-                    waves.append(([], [], []))
-                waves[w][0].append(i)
+        # 2. validate — only a batch with a publish or an unknown kind,
+        # object or node needs it; the ops that apply keep FIFO order
+        pos: np.ndarray | None = None
+        low_kind, low_row, low_node = np.minimum.reduce(cols, axis=1).tolist()
+        if low_kind <= _PUBLISH or low_row < 0 or low_node < 0:
+            keep = self._validate(batch, code, rows, nidx, errors)
+            if keep is not None:
+                pos = keep.nonzero()[0]
+                code, rows, nidx = code[pos], rows[pos], nidx[pos]
+        m = len(rows)
+        n_pub, n_move, n_query = np.bincount(code, minlength=3).tolist()
+
+        # 3. stable-sort by object; each op's prior proxy is the node of
+        # the last publish/move before it in its segment (forward fill)
+        # or the stored proxy, and its epoch the stored epoch plus a
+        # segmented cumulative sum of real moves. A batch whose objects
+        # are all distinct skips the sort: every segment has length 1.
+        order: np.ndarray | None = None
+        if m > 1:
+            order = rows.argsort(kind="stable")
+            rw = rows[order]
+            first = np.empty(m, dtype=bool)
+            first[0] = True
+            np.not_equal(rw[1:], rw[:-1], out=first[1:])
+            if first.all():
+                order = None
+        if order is None:
+            kw, rw, xw = code, rows, nidx
+            prior = self._proxy[rw]
+        else:
+            kw, xw = code[order], nidx[order]
+            start = np.where(first, np.arange(m), 0)
+            np.maximum.accumulate(start, out=start)
+            if n_query == m:  # nothing sets a proxy inside the batch
+                prior = self._proxy[rw]
             else:
-                outcomes[i] = BatchOutcome(
-                    kind=kind,
-                    obj=obj,
-                    error=TypeError(f"unknown batch op kind {kind!r}"),
-                )
+                last = np.where(kw != _QUERY, np.arange(m), -1)
+                np.maximum.accumulate(last, out=last)
+                prev = np.empty(m, dtype=np.int64)
+                prev[0] = -1
+                prev[1:] = last[:-1]
+                prior = np.where(prev >= start, xw[prev], self._proxy[rw])
+        epoch = self._epoch[rw]
+        real: np.ndarray | None = None
+        if n_move:
+            real = xw != prior
+            if n_move < m:
+                real &= kw == _MOVE
+            if order is None:
+                epoch = epoch + real
+            else:
+                run = real.cumsum()
+                epoch = epoch + run - (run[start] - real[start])
+        if n_query == m:
+            after = prior
+        elif n_query:
+            after = np.where(kw == _QUERY, prior, xw)
+        else:
+            after = xw
 
-        for pub_idx, move_idx, query_idx in waves:
-            if pub_idx:
-                costs = self.batch_publish(
-                    [ops[i][1] for i in pub_idx], [ops[i][2] for i in pub_idx]
-                )
-                cl = costs.tolist()
-                h = self.h
-                for j, i in enumerate(pub_idx):
-                    out = outcomes[i]
-                    out.cost = cl[j]
-                    out.messages = h
-            if move_idx:
-                res = self.batch_move(
-                    [ops[i][1] for i in move_idx], [ops[i][2] for i in move_idx]
-                )
-                for j, i in enumerate(move_idx):
-                    outcomes[i] = res[j]
-            if query_idx:
-                res = self.batch_query(
-                    [ops[i][1] for i in query_idx], [ops[i][2] for i in query_idx]
-                )
-                for j, i in enumerate(query_idx):
-                    outcomes[i] = res[j]
+        # 4. coalesce queries on (object, epoch, source) with one
+        # np.unique; the first in FIFO order executes
+        queries: np.ndarray | None = None
+        twins: np.ndarray | None = None
+        sources: np.ndarray | None = None
+        if n_query:
+            queries = (kw == _QUERY).nonzero()[0] if n_query < m else np.arange(m)
+            if order is not None and n_query > 1:
+                fresh = first.copy()
+                fresh[1:] |= epoch[1:] != epoch[:-1]
+                key = fresh.cumsum()[queries] * self.net.n + xw[queries]
+                _, head, inverse = np.unique(key, return_index=True, return_inverse=True)
+                twin = queries[head][inverse.reshape(-1)]
+                dup = twin != queries
+                if dup.any():
+                    twins, sources = queries[dup], twin[dup]
+                    queries = queries[~dup]
 
-        # stitch coalesced answers from their executed twins (FIFO-earlier)
-        for i, twin in twin_of.items():
-            src = outcomes[twin]
-            outcomes[i] = BatchOutcome(
-                kind="query",
-                obj=src.obj,
-                proxy=src.proxy,
-                cost=src.cost,
-                epoch=src.epoch,
-                found_level=src.found_level,
-                via_sdl=src.via_sdl,
-                messages=src.messages,
-                optimal=src.optimal,
-                coalesced=True,
+        # output columns in FIFO position space; back maps work order there
+        if order is None:
+            back = np.arange(n) if pos is None else pos
+        else:
+            back = order if pos is None else pos[order]
+        ints = np.zeros((3, n), dtype=np.int64)  # proxy, epoch, messages
+        floats = np.zeros((2, n))  # cost, optimal
+        coalesced = np.zeros(n, dtype=bool)
+        ints[0, back] = after
+        ints[1, back] = epoch
+
+        # 5. the kernels, once each, and one ledger delta per op kind
+        t = self._t
+        ledger = self.ledger
+        births: np.ndarray | None = None
+        if n_pub:
+            births = (kw == _PUBLISH).nonzero()[0] if n_pub < m else np.arange(m)
+            pub = t.pub_cost[xw[births]]
+            w = back[births]
+            floats[0, w] = pub
+            ints[2, w] = self.h
+            ledger.record_publish_batch(float(np.add.reduce(pub)), n_pub)
+        if real is not None:
+            moved = real.nonzero()[0]
+            if n_move > moved.size:
+                ledger.record_noop_moves(n_move - moved.size)
+            if moved.size:
+                cost, optimal, messages = self._move_kernel(prior[moved], xw[moved])
+                w = back[moved]
+                floats[0, w] = cost
+                floats[1, w] = optimal
+                ints[2, w] = messages
+                ledger.record_maintenance_batch(*_delta(cost, optimal, messages))
+        if queries is not None:
+            local = xw[queries] == prior[queries]
+            n_local = int(np.count_nonzero(local))
+            if n_local:
+                ledger.record_local_queries(n_local)
+                queries = queries[~local]
+            if queries.size:
+                cost, optimal, messages = self._query_kernel(xw[queries], prior[queries])
+                w = back[queries]
+                floats[0, w] = cost
+                floats[1, w] = optimal
+                ints[2, w] = messages
+                ledger.record_query_batch(*_delta(cost, optimal, messages))
+        if twins is not None and sources is not None:
+            w, src = back[twins], back[sources]
+            floats[:, w] = floats[:, src]
+            ints[2, w] = ints[2, src]
+            coalesced[w] = True
+
+        # 6. write back each row's last proxy and epoch, then log
+        if order is None:
+            self._proxy[rw] = after
+            self._epoch[rw] = epoch
+        else:
+            tail = np.empty(m, dtype=bool)
+            tail[-1] = True
+            tail[:-1] = first[1:]
+            self._proxy[rw[tail]] = after[tail]
+            self._epoch[rw[tail]] = epoch[tail]
+        if births is not None:
+            self._published[rw[births]] = True
+        self._log(rows, code, nidx, n_query, pos, ints, floats, coalesced)
+
+        proxy, epochs, messages = ints.tolist()
+        cost, optimal = floats.tolist()
+        return BatchResult(proxy, cost, epochs, coalesced.tolist(), optimal, messages, errors)
+
+    def _validate(
+        self,
+        batch: OpBatch,
+        code: np.ndarray,
+        rows: np.ndarray,
+        nidx: np.ndarray,
+        errors: dict[int, Exception],
+    ) -> np.ndarray | None:
+        """Step 2 of :meth:`apply_ops`: the mask of ops that apply
+        (``None`` when all of them do).
+
+        An object unknown to the engine is born at its first publish
+        with a valid node: that op claims its row, and later ops of the
+        object read it. Failed ops land in ``errors`` with the scalar
+        tracker's precedence — already-published beats a bad node,
+        never-published beats a bad node, an unknown kind fails in
+        place. ``rows`` is updated in place.
+        """
+        born = np.zeros(len(rows), dtype=bool)
+        unknown = (rows < 0).nonzero()[0].tolist()
+        if unknown:
+            objs, kinds, nodes = batch.obj, batch.kind, batch.node
+            claimed: dict[str, int] = {}
+            for i in unknown:
+                obj = objs[i]
+                row = claimed.get(obj)
+                if row is None:
+                    if kinds[i] != "publish" or nodes[i] not in self._index:
+                        continue  # never published or not a sensor: fails below
+                    row = claimed[obj] = self._claim_row(obj)
+                    born[i] = True
+                rows[i] = row
+        bad_kind = code < 0
+        publish = code == _PUBLISH
+        unborn = rows < 0
+        duplicate = publish & ~born & ~unborn
+        bad_node = nidx < 0
+        if not (bad_kind | duplicate | unborn | bad_node).any():
+            return None
+        ghost = unborn & ~publish & ~bad_kind
+        bad_node &= ~(bad_kind | duplicate | ghost)
+        # one reason code per failed op (the masks are disjoint)
+        reason = bad_kind + 2 * duplicate + 3 * ghost + 4 * bad_node
+        failed = reason.nonzero()[0]
+        for i, why in zip(failed.tolist(), reason[failed].tolist(), strict=True):
+            if why == 1:
+                errors[i] = TypeError(f"unknown batch op kind {batch.kind[i]!r}")
+            elif why == 2:
+                errors[i] = ValueError(f"object {batch.obj[i]!r} is already published")
+            elif why == 3:
+                errors[i] = KeyError(f"object {batch.obj[i]!r} was never published")
+            else:
+                errors[i] = KeyError(f"{batch.node[i]!r} is not a sensor of this network")
+        return reason == 0
+
+    def _move_kernel(
+        self, old: np.ndarray, new: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cost, optimum and message count of real moves ``old -> new``."""
+        t = self._t
+        # peak level: first level >= 1 where the old spine meets the new
+        # chain (the root guarantees a hit)
+        old_up = t.chain[old, 1:]
+        peak = 1 + (old_up == t.chain[new, 1:]).argmax(axis=1)
+        down = t.cum_q[old, peak]
+        if t.sdl_cost is not None:
+            # removal messages for the deleted entries at levels 1..peak-1
+            lvl = np.arange(1, self.h + 1)
+            down = down + np.where(
+                lvl[None, :] < peak[:, None], t.sdl_cost[old_up, lvl[None, :]], 0.0
+            ).sum(axis=1)
+        cost = t.up_cum[new, peak] + down
+        optimal = self.net.pair_index_distances(np.array((old, new)).T)
+        return cost, optimal, 2 * peak
+
+    def _query_kernel(
+        self, src: np.ndarray, proxy: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cost, optimum and message count of non-local queries."""
+        t = self._t
+        gap = t.gap
+        # climb: DL hit when the source chain meets the spine; SDL hit
+        # when it meets a spine entry's special parent (level l-gap
+        # installed it; root-level SDL is shadowed by the root DL)
+        spine = t.chain[proxy]
+        src_up = t.chain[src, 1:]
+        dl_hit = spine[:, 1:] == src_up
+        hit = dl_hit
+        if self._sdl_col.size:
+            hit = dl_hit.copy()
+            hosts = t.lift[self._sdl_from, spine[:, self._sdl_from]]
+            hit[:, self._sdl_col] |= hosts == src_up[:, self._sdl_col]
+        level = 1 + hit.argmax(axis=1)
+        via_sdl = ~dl_hit[np.arange(len(src)), level - 1]
+        desc_level = np.where(via_sdl, level - gap, level)
+        cost = t.cum_q[src, level] + t.cum_q[proxy, desc_level]
+        messages = level + desc_level
+        sdl_rows = via_sdl.nonzero()[0]
+        if sdl_rows.size:
+            # one extra hop from the hit node to the special child that
+            # installed the entry (the spine entry at level - gap)
+            sc_level = level[sdl_rows]
+            cost[sdl_rows] += self.net.pair_index_distances(
+                np.array(
+                    (t.chain[src[sdl_rows], sc_level], spine[sdl_rows, sc_level - gap]),
+                    dtype=np.int64,
+                ).T
             )
+            messages[sdl_rows] += 1
+        optimal = self.net.pair_index_distances(np.array((src, proxy)).T)
+        return cost, optimal, messages
 
-        # audit-facing logs, in FIFO order
-        olog = self.oplog
-        olog_get = olog.setdefault
-        qlog_append = self.query_log.append
-        for (kind, obj, node), out in zip(ops, outcomes):
-            if out.error is not None:
-                continue
-            if kind == "query":
-                qlog_append(
-                    BatchQueryRecord(
-                        obj, out.epoch, node, out.proxy, out.cost, out.coalesced
-                    )
-                )
+    def _log(
+        self,
+        rows: np.ndarray,
+        code: np.ndarray,
+        nidx: np.ndarray,
+        n_queries: int,
+        pos: np.ndarray | None,
+        ints: np.ndarray,
+        floats: np.ndarray,
+        coalesced: np.ndarray,
+    ) -> None:
+        """Append the applied ops to the log buffers, in FIFO order."""
+        n_ops = len(code) - n_queries
+        is_query: np.ndarray | None = code == _QUERY if n_ops and n_queries else None
+        if n_ops:
+            end = self._n_ops + n_ops
+            if end > len(self._op_log):
+                self._op_log = _grown(self._op_log, end)
+            seg = self._op_log[self._n_ops : end]
+            if is_query is None:
+                seg["row"], seg["kind"], seg["node"] = rows, code, nidx
             else:
-                olog_get(obj, []).append((kind, node))
-        return outcomes
+                mutation = ~is_query
+                seg["row"], seg["kind"], seg["node"] = (
+                    rows[mutation], code[mutation], nidx[mutation]
+                )
+            self._n_ops = end
+        if n_queries:
+            end = self._n_queries + n_queries
+            if end > len(self._query_log):
+                self._query_log = _grown(self._query_log, end)
+            seg = self._query_log[self._n_queries : end]
+            at: slice | np.ndarray
+            if is_query is None:
+                at = slice(None) if pos is None else pos
+                seg["row"], seg["source"] = rows, nidx
+            else:
+                at = is_query.nonzero()[0] if pos is None else pos[is_query]
+                seg["row"], seg["source"] = rows[is_query], nidx[is_query]
+            seg["epoch"] = ints[1, at]
+            seg["proxy"] = ints[0, at]
+            seg["cost"] = floats[0, at]
+            seg["coalesced"] = coalesced[at]
+            self._n_queries = end
+
+
+def _delta(
+    cost: np.ndarray, optimal: np.ndarray, messages: np.ndarray
+) -> tuple[float, float, int, int, float | None]:
+    """One kernel call's ledger delta: the sums, the op count, the
+    message count and the largest ``cost / optimal`` over positive
+    optima (``None`` if there is none)."""
+    positive = optimal > 0
+    if positive.all():
+        worst: float | None = float(np.maximum.reduce(cost / optimal))
+    elif positive.any():
+        worst = float(np.maximum.reduce(cost[positive] / optimal[positive]))
+    else:
+        worst = None
+    return (
+        float(np.add.reduce(cost)),
+        float(np.add.reduce(optimal)),
+        len(cost),
+        int(np.add.reduce(messages)),
+        worst,
+    )
 
 
 # ----------------------------------------------------------------------

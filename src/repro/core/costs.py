@@ -14,7 +14,6 @@ divided).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 __all__ = ["CostLedger", "close_to"]
 
@@ -52,8 +51,10 @@ class CostLedger:
     query_ops: int = 0
     query_messages: int = 0
     local_queries: int = 0
-    _maint_ratios: list[float] = field(default_factory=list, repr=False)
-    _query_ratios: list[float] = field(default_factory=list, repr=False)
+    #: worst single-op ratios so far (None until a positive optimum):
+    #: running maxima, so the ledger's size does not grow with the ops
+    _maint_max: float | None = field(default=None, repr=False)
+    _query_max: float | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     def record_publish(self, cost: float) -> None:
@@ -67,7 +68,7 @@ class CostLedger:
         self.maintenance_ops += 1
         self.maintenance_messages += messages
         if optimal > 0:
-            self._maint_ratios.append(cost / optimal)
+            self._maint_max = _max_of(self._maint_max, cost / optimal)
 
     def record_noop_move(self) -> None:
         """Count a zero-distance move (same proxy) without touching averages.
@@ -97,7 +98,7 @@ class CostLedger:
         self.query_ops += 1
         self.query_messages += messages
         if optimal > 0:
-            self._query_ratios.append(cost / optimal)
+            self._query_max = _max_of(self._query_max, cost / optimal)
 
     def record_local_query(self) -> None:
         """Count a local hit (source == proxy) without touching averages.
@@ -127,16 +128,20 @@ class CostLedger:
         total_optimal: float,
         ops: int,
         messages: int,
-        ratios: "Iterable[float]" = (),
+        max_ratio: float | None = None,
     ) -> None:
-        """Accumulate a batch of maintenance ops as one reduced delta."""
+        """Accumulate a batch of maintenance ops as one reduced delta.
+
+        ``max_ratio`` is the batch's largest ``cost / optimal`` over its
+        ops with a positive optimum (None when it has none).
+        """
         if ops <= 0:
             return
         self.maintenance_cost += total_cost
         self.maintenance_optimal += total_optimal
         self.maintenance_ops += ops
         self.maintenance_messages += messages
-        self._maint_ratios.extend(ratios)
+        self._maint_max = _max_of(self._maint_max, max_ratio)
 
     def record_noop_moves(self, count: int) -> None:
         """Tally ``count`` zero-distance moves (see :meth:`record_noop_move`)."""
@@ -150,16 +155,17 @@ class CostLedger:
         total_optimal: float,
         ops: int,
         messages: int,
-        ratios: "Iterable[float]" = (),
+        max_ratio: float | None = None,
     ) -> None:
-        """Accumulate a batch of executed queries as one reduced delta."""
+        """Accumulate a batch of executed queries as one reduced delta
+        (``max_ratio`` as in :meth:`record_maintenance_batch`)."""
         if ops <= 0:
             return
         self.query_cost += total_cost
         self.query_optimal += total_optimal
         self.query_ops += ops
         self.query_messages += messages
-        self._query_ratios.extend(ratios)
+        self._query_max = _max_of(self._query_max, max_ratio)
 
     def record_local_queries(self, count: int) -> None:
         """Tally ``count`` local query hits (see :meth:`record_local_query`)."""
@@ -195,13 +201,13 @@ class CostLedger:
 
     @property
     def max_maintenance_ratio(self) -> float:
-        """Worst single-operation maintenance ratio seen."""
-        return max(self._maint_ratios, default=1.0)
+        """Worst single-operation maintenance ratio seen (1.0 when none)."""
+        return 1.0 if self._maint_max is None else self._maint_max
 
     @property
     def max_query_ratio(self) -> float:
-        """Worst single-query ratio seen."""
-        return max(self._query_ratios, default=1.0)
+        """Worst single-query ratio seen (1.0 when none)."""
+        return 1.0 if self._query_max is None else self._query_max
 
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger into this one (used by repetition averaging)."""
@@ -219,5 +225,14 @@ class CostLedger:
         self.local_queries += other.local_queries
         self.maintenance_messages += other.maintenance_messages
         self.query_messages += other.query_messages
-        self._maint_ratios.extend(other._maint_ratios)
-        self._query_ratios.extend(other._query_ratios)
+        self._maint_max = _max_of(self._maint_max, other._maint_max)
+        self._query_max = _max_of(self._query_max, other._query_max)
+
+
+def _max_of(current: float | None, value: float | None) -> float | None:
+    """The running maximum ``current`` updated with ``value`` (None: none yet)."""
+    if value is None:
+        return current
+    if current is None or value > current:
+        return value
+    return current

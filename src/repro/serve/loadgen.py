@@ -16,7 +16,12 @@ Two artifacts matter for reproducibility:
   a :class:`~repro.serve.clock.VirtualClock` the generator *is* the
   clock: it advances virtual time to each arrival and yields to let
   shard workers react, so the whole run — including every admission
-  decision — is deterministic.
+  decision — is deterministic. Under a
+  :class:`~repro.serve.clock.WallClock` the trace is a schedule
+  anchored when the timed loop starts: the generator sleeps until the
+  next arrival is due, submits every arrival that is due before it
+  yields, and a response's latency runs from its arrival's due time,
+  so a stall also delays the arrivals queued behind it.
 
 Publishes are not part of the offered load: every object is registered
 in a warm-up phase at time zero before the first timed arrival.
@@ -150,32 +155,23 @@ async def replay(
     result.warmup_published = len(publish_futs)
     # -- open loop ----------------------------------------------------
     futures: list[asyncio.Future] = []
-    if trace:
-        result.first_arrival_t = trace[0].t
-    for arrival in trace:
-        service.clock.advance(arrival.t)
-        # let woken shard workers drain what the clock just made due
-        await asyncio.sleep(0)
-        await asyncio.sleep(0)
-        # the arrival loop is the clock driver, so it is also the
-        # snapshot poller (no-op unless the service configures an
-        # interval); polling after the drain keeps counters current
-        service.maybe_snapshot()
-        op = arrival.op
-        req = (
-            MoveRequest(op.obj, op.new)
-            if isinstance(op, MoveOp)
-            else QueryRequest(op.obj, op.source)
-        )
-        result.offered += 1
-        try:
-            futures.append(service.submit_nowait(req))
-            result.admitted += 1
-        except Overloaded as exc:
-            if exc.reason == "rate":
-                result.rejected_rate += 1
-            else:
-                result.rejected_queue += 1
+    due: list[float] = []  # wall clock: each admitted op's due time
+    clock = service.clock
+    if clock.virtual:
+        if trace:
+            result.first_arrival_t = trace[0].t
+        for arrival in trace:
+            clock.advance(arrival.t)
+            # let woken shard workers drain what the clock just made due
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            # the arrival loop drives the clock, so it is also the
+            # snapshot poller (no-op unless the service configures an
+            # interval); polling after the drain keeps counters current
+            service.maybe_snapshot()
+            _offer(service, arrival, result, futures)
+    else:
+        due = await _paced(service, trace, result, futures)
     # -- graceful drain ------------------------------------------------
     await service.stop()
     for item in await asyncio.gather(*publish_futs, return_exceptions=True):
@@ -184,12 +180,73 @@ async def replay(
         else:
             result.warmup_completed += 1
     settled = await asyncio.gather(*futures, return_exceptions=True)
-    for item in settled:
+    for k, item in enumerate(settled):
         if isinstance(item, BaseException):
             result.failed += 1
         else:
+            if not clock.virtual:
+                item = item._replace(arrival_t=due[k])  # latency from the due time
             result.completed += 1
             result.responses.append(item)
             if item.completion_t > result.last_completion_t:
                 result.last_completion_t = item.completion_t
     return result
+
+
+def _offer(
+    service: TrackingService,
+    arrival: Arrival,
+    result: LoadgenResult,
+    futures: list[asyncio.Future],
+) -> bool:
+    """Submit one arrival; counts it and returns whether it was admitted."""
+    op = arrival.op
+    req = (
+        MoveRequest(op.obj, op.new)
+        if isinstance(op, MoveOp)
+        else QueryRequest(op.obj, op.source)
+    )
+    result.offered += 1
+    try:
+        futures.append(service.submit_nowait(req))
+    except Overloaded as exc:
+        if exc.reason == "rate":
+            result.rejected_rate += 1
+        else:
+            result.rejected_queue += 1
+        return False
+    result.admitted += 1
+    return True
+
+
+async def _paced(
+    service: TrackingService,
+    trace: list[Arrival],
+    result: LoadgenResult,
+    futures: list[asyncio.Future],
+) -> list[float]:
+    """The wall-clock open loop: submit each arrival once it is due.
+
+    The schedule is anchored at the clock reading when the loop starts.
+    Each wake-up submits every arrival already due, then yields; the
+    loop sleeps only while the next arrival lies in the future. Returns
+    the due time of each admitted op, in ``futures`` order.
+    """
+    clock = service.clock
+    anchor = clock.now
+    if trace:
+        result.first_arrival_t = anchor + trace[0].t
+    due: list[float] = []
+    i = 0
+    while i < len(trace):
+        wait = anchor + trace[i].t - clock.now
+        if wait > 0:
+            await asyncio.sleep(wait)
+        now = clock.now
+        while i < len(trace) and anchor + trace[i].t <= now:
+            if _offer(service, trace[i], result, futures):
+                due.append(anchor + trace[i].t)
+            i += 1
+        service.maybe_snapshot()
+        await asyncio.sleep(0)  # let the shards drain what was submitted
+    return due

@@ -33,6 +33,11 @@ class PublishRequest:
     obj: str
     proxy: Node
 
+    @property
+    def node(self) -> Node:
+        """The op's node column: the first proxy."""
+        return self.proxy
+
 
 @dataclass(frozen=True)
 class MoveRequest:
@@ -41,6 +46,11 @@ class MoveRequest:
     obj: str
     new_proxy: Node
 
+    @property
+    def node(self) -> Node:
+        """The op's node column: the new proxy."""
+        return self.new_proxy
+
 
 @dataclass(frozen=True)
 class QueryRequest:
@@ -48,6 +58,11 @@ class QueryRequest:
 
     obj: str
     source: Node
+
+    @property
+    def node(self) -> Node:
+        """The op's node column: the querying sensor."""
+        return self.source
 
 
 Request = Union[PublishRequest, MoveRequest, QueryRequest]

@@ -35,15 +35,17 @@ queued control requests and the stop sentinel) with one
    deque, not off it;
 2. drains up to ``batch_size`` queued ops preserving FIFO order (so
    per-object operation order is preserved);
-3. applies them in one engine call. The engine **coalesces** duplicate
+3. applies them in one engine call: the ``batch`` request carries the
+   ops as three columns (kind, object, node — all recorded at
+   admission). The engine **coalesces** duplicate
    queries within the call: queries for the same
    ``(object, epoch, source)`` — same object and querying node, no
    intervening move — execute one spine walk and share the answer. The
    source is part of the key because query cost is charged from the
    *querying* node's position: two sources asking about the same
    object walk different prefixes of the spine;
-4. settles the batch in one pass over the ``("ok" | "err", …)`` result
-   tuples: it stamps completions (in virtual mode each executed op is
+4. settles the batch in one pass over the engine's result columns: it
+   stamps completions (in virtual mode each executed op is
    charged ``service_time_base_s`` on top of the shard's busy horizon,
    in wall mode every op completes at the clock reading taken when the
    engine returned), resolves each future, and folds the batch's
@@ -68,6 +70,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Sequence, Union
 
 from repro.core.batch import BatchQueryRecord as QueryRecord
+from repro.core.batch import OpBatch
 from repro.core.costs import CostLedger
 from repro.obs.trace import TRACER
 from repro.perf import TimerStat
@@ -88,15 +91,16 @@ _STOP = object()
 
 @dataclass(slots=True)
 class _Admitted:
-    """One queued operation: the request, its stamp, and its waiter.
+    """One queued operation: its op columns, its stamp, and its waiter.
 
     ``warmup`` marks bring-up publishes
     (:meth:`~repro.serve.service.TrackingService.submit_warmup`): they
     are applied like any op but kept out of the shard's SLI counters.
     """
 
-    req: Request
     kind: OpKind
+    obj: str
+    node: Node
     arrival_t: float
     future: asyncio.Future
     warmup: bool = False
@@ -128,7 +132,7 @@ def shard_sli(shard: "TrackerShard", makespan_s: float | None = None) -> dict:
         "completed": shard.completed_ops,
         "rejected": rejected,
         "drop_ratio": rejected / offered if offered else 0.0,
-        "objects": len(shard.oplog),
+        "objects": shard.object_count,
         "latency_ms": {
             "p50_ms": lat.percentile(50.0) * 1e3,
             "p99_ms": lat.percentile(99.0) * 1e3,
@@ -174,6 +178,8 @@ class TrackerShard:
 
         #: the in-process engine; ``None`` when it lives in a worker
         self._local: ShardWorker | None = None if process else ShardWorker(spec)
+        #: node index → node, for the proxies in the result columns
+        self._node_at = spec.hierarchy.net.node_at
         self._proc: multiprocessing.process.BaseProcess | None = None
         self._chan: AsyncChannel | None = None
         #: a worker's state as its ``stop`` reply carried it home
@@ -203,6 +209,11 @@ class TrackerShard:
     def epochs(self) -> dict[str, int]:
         """Per-object applied-move counts."""
         return self._state().epochs
+
+    @property
+    def object_count(self) -> int:
+        """How many objects the shard holds (no log view is built)."""
+        return self._state().object_count
 
     @property
     def oplog(self) -> dict[str, list[tuple[str, Node]]]:
@@ -249,11 +260,11 @@ class TrackerShard:
         itself is unbounded and ``depth`` is the gauge the service
         checks against ``queue_capacity``. ``warmup`` ops stay out of
         the per-shard SLI counters. The service passes the ``kind`` it
-        computed at admission.
+        computed at admission; the op's node is recorded next to it.
         """
         fut = asyncio.get_running_loop().create_future()
         self._pending.append(
-            _Admitted(req, kind or kind_of(req), arrival_t, fut, warmup)
+            _Admitted(kind or kind_of(req), req.obj, req.node, arrival_t, fut, warmup)
         )
         self._wakeup.set()
         self.depth += 1
@@ -355,7 +366,7 @@ class TrackerShard:
         if self._local is not None or alive:
             vitals = await self._control("health")
         else:  # a stopped or dead worker: only its final frame is left
-            vitals = {"objects": len(self._final.oplog) if self._final else 0}
+            vitals = {"objects": self._final.object_count if self._final else 0}
         if alive and proc is not None:
             head["pid"] = proc.pid
         return {**head, "depth": self.depth, **vitals}
@@ -465,24 +476,30 @@ class TrackerShard:
         every op of the batch as that failure: whether a dead worker
         applied the batch is unknown, so no op is answered.
         """
+        ops = OpBatch(
+            [item.kind for item in batch],
+            [item.obj for item in batch],
+            [item.node for item in batch],
+        )
         try:
-            results = await self._call("batch", [item.req for item in batch])
+            columns = await self._call("batch", ops)
         except asyncio.CancelledError:
             lost = RuntimeError(
                 f"shard {self.shard_id} restarted with this op in flight; "
                 "it may or may not have been applied"
             )
-            self._settle_batch(batch, [("err", lost)] * len(batch))
+            self._settle_batch(batch, _all_failed(len(batch), lost))
             raise
         except Exception as exc:  # noqa: BLE001 — a failed round trip fails its ops
             chan, self._chan = self._chan, None
             if chan is not None:
                 chan.close()  # the conversation is lost; restart() opens a new one
-            results = [("err", exc)] * len(batch)
-        self._settle_batch(batch, results)
+            columns = _all_failed(len(batch), exc)
+        self._settle_batch(batch, columns)
 
-    def _settle_batch(self, batch: list[_Admitted], results: list[tuple]) -> None:
-        """Settle a batch in one pass over its result tuples.
+    def _settle_batch(self, batch: list[_Admitted], columns: tuple) -> None:
+        """Settle a batch in one pass over its result columns
+        ``(proxy, cost, epoch, coalesced, errors)``.
 
         Virtual mode charges each op a service time on the shard's busy
         horizon — ``service_time_base_s`` per executed op or failure,
@@ -504,25 +521,27 @@ class TrackerShard:
         elapsed = 0.0
         size = len(batch)
         tracing = TRACER.enabled
+        node_at = self._node_at
+        proxies, costs, epochs, flags, errors = columns
         latencies: dict[str, list[float]] = {"publish": [], "move": [], "query": []}
         sli: list[float] = []  # the per-shard SLI leaves warm-up ops out
         coalesced_queries = 0
         failed = 0
-        for item, res in zip(batch, results, strict=True):
+        rows = zip(batch, proxies, costs, epochs, flags, strict=True)
+        for i, (item, proxy, cost, epoch, coalesced) in enumerate(rows):
+            exc = errors.get(i) if errors else None
             if tracing:
-                self._trace(item, res, size)
-            ok = res[0] == "ok"
+                self._trace(item, exc, cost, epoch, coalesced, size)
             if virtual:
-                if not ok or not res[4]:  # a coalesced twin is free
+                if exc is not None or not coalesced:  # a coalesced twin is free
                     elapsed += base
                 completion = start + elapsed
             fut = item.future
-            if not ok:
+            if exc is not None:
                 failed += 1
                 if not fut.done():
-                    fut.set_exception(res[1])
+                    fut.set_exception(exc)
                 continue
-            _tag, proxy, cost, epoch, coalesced = res
             kind = item.kind
             latency = completion - item.arrival_t
             latencies[kind].append(latency)
@@ -533,7 +552,7 @@ class TrackerShard:
             if not fut.done():
                 fut.set_result(
                     OpResponse(
-                        kind, item.req.obj, proxy, cost, epoch, coalesced,
+                        kind, item.obj, node_at(proxy), cost, epoch, coalesced,
                         item.arrival_t, completion,
                     )
                 )
@@ -547,13 +566,27 @@ class TrackerShard:
             self.metrics.record_failures(failed)
         self.metrics.record_batch(size)
 
-    def _trace(self, item: _Admitted, res: tuple, size: int) -> None:
+    def _trace(
+        self,
+        item: _Admitted,
+        exc: Exception | None,
+        cost: float,
+        epoch: int,
+        coalesced: bool,
+        size: int,
+    ) -> None:
         """One ``serve.<kind>`` span per settled op (tracing on only)."""
         with TRACER.span(
-            "serve." + item.kind, obj=str(item.req.obj), shard=self.shard_id, batch=size
+            "serve." + item.kind, obj=str(item.obj), shard=self.shard_id, batch=size
         ) as sp:
-            if res[0] == "err":
-                sp.annotate(failed=True, error=type(res[1]).__name__)
+            if exc is not None:
+                sp.annotate(failed=True, error=type(exc).__name__)
             else:
-                sp.set_result(cost=res[2])
-                sp.annotate(epoch=res[3], coalesced=res[4])
+                sp.set_result(cost=cost)
+                sp.annotate(epoch=epoch, coalesced=coalesced)
+
+
+def _all_failed(n: int, exc: Exception) -> tuple:
+    """The result columns of a batch of ``n`` ops whose round trip failed."""
+    zeros = [0] * n
+    return zeros, [0.0] * n, zeros, [False] * n, dict.fromkeys(range(n), exc)

@@ -12,12 +12,12 @@ checkpoints.
 Restore is **replay-based**: rather than serializing the engine's
 columnar arrays (private state the engine is free to re-shape),
 restore replays the op log through a fresh engine over the same
-hierarchy. Determinism of the MOT structure
-makes the rebuilt state bit-identical to the original; the ledger is
-then overwritten with the snapshot's ledger so costs are carried once,
-not re-accrued (the replay's own accrual is discarded). This is the
-same argument the consistency audit rests on — a snapshot that
-restores wrong would also fail its shard's audit.
+hierarchy, as one :class:`~repro.core.batch.OpBatch`. Determinism of
+the MOT structure makes the rebuilt state bit-identical to the
+original; the ledger is then overwritten with the snapshot's ledger so
+costs are carried once, not re-accrued (the replay's own accrual is
+discarded). This is the same argument the consistency audit rests on —
+a snapshot that restores wrong would also fail its shard's audit.
 
 On top of capture/restore, :func:`split_snapshot` and
 :func:`merge_snapshots` rebalance object ownership for elastic
@@ -36,6 +36,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
+from repro.core.batch import OpBatch
 from repro.core.costs import CostLedger
 
 Node = Hashable
@@ -51,8 +52,9 @@ __all__ = [
 ]
 
 #: bump when the snapshot layout changes; restore refuses other versions
-#: (2: query records are the engine's ``BatchQueryRecord`` tuples)
-SNAPSHOT_VERSION = 2
+#: (2: query records are the engine's ``BatchQueryRecord`` tuples;
+#: 3: the ledger keeps running ratio maxima instead of per-op lists)
+SNAPSHOT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,7 @@ class ShardSnapshot:
     shard_id: int
     epochs: dict[str, int]
     oplog: dict[str, list[tuple[str, Node]]]
-    #: BatchQueryRecord entries in execution order: a tuple when
-    #: captured, the engine's own list in a worker's final frame
+    #: BatchQueryRecord entries in execution order
     query_log: Sequence[Any]
     ledger: CostLedger
     version: int = SNAPSHOT_VERSION
@@ -72,6 +73,11 @@ class ShardSnapshot:
     def objects(self) -> tuple[str, ...]:
         """Objects owned by the snapshotted shard, sorted."""
         return tuple(sorted(self.oplog))
+
+    @property
+    def object_count(self) -> int:
+        """How many objects the snapshotted shard held."""
+        return len(self.epochs)
 
 
 def capture_snapshot(state, shard_id: int) -> ShardSnapshot:
@@ -107,7 +113,7 @@ def restore_snapshot(worker, snap: ShardSnapshot) -> None:
             f"snapshot version {snap.version} != supported {SNAPSHOT_VERSION}"
         )
     engine = worker.engine
-    if engine.oplog:
+    if engine.object_count:
         raise ValueError("restore requires an empty shard core")
     ops = []
     for obj, entries in snap.oplog.items():
@@ -115,10 +121,10 @@ def restore_snapshot(worker, snap: ShardSnapshot) -> None:
             if op not in ("publish", "move"):
                 raise ValueError(f"unknown oplog entry {op!r} for {obj!r}")
             ops.append((op, obj, node))
-    for out in engine.apply_ops(ops):
-        if out.error is not None:
-            raise out.error
-    engine.query_log[:] = snap.query_log
+    errors = engine.apply_ops(OpBatch.of(ops)).errors
+    if errors:
+        raise errors[min(errors)]
+    engine.adopt_query_log(snap.query_log)
     # carry accrued costs once: the replay's own accrual is discarded
     engine.ledger = copy.deepcopy(snap.ledger)
     if engine.epochs != snap.epochs:

@@ -1,12 +1,16 @@
 """One shard's engine behind the worker frame protocol.
 
 :class:`ShardWorker` is a shard's whole state and apply path: one
-:class:`~repro.core.batch.BatchMOTEngine`, the request → op
-translation, and one handler per request kind, dispatched through the
-module-level :data:`_HANDLERS` table. The table is held to
-:data:`~repro.serve.transport.REQUEST_KINDS` by the RPL105 flow rule —
-a request kind without a handler is a static error, not a runtime
-``KeyError`` in a child process.
+:class:`~repro.core.batch.BatchMOTEngine` and one handler per request
+kind, dispatched through the module-level :data:`_HANDLERS` table. The
+table is held to :data:`~repro.serve.transport.REQUEST_KINDS` by the
+RPL105 flow rule — a request kind without a handler is a static error,
+not a runtime ``KeyError`` in a child process.
+
+A ``batch`` request carries an :class:`~repro.core.batch.OpBatch` of op
+columns, and its reply is the result columns a shard settles from:
+``(proxy, cost, epoch, coalesced, errors)``, plain lists plus the
+``{position: exception}`` map — a few bytes per op in a frame.
 
 The one shard front end, :class:`~repro.serve.shard.TrackerShard`,
 reaches its ShardWorker over one of two transports:
@@ -41,13 +45,12 @@ import socket
 from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.core.batch import BatchMOTEngine
+from repro.core.batch import BatchMOTEngine, OpBatch
 from repro.core.batch import BatchQueryRecord as QueryRecord
 from repro.core.costs import CostLedger
 from repro.core.mot import MOTConfig
 from repro.hierarchy.structure import BaseHierarchy
 from repro.obs.trace import TRACER
-from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest, Request
 from repro.serve.snapshot import ShardSnapshot, capture_snapshot, restore_snapshot
 from repro.serve.transport import (
     REQUEST_KINDS,
@@ -70,22 +73,11 @@ class WorkerSpec:
     mot_config: MOTConfig
 
 
-def _as_op(req: Request) -> tuple[str, str, Node]:
-    """The engine op ``(kind, obj, node)`` of one service request."""
-    if isinstance(req, MoveRequest):
-        return ("move", req.obj, req.new_proxy)
-    if isinstance(req, QueryRequest):
-        return ("query", req.obj, req.source)
-    if isinstance(req, PublishRequest):
-        return ("publish", req.obj, req.proxy)
-    raise TypeError(f"not a service request: {req!r}")
-
-
 class ShardWorker:
-    """One shard's engine, request → op translation and frame handlers.
+    """One shard's engine and frame handlers.
 
     Everything here is synchronous and transport-agnostic. The
-    audit-facing views are the engine's own state, not copies.
+    audit-facing views are built from the engine's own state on read.
     """
 
     def __init__(self, spec: WorkerSpec) -> None:
@@ -98,12 +90,17 @@ class ShardWorker:
         return self.engine.epochs
 
     @property
+    def object_count(self) -> int:
+        """How many objects the shard holds (no log view is built)."""
+        return self.engine.object_count
+
+    @property
     def oplog(self) -> dict[str, list[tuple[str, Node]]]:
         """Applied ops per object: ``[("publish", proxy), ("move", new), ...]``."""
         return self.engine.oplog
 
     @property
-    def query_log(self) -> list[QueryRecord]:
+    def query_log(self) -> tuple[QueryRecord, ...]:
         """Every answered query in execution order."""
         return self.engine.query_log
 
@@ -112,28 +109,16 @@ class ShardWorker:
         """The engine's cost ledger."""
         return self.engine.ledger
 
-    def apply_requests(self, reqs: list[Request]) -> list[tuple]:
-        """Apply a whole batch in one engine call.
-
-        Returns one tuple per request, positionally aligned:
-        ``("ok", proxy, cost, epoch, coalesced)`` or ``("err", exc)`` —
-        exceptions are carried by value, so a batch reply pickles.
-        """
-        return [
-            ("ok", out.proxy, out.cost, out.epoch, out.coalesced)
-            if out.error is None
-            else ("err", out.error)
-            for out in self.engine.apply_ops([_as_op(req) for req in reqs])
-        ]
-
     # each handler returns (reply_kind, payload) for one request frame
-    def handle_batch(self, reqs: list[Request]) -> tuple[str, Any]:
-        """Apply one batch; per-op results, exceptions carried by value."""
-        return "results", self.apply_requests(reqs)
+    def handle_batch(self, batch: OpBatch) -> tuple[str, Any]:
+        """Apply one batch in one engine call; the settle columns, with
+        the failed ops' exceptions carried by value so the reply pickles."""
+        res = self.engine.apply_ops(batch)
+        return "results", (res.proxy, res.cost, res.epoch, res.coalesced, res.errors)
 
     def handle_health(self, _payload: Any) -> tuple[str, Any]:
         """Shard vitals; the front end adds liveness, depth and pid."""
-        return "healthy", {"objects": len(self.engine.oplog)}
+        return "healthy", {"objects": self.engine.object_count}
 
     def handle_snapshot(self, _payload: Any) -> tuple[str, Any]:
         """A deep copy of the shard state (quiesced by the FIFO queue)."""
@@ -145,8 +130,8 @@ class ShardWorker:
         return "restored", None
 
     def handle_stop(self, _payload: Any) -> tuple[str, Any]:
-        """The final frame: the shard state as an uncopied snapshot."""
-        # the frame is pickled on send, so the logs travel uncopied
+        """The final frame: the shard state as a snapshot of fresh views."""
+        # the views are built for this frame only and pickled on send
         return "final", ShardSnapshot(
             self.shard_id, self.epochs, self.oplog, self.query_log, self.ledger
         )

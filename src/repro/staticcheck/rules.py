@@ -208,7 +208,7 @@ class PrivateAccessChecker(BaseChecker):
     ``self``/``cls``/``super()`` is the owner's business and always
     allowed, as is any private name the *current module* itself assigns
     on ``self`` somewhere (the module co-owns that state — e.g.
-    ``CostLedger.merge`` reading ``other._maint_ratios``).
+    ``CostLedger.merge`` reading ``other._maint_max``).
     """
 
     rule_id = "RPL003"
@@ -560,7 +560,7 @@ class ColumnarLoopChecker(BaseChecker):
     ``repro/core/batch`` is the struct-of-arrays kernel layer: its whole
     reason to exist is that state lives in numpy columns and every op
     touches them with vectorized kernels. Iterating one of those columns
-    from python — ``for e in self._epoch``, ``zip(rows, self._spine[rows])``,
+    from python — ``for e in self._epoch``, ``zip(rows, self._proxy[rows])``,
     ``for i in np.flatnonzero(mask)`` — materializes one numpy *scalar*
     per element, each ~100x a plain-int access, and quietly drags a
     kernel back to scalar speed while every test still passes. The
@@ -575,10 +575,11 @@ class ColumnarLoopChecker(BaseChecker):
     rule_id = "RPL008"
     summary = "per-element python loop over a columnar array in repro/core/batch"
 
-    #: the engine's per-object state columns and the static hierarchy tables
+    #: the engine's per-object state columns, its log buffers and the
+    #: static hierarchy tables
     _COLUMNS = frozenset(
         {
-            "_spine", "_spine_hop", "_epoch", "_published",
+            "_proxy", "_epoch", "_published", "_op_log", "_query_log",
             "chain", "chain_hop", "cum_q", "up_cum", "pub_cost",
             "lift", "sdl_cost",
         }

@@ -1,5 +1,7 @@
 """Tests for the cost ledger (paper §1.1 / §4.1 aggregation)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,8 +106,8 @@ class TestBatchedDeltas:
 
     def test_zero_op_batches_do_not_skew_means(self):
         ledger = CostLedger()
-        ledger.record_maintenance_batch(12.0, 6.0, 3, 9, [2.0, 2.0, 2.0])
-        ledger.record_query_batch(8.0, 4.0, 2, 4, [2.0, 2.0])
+        ledger.record_maintenance_batch(12.0, 6.0, 3, 9, 2.0)
+        ledger.record_query_batch(8.0, 4.0, 2, 4, 2.0)
         before = per_operation_means(ledger)
         for _ in range(5):
             ledger.record_maintenance_batch(0.0, 0.0, 0, 0)
@@ -124,7 +126,7 @@ class TestBatchedDeltas:
             sum(o for _, o, _ in moves),
             len(moves),
             sum(m for _, _, m in moves),
-            [c / o for c, o, _ in moves if o > 0],
+            max(c / o for c, o, _ in moves if o > 0),
         )
         assert batched.maintenance_cost == pytest.approx(scalar.maintenance_cost)
         assert batched.maintenance_ops == scalar.maintenance_ops
@@ -148,6 +150,41 @@ class TestBatchedDeltas:
             merged.merge(shard)
         assert merged.noop_moves == sum(noops)
         assert merged.local_queries == sum(locals_)
+
+    def test_merge_takes_the_max_of_the_maxima(self):
+        a, b, empty = CostLedger(), CostLedger(), CostLedger()
+        a.record_maintenance(6.0, 2.0)  # 3.0
+        a.record_query(4.0, 4.0)  # 1.0
+        b.record_maintenance_batch(10.0, 5.0, 2, 4, 2.5)
+        b.record_query_batch(9.0, 3.0, 1, 2, 3.0)
+        a.merge(b)
+        assert a.max_maintenance_ratio == 3.0  # a's own max survives
+        assert a.max_query_ratio == 3.0  # b's larger max wins
+        a.merge(empty)  # nothing recorded: no maximum to fold in
+        assert (a.max_maintenance_ratio, a.max_query_ratio) == (3.0, 3.0)
+        empty.merge(CostLedger())
+        assert empty.max_maintenance_ratio == empty.max_query_ratio == 1.0
+        # a batch whose ops all had a zero optimum carries no maximum
+        empty.record_maintenance_batch(1.0, 0.0, 1, 1, None)
+        assert empty.max_maintenance_ratio == 1.0
+
+    def test_maxima_keep_no_per_op_container(self):
+        """10^5 recorded ops leave the ledger the size of one."""
+        ledger = CostLedger()
+        ledger.record_maintenance(3.0, 2.0, 1)
+        ledger.record_query(5.0, 4.0, 1)
+        one = len(pickle.dumps(ledger))
+        for i in range(100_000):
+            ledger.record_maintenance(3.0 + i % 7, 2.0, 1)
+            ledger.record_query(5.0, 4.0 + i % 3, 1)
+        assert ledger.max_maintenance_ratio == 4.5
+        assert ledger.max_query_ratio == 1.25
+        assert all(
+            value is None or isinstance(value, (int, float))
+            for value in vars(ledger).values()
+        )
+        # only the counters' encodings widen; a per-op list would add ~1 MB
+        assert len(pickle.dumps(ledger)) < one + 64
 
     def test_merge_conserves_local_queries_field(self):
         a, b = CostLedger(), CostLedger()

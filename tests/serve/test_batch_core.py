@@ -14,14 +14,19 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 
-from repro.core.batch import audit_batch_core
-from repro.core.costs import close_to
+import asyncio
+
+from repro.core.batch import BatchMOTEngine, OpBatch, audit_batch_core
+from repro.core.costs import CostLedger, close_to
 from repro.core.mot import MOTConfig, MOTTracker
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve.audit import audit_service
-from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest
-from repro.serve.snapshot import capture_snapshot, restore_snapshot
+from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest, kind_of
+from repro.serve.clock import VirtualClock
+from repro.serve.metrics import ServiceMetrics
+from repro.serve.shard import TrackerShard, shard_sli
+from repro.serve.snapshot import ShardSnapshot, capture_snapshot, restore_snapshot
 from repro.serve.worker import ShardWorker, WorkerSpec
 
 NET = grid_network(5, 5)
@@ -96,10 +101,24 @@ def _reference(reqs, chunk: int) -> list[tuple]:
     return results
 
 
+def _apply(core: ShardWorker, reqs) -> list[tuple]:
+    """One ``batch`` request through the worker's handler, as per-op
+    ``("ok", proxy, cost, epoch, coalesced)`` or ``("err", exc)``."""
+    ops = OpBatch.of((kind_of(req), req.obj, req.node) for req in reqs)
+    kind, (proxy, cost, epoch, coalesced, errors) = core.handle_batch(ops)
+    assert kind == "results" and len(proxy) == len(reqs)
+    return [
+        ("err", errors[i])
+        if i in errors
+        else ("ok", NET.node_at(proxy[i]), cost[i], epoch[i], coalesced[i])
+        for i in range(len(reqs))
+    ]
+
+
 def _drive(core: ShardWorker, reqs, chunk: int) -> list[tuple]:
     results = []
     for i in range(0, len(reqs), chunk):
-        results.extend(core.apply_requests(reqs[i : i + chunk]))
+        results.extend(_apply(core, reqs[i : i + chunk]))
     return results
 
 
@@ -139,9 +158,9 @@ class TestApplyParity:
         reqs = _request_stream()
         core = make_core()
         _drive(core, reqs, 16)
-        # the core's views are the engine's own state, not copies
-        assert core.oplog is core.engine.oplog
-        assert core.query_log is core.engine.query_log
+        # the core's views are built from the engine's own state
+        assert core.oplog == core.engine.oplog
+        assert core.query_log == core.engine.query_log
         assert core.ledger is core.engine.ledger
         ref = MOTTracker(HIER)
         for obj, ops in core.oplog.items():
@@ -156,7 +175,8 @@ class TestApplyParity:
 
     def test_errors_carried_in_place(self):
         core = make_core()
-        res = core.apply_requests(
+        res = _apply(
+            core,
             [
                 PublishRequest("a", NET.node_at(0)),
                 PublishRequest("a", NET.node_at(1)),
@@ -190,3 +210,56 @@ class TestSnapshotRoundTrip:
         res_dst = _drive(dst, tail, 7)
         _assert_same(tail, res_dst, res_src)
         assert _audit(dst).ok and _audit(src).ok
+
+
+class _UnreadableLog(dict):
+    """An op log whose every read fails the test."""
+
+    def __len__(self) -> int:
+        raise AssertionError("health read the op log")
+
+
+def _refuse_view(_self):
+    raise AssertionError("health built a log view")
+
+
+def _shard(process: bool) -> TrackerShard:
+    return TrackerShard(
+        WorkerSpec(0, HIER, MOTConfig()),
+        clock=VirtualClock(),
+        metrics=ServiceMetrics(),
+        batch_size=8,
+        service_time_base_s=1e-3,
+        process=process,
+    )
+
+
+class TestHealthBuildsNoLogView:
+    """Health checks count published objects from the state columns."""
+
+    def test_in_process_health_and_sli(self, monkeypatch):
+        shard = _shard(process=False)
+        _drive(shard._local, _request_stream(), 16)
+        published = len(shard.epochs)
+        assert published >= 6
+        monkeypatch.setattr(BatchMOTEngine, "oplog", property(_refuse_view))
+        monkeypatch.setattr(BatchMOTEngine, "query_log", property(_refuse_view))
+        assert shard._local.handle_health(None) == ("healthy", {"objects": published})
+        assert shard_sli(shard)["objects"] == published
+
+        async def probe():
+            shard.start()
+            try:
+                return await shard.health()
+            finally:
+                await shard.stop()
+
+        assert asyncio.run(probe())["objects"] == published
+
+    def test_stopped_worker_health_and_sli(self):
+        shard = _shard(process=True)
+        shard._final = ShardSnapshot(0, {"a": 0, "b": 3}, _UnreadableLog(), (), CostLedger())
+        vitals = asyncio.run(shard.health())
+        assert vitals["objects"] == 2 and not vitals["alive"]
+        assert shard_sli(shard)["objects"] == 2
+

@@ -6,12 +6,17 @@ is a pure function of (workload, rate, seed), and a whole virtual-clock
 is byte-identical across repeats of the same configuration.
 """
 
+import asyncio
 import json
+import time
 
 import pytest
 
 from repro.graphs.generators import grid_network
 from repro.serve import ServeBenchConfig, arrival_trace, run_serve_bench, trace_digest
+from repro.serve.clock import WallClock
+from repro.serve.loadgen import replay
+from repro.serve.service import ServiceConfig, TrackingService
 from repro.sim.workload import make_workload
 
 NET = grid_network(5, 5)
@@ -101,3 +106,40 @@ class TestServeBenchDeterminism:
             ServeBenchConfig(clock="sundial")
         with pytest.raises(ValueError, match="rate"):
             ServeBenchConfig(rate=-1.0)
+
+
+class TestWallClockPacing:
+    def test_no_op_is_submitted_before_it_is_due(self):
+        """A wall-clock replay follows the arrival schedule: at 500 ops/s
+        a ~200-op trace is submitted op by op at its due times, so the
+        run takes at least the trace's span."""
+        wl = make_workload(NET, 8, 13, num_queries=96, seed=5)
+        trace = arrival_trace(wl, rate=500.0, seed=5)
+        assert 190 <= len(trace) <= 210
+        service = TrackingService(NET, ServiceConfig(shards=2), seed=5, clock=WallClock())
+        submitted: list[float] = []
+        submit = service.submit_nowait
+
+        def stamped(req):
+            submitted.append(service.clock.now)
+            return submit(req)
+
+        service.submit_nowait = stamped  # type: ignore[method-assign]
+
+        async def scenario():
+            await service.start()
+            begin = service.clock.now
+            t0 = time.perf_counter()
+            result = await asyncio.wait_for(replay(service, wl, trace), timeout=30)
+            return begin, time.perf_counter() - t0, result
+
+        begin, elapsed, result = asyncio.run(scenario())
+        assert len(submitted) == len(trace) == result.offered
+        for arrival, at in zip(trace, submitted, strict=True):
+            assert at >= begin + arrival.t, (arrival.t, at - begin)
+        assert elapsed >= trace[-1].t
+        assert result.completed == len(trace) and result.failed == 0
+        # latency runs from each arrival's due time, never before it
+        assert all(resp.latency_s >= 0 for resp in result.responses)
+        assert result.first_arrival_t >= begin + trace[0].t
+

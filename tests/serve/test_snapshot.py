@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.core.batch import OpBatch
 from repro.core.costs import CostLedger
 from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network
@@ -26,6 +27,7 @@ from repro.serve import (
     VirtualClock,
 )
 from repro.serve.hashring import HashRing
+from repro.serve.protocol import kind_of
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.shard import TrackerShard
 from repro.serve.snapshot import (
@@ -48,21 +50,25 @@ def make_core() -> ShardWorker:
     return ShardWorker(WorkerSpec(0, HIER, MOTConfig()))
 
 
+def apply(core: ShardWorker, reqs) -> tuple:
+    """One ``batch`` request through the worker's handler; its result
+    columns and error messages, comparable with ``==``."""
+    ops = OpBatch.of((kind_of(req), req.obj, req.node) for req in reqs)
+    _kind, (proxy, cost, epoch, coalesced, errors) = core.handle_batch(ops)
+    return proxy, cost, epoch, coalesced, {i: repr(exc) for i, exc in errors.items()}
+
+
 def drive(core: ShardWorker, seed: int = 9, objects: int = 5) -> None:
     """Apply a deterministic publish/move/query mix to ``core``."""
     rng = random.Random(seed)
     for i in range(objects):
-        core.apply_requests(
-            [PublishRequest(f"obj-{i}", NET.node_at(rng.randrange(NET.n)))]
-        )
+        apply(core, [PublishRequest(f"obj-{i}", NET.node_at(rng.randrange(NET.n)))])
     for _ in range(3 * objects):
         obj = f"obj-{rng.randrange(objects)}"
-        core.apply_requests([MoveRequest(obj, NET.node_at(rng.randrange(NET.n)))])
+        apply(core, [MoveRequest(obj, NET.node_at(rng.randrange(NET.n)))])
     for _ in range(2 * objects):
         obj = f"obj-{rng.randrange(objects)}"
-        core.apply_requests(
-            [QueryRequest(obj, NET.node_at(rng.randrange(NET.n)))]
-        )
+        apply(core, [QueryRequest(obj, NET.node_at(rng.randrange(NET.n)))])
 
 
 class TestCaptureRestore:
@@ -87,14 +93,14 @@ class TestCaptureRestore:
                 req = MoveRequest(obj, NET.node_at(rng.randrange(NET.n)))
             else:
                 req = QueryRequest(obj, NET.node_at(rng.randrange(NET.n)))
-            assert original.apply_requests([req]) == restored.apply_requests([req])
+            assert apply(original, [req]) == apply(restored, [req])
         assert capture_snapshot(original, 0) == capture_snapshot(restored, 0)
 
     def test_capture_is_a_deep_copy(self):
         core = make_core()
         drive(core, objects=2)
         snap = capture_snapshot(core, shard_id=3)
-        core.apply_requests([MoveRequest("obj-0", NET.node_at(0))])
+        apply(core, [MoveRequest("obj-0", NET.node_at(0))])
         assert len(snap.oplog["obj-0"]) < len(core.oplog["obj-0"])
         assert snap.shard_id == 3
         assert snap.objects == ("obj-0", "obj-1")

@@ -468,14 +468,17 @@ class TestRPL008:
     def test_subscripted_column_and_zip_fire(self):
         src = """\
         def walk(self, rows):
-            for s in self._spine[rows]:
+            for s in self._proxy[rows]:
                 use(s)
             for r, e in zip(rows, self._epoch[rows]):
                 use(r, e)
+            for rec in self._query_log[: self._n_queries]:
+                use(rec)
         """
         got = rules_at(src, path=BATCH_PATH)
         assert ("RPL008", 2) in got
         assert ("RPL008", 4) in got
+        assert ("RPL008", 6) in got
 
     def test_comprehension_over_numpy_result_fires(self):
         src = """\
