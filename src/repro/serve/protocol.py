@@ -3,6 +3,9 @@
 The service speaks exactly the three operations of the MOT structure
 (publish / move / query), wrapped in small frozen records so they can
 be queued, logged, and replayed into the consistency audit verbatim.
+Each record is slotted (no per-instance ``__dict__``) and names its
+operation in the class attribute ``kind``, so admission reads the kind
+without an ``isinstance`` chain.
 ``Overloaded`` is the admission-control rejection: the only error a
 healthy service returns, always carrying a ``retry_after`` hint.
 """
@@ -10,7 +13,7 @@ healthy service returns, always carrying a ``retry_after`` hint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Literal, NamedTuple, Union
+from typing import ClassVar, Hashable, Literal, NamedTuple, Union
 
 Node = Hashable
 OpKind = Literal["publish", "move", "query"]
@@ -26,10 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublishRequest:
     """Register ``obj`` at its first proxy sensor (one-time)."""
 
+    kind: ClassVar[OpKind] = "publish"
     obj: str
     proxy: Node
 
@@ -39,10 +43,11 @@ class PublishRequest:
         return self.proxy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoveRequest:
     """Report that ``obj`` moved to ``new_proxy`` (maintenance)."""
 
+    kind: ClassVar[OpKind] = "move"
     obj: str
     new_proxy: Node
 
@@ -52,10 +57,11 @@ class MoveRequest:
         return self.new_proxy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRequest:
     """Ask, from sensor ``source``, where ``obj`` currently is."""
 
+    kind: ClassVar[OpKind] = "query"
     obj: str
     source: Node
 
@@ -67,15 +73,14 @@ class QueryRequest:
 
 Request = Union[PublishRequest, MoveRequest, QueryRequest]
 
+#: the request record classes, for the ``kind_of`` type check
+_REQUEST_TYPES = (PublishRequest, MoveRequest, QueryRequest)
+
 
 def kind_of(req: Request) -> OpKind:
-    """The operation kind of a request record."""
-    if isinstance(req, PublishRequest):
-        return "publish"
-    if isinstance(req, MoveRequest):
-        return "move"
-    if isinstance(req, QueryRequest):
-        return "query"
+    """The operation kind of a request record (``TypeError`` otherwise)."""
+    if isinstance(req, _REQUEST_TYPES):
+        return req.kind
     raise TypeError(f"not a service request: {req!r}")
 
 

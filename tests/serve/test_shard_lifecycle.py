@@ -78,7 +78,7 @@ def test_concurrent_stop_leaves_no_stale_sentinel():
         assert resolved_at_return == [True, True]
         assert (await fut).proxy == NET.node_at(4)
         # exactly one _STOP was queued and consumed: nothing lingers
-        assert not shard._pending
+        assert not shard._queue.kind and not shard._controls
         assert shard._worker is None and shard.depth == 0
 
     asyncio.run(scenario())
@@ -91,7 +91,7 @@ def test_sequential_stop_is_idempotent():
         await asyncio.wait_for(shard.stop(), timeout=2)
         await asyncio.wait_for(shard.stop(), timeout=2)  # no worker: no-op
         assert shard._worker is None
-        assert not shard._pending
+        assert not shard._queue.kind and not shard._controls
 
     asyncio.run(scenario())
 
