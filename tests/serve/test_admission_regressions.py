@@ -147,11 +147,12 @@ def test_queue_retry_after_reflects_backlog_under_wall_clock():
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_per_shard_slis_leave_warmup_out(workers):
-    """Per-shard SLI counts agree with the service-wide admitted count.
+    """Per-shard and service-wide SLI counts agree with the admitted count.
 
     Pre-fix, warm-up publishes landed in every shard's ``submitted``,
     ``completed_ops`` and ``latency``, so the per-shard sums exceeded
-    ``metrics.total_admitted`` by the catalogue size.
+    ``metrics.total_admitted`` by the catalogue size; later they still
+    landed in the service-wide ``completed`` and ``latency``.
     """
     timed = 12
 
@@ -179,3 +180,6 @@ def test_per_shard_slis_leave_warmup_out(workers):
     assert sum(s.submitted for s in service.shards) == m.total_admitted
     assert sum(s.completed_ops for s in service.shards) == timed
     assert sum(s.latency.count for s in service.shards) == timed
+    # service-wide SLIs leave bring-up out too
+    assert m.total_completed == m.total_admitted
+    assert "publish" not in m.latency and "publish" not in m.completed
