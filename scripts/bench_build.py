@@ -1,15 +1,26 @@
 #!/usr/bin/env python3
-"""The 2048-node hierarchy-build microbench, as a JSON artifact.
+"""The hierarchy-build microbench, as a JSON artifact.
 
-Builds the same 64x32 grid hierarchy as
-``benchmarks/test_microbench.py::test_bench_hierarchy_construction_2048_boundary``
-a few times and reports best/mean wall time — the number the tracing
-layer's zero-overhead-when-disabled claim is audited against (see
-docs/OBSERVABILITY.md). CI uploads the output as ``BENCH_build.json``
-next to the serve-bench report, so regressions show up as artifact
-diffs rather than anecdotes.
+Two cases, each built ``--repeats`` times with best/mean wall time, the
+level sizes and the radius-limited solves (``limited_sssp``) of one
+build:
 
-Usage: python scripts/bench_build.py [--repeats 5] [--out BENCH_build.json]
+- the 2048-node 64x32 grid of
+  ``benchmarks/test_microbench.py::test_bench_hierarchy_construction_2048_boundary``,
+  on the full matrix (``auto`` at 2048 nodes). Its network is shared
+  across repeats, so after the first one a build reads the cached
+  matrix. The top-level fields are this case: the number the tracing
+  layer's zero-overhead-when-disabled claim is audited against (see
+  docs/OBSERVABILITY.md);
+- under ``lazy_4096``, the 64x64 grid on the lazy row oracle, the
+  network of perfbench's ``open-queries-4k``. Every repeat builds a
+  fresh network, so each one pays the whole build: the diameter sweep
+  and one pruned solve per level member.
+
+CI uploads the output as ``BENCH_build.json`` next to the serve-bench
+report, so regressions show up as artifact diffs rather than anecdotes.
+
+Usage: python scripts/bench_build.py [--repeats 5] [--seed 123] [--out BENCH_build.json]
 """
 
 from __future__ import annotations
@@ -17,6 +28,33 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from typing import Any, Callable
+
+
+def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, Any]:
+    """Time ``repeats`` builds; sizes and solve count come from the last one."""
+    from repro.hierarchy.structure import build_hierarchy
+
+    times: list[float] = []
+    for _ in range(repeats):
+        net = make_net()
+        before = net.oracle_stats["limited_sssp"]
+        t0 = time.perf_counter()
+        hs = build_hierarchy(net, seed=seed)
+        times.append(time.perf_counter() - t0)
+        solves = net.oracle_stats["limited_sssp"] - before
+    return {
+        "nodes": net.n,
+        "distance_backend": net.distance_mode,
+        "seed": seed,
+        "levels": hs.h,
+        "level_sizes": [len(hs.level_nodes(ell)) for ell in range(hs.h + 1)],
+        "limited_sssp": solves,
+        "repeats": repeats,
+        "best_s": min(times),
+        "mean_s": sum(times) / len(times),
+        "times_s": times,
+    }
 
 
 def main() -> None:
@@ -27,28 +65,31 @@ def main() -> None:
     args = parser.parse_args()
 
     from repro.graphs.generators import grid_network
-    from repro.hierarchy.structure import build_hierarchy
+    from repro.graphs.network import SensorNetwork
     from repro.obs.trace import TRACER
 
     net = grid_network(64, 32)
-    times: list[float] = []
-    levels = 0
-    for _ in range(args.repeats):
-        t0 = time.perf_counter()
-        hs = build_hierarchy(net, seed=args.seed)
-        times.append(time.perf_counter() - t0)
-        levels = hs.h
+    full = _bench(lambda: net, args.repeats, args.seed)
+    lazy_graph = grid_network(64, 64).graph
+    lazy = _bench(
+        lambda: SensorNetwork(lazy_graph, normalize=False, distance_backend="lazy"),
+        args.repeats,
+        args.seed,
+    )
     report = {
         "bench": "hierarchy_build_2048",
         "nodes": net.n,
         "grid": [64, 32],
         "seed": args.seed,
-        "levels": levels,
+        "levels": full["levels"],
         "tracer_enabled": TRACER.enabled,  # must be false: untraced baseline
         "repeats": args.repeats,
-        "best_s": min(times),
-        "mean_s": sum(times) / len(times),
-        "times_s": times,
+        "best_s": full["best_s"],
+        "mean_s": full["mean_s"],
+        "times_s": full["times_s"],
+        "level_sizes": full["level_sizes"],
+        "limited_sssp": full["limited_sssp"],
+        "lazy_4096": {"bench": "hierarchy_build_4096_lazy", "grid": [64, 64], **lazy},
     }
     text = json.dumps(report, indent=1)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -20,7 +20,11 @@ Checks per graph (a grid and a random geometric network by default):
 - **k-neighborhood agreement** — all backends report the same ball
   membership (the boundary-node tolerance fix applies uniformly);
 - **diameter bracket** — ``diameter_bounds`` contains the true
-  diameter under every backend.
+  diameter under every backend;
+- **overlay parity** — ``build_hierarchy`` gives equal levels, default
+  parents and hops (exact ``==``) under ``full``, ``lazy``, ``memmap``
+  and a ``landmark`` backend whose exactness budget is spent, the
+  whole-overlay form of the limited-query contract.
 
 :func:`run_backend_audit` returns a JSON-ready report whose ``ok``
 gates the CLI exit code.
@@ -30,13 +34,18 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.graphs.backends import BACKEND_NAMES
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
+from repro.hierarchy.structure import build_hierarchy
+
+Node = Hashable
+#: levels, default parents and hops of one overlay
+Overlay = tuple[list[list[Node]], list[dict[Node, Node]], list[dict[Node, float]]]
 
 __all__ = ["run_backend_audit"]
 
@@ -55,6 +64,12 @@ def _sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
     return [
         (int(rng.integers(n)), int(rng.integers(n))) for _ in range(count)
     ] + [(0, 0), (0, n - 1)]
+
+
+def _overlay(net: SensorNetwork, seed: int) -> Overlay:
+    """Levels, default parents and hops of ``net``'s default overlay."""
+    levels = build_hierarchy(net, seed=seed).levels
+    return levels.levels, levels.default_parents, levels.default_parent_hops
 
 
 def _audit_one_graph(
@@ -194,6 +209,29 @@ def _audit_one_graph(
         "diameter_bracket",
         diam_ok,
         f"diameter_bounds contains D={true_d:.6g} under every backend",
+    )
+
+    # -- the overlay is identical whichever backend answers ------------
+    overlays: dict[str, Overlay] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cases: list[tuple[str, dict[str, object]]] = [
+            ("full", {}),
+            ("lazy", {}),
+            ("memmap", {"path": os.path.join(tmp, f"{label}-overlay.f64")}),
+            ("landmark", {"num_landmarks": num_landmarks, "exact_budget": 0}),
+        ]
+        for name, options in cases:
+            net = SensorNetwork(
+                base.graph, normalize=False, distance_backend=name,
+                backend_options=options,
+            )
+            overlays[name] = _overlay(net, seed)
+    reference = overlays["full"]
+    record(
+        "overlay_parity",
+        all(overlay == reference for overlay in overlays.values()),
+        f"levels, default parents and hops of {len(reference[0])} levels "
+        f"identical under {', '.join(overlays)} (landmark budget spent)",
     )
     return checks
 

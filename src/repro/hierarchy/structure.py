@@ -11,6 +11,12 @@ For each node ``w ∈ V_ℓ``:
   increasing order" — this fixed order is what prevents the §3.1 race
   in concurrent executions).
 
+Default parents and their hops come from the level pass
+(:func:`repro.hierarchy.levels.build_levels`), which reads them off its
+own MIS solve. Parent sets are read only by the §3.1 full traversal
+(``use_parent_sets=True``), so they are solved one level at a time on
+first read, and a default build never pays for them.
+
 For a bottom-level sensor ``x`` the recursive default parents
 ``home^0(x) = x``, ``home^ℓ(x) = default parent of home^(ℓ-1)(x)``
 anchor the per-level parent sets ``parentset^ℓ(x)`` (the parent set of
@@ -34,7 +40,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.graphs.network import SensorNetwork
-from repro.hierarchy.levels import LevelStructure, build_levels
+from repro.hierarchy.levels import CHUNK, LevelStructure, build_levels
 from repro.obs.trace import TRACER
 
 Node = Hashable
@@ -181,56 +187,42 @@ class Hierarchy(BaseHierarchy):
         self.special_parent_gap = special_parent_gap
         self.use_parent_sets = use_parent_sets
 
-        self._default_parent: list[dict[Node, Node]] = []
-        self._default_parent_hop: list[dict[Node, float]] = []
-        self._parent_sets: list[dict[Node, tuple[Node, ...]]] = []
-        self._build_parents()
+        # default parents and hops come off the level pass's own solve
+        self._default_parent = level_structure.default_parents
+        self._default_parent_hop = level_structure.default_parent_hops
+        # parent sets are solved one level at a time, on first read
+        self._parent_sets: list[dict[Node, tuple[Node, ...]] | None]
+        self._parent_sets = [None] * level_structure.h
 
         # memoized per-sensor detection paths
         self._dpath_cache = {}
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    #: source-chunk size for batched distance queries (bounds the dense
-    #: ``CHUNK × |V_{ℓ+1}|`` block resolved per Dijkstra call)
-    CHUNK = 512
+    def _parent_sets_at(self, level: int) -> dict[Node, tuple[Node, ...]]:
+        """Parent sets of every ``w ∈ V_level``, solved on first read.
 
-    def _build_parents(self) -> None:
-        net = self.net
-        levels = self.levels.levels
-        for ell in range(len(levels) - 1):
-            members = levels[ell]
-            uppers = levels[ell + 1]
-            radius = self.parent_set_radius_factor * (2.0 ** (ell + 1))
-            # The default parent is < 2^(ℓ+1) away (MIS maximality), so
-            # pruning at max(radius, 2^(ℓ+1)) keeps both lookups exact
-            # even for radius factors below 1.
-            limit = max(radius, 2.0 ** (ell + 1))
-            dp: dict[Node, Node] = {}
-            hop: dict[Node, float] = {}
-            ps: dict[Node, tuple[Node, ...]] = {}
-            for start in range(0, len(members), self.CHUNK):
-                chunk = members[start : start + self.CHUNK]
-                sub = net.distances_to_many(chunk, uppers, limit=limit)
-                # closest upper node per member; `uppers` is ID-sorted, so
-                # argmin's first-occurrence rule breaks ties by node index
-                best = np.argmin(sub, axis=1)
-                # the solve already has each default-parent distance:
-                # keep it, so consumers need no second oracle pass
-                best_hop = sub[np.arange(len(chunk)), best].tolist()
-                for a, w in enumerate(chunk):
-                    row = sub[a]
-                    b = int(best[a])
-                    dp[w] = uppers[b]
-                    hop[w] = best_hop[a]
-                    in_range = np.nonzero(row <= radius)[0]
-                    members_in = {uppers[k] for k in in_range.tolist()}
-                    members_in.add(uppers[b])  # default parent always included
-                    ps[w] = tuple(sorted(members_in, key=net.index_of))
-            self._default_parent.append(dp)
-            self._default_parent_hop.append(hop)
-            self._parent_sets.append(ps)
+        One chunked solve of ``V_level`` against ``V_{level+1}``, pruned
+        at the parent-set radius. The default parent always belongs,
+        which matters for radius factors below 1 (it can lie past the
+        radius, never past ``2^(level+1)``).
+        """
+        sets = self._parent_sets[level]
+        if sets is not None:
+            return sets
+        members = self.levels.levels[level]
+        uppers = self.levels.levels[level + 1]
+        radius = self.parent_set_radius_factor * (2.0 ** (level + 1))
+        position = {u: k for k, u in enumerate(uppers)}
+        parent = self._default_parent[level]
+        sets = {}
+        for start in range(0, len(members), CHUNK):
+            chunk = members[start : start + CHUNK]
+            within = self.net.distances_to_many(chunk, uppers, limit=radius) <= radius
+            within[np.arange(len(chunk)), [position[parent[w]] for w in chunk]] = True
+            for w, row in zip(chunk, within, strict=True):
+                # ``uppers`` is index-sorted, so the set comes out in ID order
+                sets[w] = tuple(uppers[k] for k in np.flatnonzero(row).tolist())
+        self._parent_sets[level] = sets
+        return sets
 
     # ------------------------------------------------------------------
     # accessors
@@ -256,15 +248,15 @@ class Hierarchy(BaseHierarchy):
     def default_parent_hop(self, level: int, w: Node) -> float:
         """``dist(w, default_parent(level, w))``, kept from construction.
 
-        The radius-limited solve that picks the default parent is exact
-        under every distance backend, so this is the oracle's distance
-        at no further oracle cost.
+        The level pass's radius-limited solve that picks the default
+        parent is exact under every distance backend, so this is the
+        oracle's distance at no further oracle cost.
         """
         return self._default_parent_hop[level][w]
 
     def parent_set(self, level: int, w: Node) -> tuple[Node, ...]:
         """Parent set of ``w ∈ V_level`` in ``V_{level+1}``, ID-ordered."""
-        return self._parent_sets[level][w]
+        return self._parent_sets_at(level)[w]
 
     def home(self, x: Node, level: int) -> Node:
         """``home^level(x)``: the recursive default parent of sensor ``x``."""
@@ -286,7 +278,7 @@ class Hierarchy(BaseHierarchy):
         anchor = self.home(x, level - 1)
         if not self.use_parent_sets:
             return (self._default_parent[level - 1][anchor],)
-        return self._parent_sets[level - 1][anchor]
+        return self._parent_sets_at(level - 1)[anchor]
 
     # ------------------------------------------------------------------
     def load_roles(self) -> dict[Node, int]:
@@ -322,7 +314,9 @@ def build_hierarchy(
     ``use_parent_sets=False`` (the default) yields the single-chain
     structure of Algorithm 1's presentation — the configuration the
     paper's own experiments run; ``True`` enables the §3.1 full
-    parent-set traversal used by the meeting-level proofs.
+    parent-set traversal used by the meeting-level proofs. Either way
+    the build runs one radius-limited solve per level member; parent
+    sets are solved per level on first read (a tracker's first publish).
 
     Works under every distance backend of ``net``: construction only
     issues radius-limited batched queries (exact under the approximate

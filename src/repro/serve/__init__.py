@@ -17,8 +17,8 @@ request-serving system, the ROADMAP's "serves heavy traffic" substrate:
   behind the frame protocol's handlers, reached by a direct call in
   process or, with ``workers > 0``, over a socket from a forked
   :func:`worker_main`;
-- :mod:`repro.serve.snapshot` — shard snapshot/restore plus
-  split/merge for elastic resizing and crash-restart;
+- :mod:`repro.serve.snapshot` — shard snapshot/restore for
+  crash-restart and migration;
 - :mod:`repro.serve.service` — :class:`TrackingService`: admission
   control (token bucket + bounded queues), healthcheck and graceful
   drain;
@@ -68,11 +68,9 @@ from repro.serve.shard import QueryRecord, TrackerShard, shard_sli
 from repro.serve.snapshot import (
     ShardSnapshot,
     capture_snapshot,
-    merge_snapshots,
     restore_snapshot,
     snapshot_from_bytes,
     snapshot_to_bytes,
-    split_snapshot,
 )
 from repro.serve.worker import ShardWorker, WorkerSpec
 
@@ -109,8 +107,6 @@ __all__ = [
     "restore_snapshot",
     "snapshot_to_bytes",
     "snapshot_from_bytes",
-    "split_snapshot",
-    "merge_snapshots",
     "ShardWorker",
     "WorkerSpec",
 ]

@@ -18,15 +18,6 @@ original; the ledger is then overwritten with the snapshot's ledger so
 costs are carried once, not re-accrued (the replay's own accrual is
 discarded). This is the same argument the consistency audit rests on —
 a snapshot that restores wrong would also fail its shard's audit.
-
-On top of capture/restore, :func:`split_snapshot` and
-:func:`merge_snapshots` rebalance object ownership for elastic
-resizing: split partitions one shard's objects by a routing function
-(a new :class:`~repro.serve.hashring.HashRing`'s ``shard_for``), merge
-folds several shards into one. Cost ledgers are aggregates and cannot
-be attributed per object, so a split hands the whole ledger to the
-lowest-numbered output part — totals across the fleet stay conserved,
-which is what the merged-ledger report checks.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ from __future__ import annotations
 import copy
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.core.batch import OpBatch
 from repro.core.costs import CostLedger
@@ -47,8 +38,6 @@ __all__ = [
     "restore_snapshot",
     "snapshot_to_bytes",
     "snapshot_from_bytes",
-    "split_snapshot",
-    "merge_snapshots",
 ]
 
 #: bump when the snapshot layout changes; restore refuses other versions
@@ -147,70 +136,3 @@ def snapshot_from_bytes(data: bytes) -> ShardSnapshot:
         )
     return snap
 
-
-def split_snapshot(
-    snap: ShardSnapshot,
-    assign: Callable[[str], int],
-    shard_ids: Sequence[int],
-) -> dict[int, ShardSnapshot]:
-    """Partition one snapshot into per-shard snapshots by ``assign``.
-
-    Every object (with its epochs, ops and query records) lands in the
-    part ``assign(obj)`` selects; the aggregate ledger goes to the
-    lowest shard id (see module docstring). Each listed shard gets a
-    part, empty or not, so a caller can restore the whole fleet.
-    """
-    if not shard_ids:
-        raise ValueError("split needs at least one target shard")
-    parts: dict[int, dict] = {
-        sid: {"epochs": {}, "oplog": {}, "query_log": []} for sid in shard_ids
-    }
-    for obj, ops in snap.oplog.items():
-        sid = assign(obj)
-        if sid not in parts:
-            raise KeyError(f"assign({obj!r}) -> {sid}, not a target shard")
-        parts[sid]["oplog"][obj] = list(ops)
-        if obj in snap.epochs:
-            parts[sid]["epochs"][obj] = snap.epochs[obj]
-    for rec in snap.query_log:
-        parts[assign(rec.obj)]["query_log"].append(rec)
-    ledger_owner = min(shard_ids)
-    return {
-        sid: ShardSnapshot(
-            shard_id=sid,
-            epochs=part["epochs"],
-            oplog=part["oplog"],
-            query_log=tuple(part["query_log"]),
-            ledger=(
-                copy.deepcopy(snap.ledger) if sid == ledger_owner else CostLedger()
-            ),
-        )
-        for sid, part in parts.items()
-    }
-
-
-def merge_snapshots(snaps: Iterable[ShardSnapshot], shard_id: int) -> ShardSnapshot:
-    """Fold several shards' snapshots into one owning shard.
-
-    Object sets must be disjoint (they are, for snapshots taken from a
-    consistently-routed fleet); ledgers merge additively.
-    """
-    epochs: dict[str, int] = {}
-    oplog: dict[str, list[tuple[str, Node]]] = {}
-    query_log: list = []
-    ledger = CostLedger()
-    for snap in snaps:
-        overlap = set(snap.oplog) & set(oplog)
-        if overlap:
-            raise ValueError(f"snapshots share objects: {sorted(overlap)[:5]}")
-        epochs.update(snap.epochs)
-        oplog.update({obj: list(ops) for obj, ops in snap.oplog.items()})
-        query_log.extend(snap.query_log)
-        ledger.merge(snap.ledger)
-    return ShardSnapshot(
-        shard_id=shard_id,
-        epochs=epochs,
-        oplog=oplog,
-        query_log=tuple(query_log),
-        ledger=ledger,
-    )

@@ -1,4 +1,4 @@
-"""Snapshot/restore equivalence and split/merge conservation.
+"""Snapshot/restore equivalence.
 
 The load-bearing property is replay equivalence: a shard restored from
 a snapshot must answer every subsequent operation exactly like the
@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.core.batch import OpBatch
-from repro.core.costs import CostLedger
 from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
@@ -26,7 +25,6 @@ from repro.serve import (
     QueryRequest,
     VirtualClock,
 )
-from repro.serve.hashring import HashRing
 from repro.serve.protocol import kind_of
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.shard import TrackerShard
@@ -34,11 +32,9 @@ from repro.serve.snapshot import (
     SNAPSHOT_VERSION,
     ShardSnapshot,
     capture_snapshot,
-    merge_snapshots,
     restore_snapshot,
     snapshot_from_bytes,
     snapshot_to_bytes,
-    split_snapshot,
 )
 from repro.serve.worker import ShardWorker, WorkerSpec
 
@@ -139,60 +135,6 @@ class TestBytesRoundTrip:
         )
         with pytest.raises(ValueError, match="version"):
             snapshot_from_bytes(pickle.dumps(snap))
-
-
-class TestSplitMerge:
-    def test_split_partitions_by_the_ring(self):
-        core = make_core()
-        drive(core, objects=8)
-        snap = capture_snapshot(core, 0)
-        ring = HashRing(range(2))
-        parts = split_snapshot(snap, ring.shard_for, [0, 1])
-        assert set(parts) == {0, 1}
-        for sid, part in parts.items():
-            assert part.shard_id == sid
-            for obj in part.oplog:
-                assert ring.shard_for(obj) == sid
-                assert part.oplog[obj] == snap.oplog[obj]
-                assert part.epochs[obj] == snap.epochs[obj]
-            for rec in part.query_log:
-                assert ring.shard_for(rec.obj) == sid
-        assert set(parts[0].oplog) | set(parts[1].oplog) == set(snap.oplog)
-        # the aggregate ledger travels whole to the lowest shard id, so
-        # fleet-wide totals are conserved across the split
-        assert parts[0].ledger == snap.ledger
-        assert parts[1].ledger == CostLedger()
-
-    def test_merge_inverts_split(self):
-        core = make_core()
-        drive(core, objects=8)
-        snap = capture_snapshot(core, 0)
-        ring = HashRing(range(3))
-        parts = split_snapshot(snap, ring.shard_for, [0, 1, 2])
-        merged = merge_snapshots(parts.values(), shard_id=0)
-        assert merged.oplog == snap.oplog
-        assert merged.epochs == snap.epochs
-        # per-object query order is preserved; global interleaving is not
-        assert sorted(merged.query_log, key=repr) == sorted(
-            snap.query_log, key=repr
-        )
-        assert merged.ledger == snap.ledger
-
-    def test_split_rejects_unlisted_targets(self):
-        core = make_core()
-        drive(core, objects=2)
-        snap = capture_snapshot(core, 0)
-        with pytest.raises(KeyError):
-            split_snapshot(snap, lambda obj: 9, [0, 1])
-        with pytest.raises(ValueError, match="at least one"):
-            split_snapshot(snap, lambda obj: 0, [])
-
-    def test_merge_rejects_overlapping_objects(self):
-        core = make_core()
-        drive(core, objects=2)
-        snap = capture_snapshot(core, 0)
-        with pytest.raises(ValueError, match="share objects"):
-            merge_snapshots([snap, snap], shard_id=0)
 
 
 class TestShardSurface:
