@@ -278,7 +278,7 @@ def test_audit_backend_to_stdout(capsys):
     assert {"full_bit_for_bit", "lazy_bit_for_bit", "memmap_bit_for_bit",
             "landmark_rows_admissible", "landmark_pairs_admissible",
             "landmark_limited_exact", "k_neighborhood_agreement",
-            "diameter_bracket"} <= names
+            "diameter_bracket", "overlay_parity"} <= names
 
 
 def test_audit_backend_to_file(tmp_path, capsys):
