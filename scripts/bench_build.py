@@ -3,7 +3,9 @@
 
 Two cases, each built ``--repeats`` times with best/mean wall time, the
 level sizes and the radius-limited solves (``limited_sssp``) of one
-build:
+build, and ``peak_traced_mb``: the peak of Python allocations during
+one more build, untimed, under ``tracemalloc`` (the network is made
+before tracing starts):
 
 - the 2048-node 64x32 grid of
   ``benchmarks/test_microbench.py::test_bench_hierarchy_construction_2048_boundary``,
@@ -15,7 +17,7 @@ build:
 - under ``lazy_4096``, the 64x64 grid on the lazy row oracle, the
   network of perfbench's ``open-queries-4k``. Every repeat builds a
   fresh network, so each one pays the whole build: the diameter sweep
-  and one pruned solve per level member.
+  and one sparse ball per level member.
 
 CI uploads the output as ``BENCH_build.json`` next to the serve-bench
 report, so regressions show up as artifact diffs rather than anecdotes.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+import tracemalloc
 from typing import Any, Callable
 
 
@@ -43,6 +46,12 @@ def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, An
         hs = build_hierarchy(net, seed=seed)
         times.append(time.perf_counter() - t0)
         solves = net.oracle_stats["limited_sssp"] - before
+    # tracing slows the build, so its memory is read off a build of its own
+    traced = make_net()
+    tracemalloc.start()
+    build_hierarchy(traced, seed=seed)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
         "nodes": net.n,
         "distance_backend": net.distance_mode,
@@ -54,6 +63,7 @@ def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, An
         "best_s": min(times),
         "mean_s": sum(times) / len(times),
         "times_s": times,
+        "peak_traced_mb": peak / 2**20,
     }
 
 
@@ -89,6 +99,7 @@ def main() -> None:
         "times_s": full["times_s"],
         "level_sizes": full["level_sizes"],
         "limited_sssp": full["limited_sssp"],
+        "peak_traced_mb": full["peak_traced_mb"],
         "lazy_4096": {"bench": "hierarchy_build_4096_lazy", "grid": [64, 64], **lazy},
     }
     text = json.dumps(report, indent=1)

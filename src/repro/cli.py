@@ -15,7 +15,7 @@ Commands:
   the distance-backend contract on small graphs: exact backends
   (``full``, ``lazy``, ``memmap``) must agree bit-for-bit with a dense
   reference solve, the ``landmark`` backend must answer admissible
-  upper bounds (exact within its budget, exact under ``limit=``), and
+  upper bounds (exact within its budget, and exact ``balls`` past it), and
   every backend must report the same k-neighborhoods and a certified
   diameter bracket (see :mod:`repro.graphs.audit`);
 - ``chaos [--loss P] [--jitter J] [--crashes K] …`` — run one workload

@@ -155,11 +155,13 @@ class TestLandmarkBackend:
     def test_limited_queries_exact_past_budget(self):
         net = _net(BASE, "landmark", num_landmarks=4, exact_budget=0)
         limit = float(np.median(REF[REF > 0]))
-        sub = np.asarray(net.distances_to_many([3, 17], limit=limit))
-        for row, i in zip(sub, [3, 17]):
+        src, node, dist = net.balls([3, 17], limit)
+        for k, i in enumerate([3, 17]):
             within = REF[i] <= limit
-            assert row[within] == pytest.approx(REF[i][within])
-            assert np.all(np.isinf(row[~within]))
+            mine = src == k
+            # every node within the limit has its exact entry, none past it
+            assert np.array_equal(node[mine], np.flatnonzero(within))
+            assert dist[mine] == pytest.approx(REF[i][within])
 
     def test_pair_distance_upper_bound_past_budget(self):
         net = _net(BASE, "landmark", num_landmarks=6, exact_budget=0)

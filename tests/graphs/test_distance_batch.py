@@ -44,15 +44,17 @@ class TestBatchedQueries:
 
     def test_limit_prunes_but_is_exact_within(self, pair):
         full, lazy = pair
-        fresh = _grid_net(6, "lazy")  # no cached rows to bypass the limit
-        sub = fresh.distances_to_many([0], limit=3.0)[0]
+        fresh = _grid_net(6, "lazy")
+        src, node, dist = fresh.balls([0], 3.0)
         ref = full.distances_from(0)
-        assert sub[ref <= 3.0] == pytest.approx(ref[ref <= 3.0])
-        assert np.all(np.isinf(sub[ref > 3.0]))
+        assert np.all(src == 0)
+        # entries for exactly the nodes within the limit, none beyond
+        assert np.array_equal(node, np.flatnonzero(ref <= 3.0))
+        assert dist == pytest.approx(ref[ref <= 3.0])
 
     def test_limited_rows_not_cached(self):
         net = _grid_net(6, "lazy")
-        net.distances_to_many([0, 1], [2], limit=2.0)
+        net.balls([0, 1], 2.0)
         assert net.oracle_stats["row_cache_size"] == 0
         assert net.oracle_stats["limited_sssp"] == 2
 
@@ -107,23 +109,6 @@ class TestBatchedQueries:
         assert stats["row_cache_misses"] == 1
         assert stats["row_cache_hits"] == 1
         assert stats["rows_computed"] == 1
-
-    def test_limited_batch_reuses_cached_exact_rows(self):
-        full = _grid_net(6, "full")
-        net = _grid_net(6, "lazy")
-        exact = net.distances_from(0)  # cached exact row
-        out = net.distances_to_many([0, 1], limit=3.0)
-        stats = net.oracle_stats
-        # source 0 is served from its cached exact row (no truncation,
-        # no new solve); source 1 runs one pruned solve
-        assert np.array_equal(out[0], np.asarray(exact))
-        assert stats["limited_sssp"] == 1
-        assert stats["rows_computed"] == 1  # only the distances_from row
-        # the truncated row must bypass the LRU entirely
-        assert stats["row_cache_size"] == 1
-        ref = full.distances_from(1)
-        assert out[1][ref <= 3.0] == pytest.approx(ref[ref <= 3.0])
-        assert np.all(np.isinf(out[1][ref > 3.0]))
 
     def test_uncached_distinct_sources_return_the_reference_block(self):
         ref = np.asarray(_grid_net(6, "full").distance_matrix)
