@@ -30,11 +30,12 @@ Exactness contract (what each consumer layer may assume):
 - **Radius-limited queries are exact under every backend.** They have
   one entry point, ``balls(sources, limit)``: every node within
   ``limit`` of each source, as sparse ``(source position, node index,
-  distance)`` entries, never a dense row. ``full`` and ``memmap`` read
-  the entries off their resident matrix; ``lazy`` and ``landmark`` run
-  :meth:`SsspEngine.balls`, a sparse solver equal to scipy's pruned
-  Dijkstra bit for bit, and never consult the approximation or a row
-  cache. Hierarchy construction (``build_levels``, which also picks the
+  distance)`` entries. ``full`` and ``memmap`` read the entries off
+  their resident matrix; ``lazy`` and ``landmark`` run
+  :meth:`SsspEngine.balls` — scipy's pruned solve for a chunk whose
+  dense rows fit in :data:`DENSE_BALL_ENTRIES`, a sparse frontier
+  solver equal to it bit for bit otherwise — and never consult the
+  approximation or a row cache. Hierarchy construction (``build_levels``, which also picks the
   default parents, and the parent sets solved on first read),
   ``k_neighborhood`` and the adjacent-pair fast path only issue limited
   queries, so the overlay is identical under every backend
@@ -128,30 +129,87 @@ def _insert_sorted(
     return out_keys, out_dist
 
 
+#: dense entries (sources × nodes) up to which :meth:`SsspEngine.balls`
+#: takes scipy's pruned solve: 4 MiB of float64. Few-source, large-radius
+#: chunks (the upper levels of a build, single-source balls) run there
+#: at a fraction of the frontier solver's per-round call overhead; a
+#: wide chunk would hold ``len(sources) · n`` floats, so it stays sparse.
+DENSE_BALL_ENTRIES = 1 << 19
+
+
+def _frontier_balls(
+    m: csr_matrix, src: np.ndarray, limit: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`SsspEngine.balls` without a dense row: O(entries) memory.
+
+    Each round relaxes the (source, node) pairs whose label fell in the
+    round before over the CSR (symmetric: the network stores both
+    directions), keeps each pair's nearest candidate and stores the
+    ones that beat its label; rounds stop when none does. A candidate
+    is ``d(u) + w(u, v)``, the left fold Dijkstra takes along a path,
+    and float addition is monotone for non-negative weights, so the
+    fixed point equals scipy's pruned Dijkstra bit for bit. Labels are
+    kept sorted by ``source position · n + node``, which is also the
+    output order.
+    """
+    indptr, adj, weight = m.indptr, m.indices, m.data
+    n = int(m.shape[0])
+    base = np.arange(src.size, dtype=np.int64) * n
+    # the sentinel closes the labels, so a lookup never runs off the end
+    keys = np.append(base + src, _NO_KEY)
+    dist = np.zeros(keys.size)
+    node, start, d = src, base, np.zeros(src.size)  # the frontier
+    while True:
+        lo = indptr[node]
+        deg = indptr[node + 1] - lo
+        ends = np.cumsum(deg)
+        edge = np.repeat(lo - ends + deg, deg)
+        edge += np.arange(edge.size)
+        cand = np.repeat(d, deg) + weight[edge]
+        near = np.flatnonzero(cand <= limit)
+        cand = cand[near]
+        key = np.repeat(start, deg)[near] + adj[edge[near]]
+        # each key's nearest candidate, in key order
+        order = np.lexsort((cand, key))
+        key, cand = key[order], cand[order]
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key, cand = key[first], cand[first]
+        pos = np.searchsorted(keys, key)
+        new = keys[pos] != key
+        better = np.flatnonzero(new | (cand < dist[pos]))
+        if better.size == 0:
+            break
+        key, cand, pos, new = key[better], cand[better], pos[better], new[better]
+        old = ~new
+        dist[pos[old]] = cand[old]
+        if not old.all():
+            keys, dist = _insert_sorted(keys, dist, pos[new], key[new], cand[new])
+        node = key % n
+        start = key - node
+        d = cand
+    keys = keys[:-1]
+    return keys // n, keys % n, dist[:-1]
+
+
 class SsspEngine:
     """Instrumented Dijkstra solver: exact rows and sparse balls.
 
     Wraps the CSR adjacency every backend shares and counts exact row
     solves vs radius-limited ones — the numbers
     ``SensorNetwork.oracle_stats`` reports as ``rows_computed`` /
-    ``limited_sssp``. The adjacency is supplied lazily so constructing a
-    backend costs nothing until the first solve.
+    ``limited_sssp``. The CSR stores both directions of every edge, so
+    every scipy call passes ``directed=True``: ``directed=False`` would
+    rebuild the transpose per call to symmetrize a matrix that already
+    is, and the rows come out the same.
     """
 
-    __slots__ = ("_supplier", "_csr", "rows_computed", "limited_sssp")
+    __slots__ = ("csr", "rows_computed", "limited_sssp")
 
-    def __init__(self, supplier: Callable[[], csr_matrix]) -> None:
-        self._supplier = supplier
-        self._csr: csr_matrix | None = None
+    def __init__(self, csr: csr_matrix) -> None:
+        self.csr = csr
         self.rows_computed = 0
         self.limited_sssp = 0
-
-    @property
-    def csr(self) -> csr_matrix:
-        """The shared CSR adjacency (built on first use)."""
-        if self._csr is None:
-            self._csr = self._supplier()
-        return self._csr
 
     @property
     def n(self) -> int:
@@ -160,7 +218,8 @@ class SsspEngine:
 
     def solve(self, indices: int | Sequence[int] | np.ndarray) -> np.ndarray:
         """Exact Dijkstra rows for ``indices``, one per source."""
-        out = dijkstra(self.csr, directed=False, indices=indices)
+        with PERF.timer("oracle.solve"):
+            out = dijkstra(self.csr, directed=True, indices=indices)
         k = 1 if np.ndim(indices) == 0 else len(indices)
         self.rows_computed += k
         PERF.incr("oracle.rows_computed", k)
@@ -174,65 +233,29 @@ class SsspEngine:
         Returns ``(source position, node index, distance)`` columns of
         the entries at or below ``limit`` (scipy's inclusive pruning),
         sorted by source position, then node index; each source is its
-        own entry at 0. Memory is O(entries): no row is n wide.
+        own entry at 0.
 
-        Each round relaxes the (source, node) pairs whose label fell in
-        the round before over the CSR (symmetric: the network stores
-        both directions), keeps each pair's nearest candidate and stores
-        the ones that beat its label; rounds stop when none does. A
-        candidate is ``d(u) + w(u, v)``, the left fold Dijkstra takes
-        along a path, and float addition is monotone for non-negative
-        weights, so the fixed point equals scipy's pruned Dijkstra bit
-        for bit. Labels are kept sorted by ``source position · n +
-        node``, which is also the output order.
+        A chunk whose dense rows fit in :data:`DENSE_BALL_ENTRIES` is
+        one pruned scipy solve, scanned row-major; a wider one runs
+        :func:`_frontier_balls`, whose memory is O(entries). Both give
+        scipy's pruned distances bit for bit, so the route never shows
+        in the result.
         """
-        m = self.csr
-        indptr, adj, weight = m.indptr, m.indices, m.data
-        n = int(m.shape[0])
         src = np.asarray(indices, dtype=np.int64).reshape(-1)
         self.limited_sssp += src.size
         PERF.incr("oracle.limited_sssp", src.size)
-        base = np.arange(src.size, dtype=np.int64) * n
-        # the sentinel closes the labels, so a lookup never runs off the end
-        keys = np.append(base + src, _NO_KEY)
-        dist = np.zeros(keys.size)
-        node, start, d = src, base, np.zeros(src.size)  # the frontier
-        while True:
-            lo = indptr[node]
-            deg = indptr[node + 1] - lo
-            ends = np.cumsum(deg)
-            edge = np.repeat(lo - ends + deg, deg)
-            edge += np.arange(edge.size)
-            cand = np.repeat(d, deg) + weight[edge]
-            near = np.flatnonzero(cand <= limit)
-            cand = cand[near]
-            key = np.repeat(start, deg)[near] + adj[edge[near]]
-            # each key's nearest candidate, in key order
-            order = np.lexsort((cand, key))
-            key, cand = key[order], cand[order]
-            first = np.ones(key.size, dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            key, cand = key[first], cand[first]
-            pos = np.searchsorted(keys, key)
-            new = keys[pos] != key
-            better = np.flatnonzero(new | (cand < dist[pos]))
-            if better.size == 0:
-                break
-            key, cand, pos, new = key[better], cand[better], pos[better], new[better]
-            old = ~new
-            dist[pos[old]] = cand[old]
-            if not old.all():
-                keys, dist = _insert_sorted(keys, dist, pos[new], key[new], cand[new])
-            node = key % n
-            start = key - node
-            d = cand
-        keys = keys[:-1]
-        return keys // n, keys % n, dist[:-1]
+        with PERF.timer("oracle.balls"):
+            if src.size * self.n <= DENSE_BALL_ENTRIES:
+                block = dijkstra(self.csr, directed=True, indices=src, limit=limit)
+                flat = np.flatnonzero(block <= limit)
+                pos, node = np.divmod(flat, block.shape[1])
+                return pos, node, block.ravel()[flat]
+            return _frontier_balls(self.csr, src, limit)
 
     def full_matrix(self) -> np.ndarray:
         """The dense all-pairs matrix (one timed solve, not row-counted)."""
         with PERF.timer("oracle.full_matrix"):
-            return dijkstra(self.csr, directed=False)
+            return dijkstra(self.csr, directed=True)
 
     def edge_weight(self, i: int, j: int) -> float | None:
         """Weight of edge ``(i, j)``, or ``None`` when not adjacent."""

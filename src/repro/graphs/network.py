@@ -32,6 +32,11 @@ every backend, read off the matrix by matrix-backed backends and solved
 without a dense row or a row cache by the others. The dense queries
 take no radius, so no row they return is ever cut off at one.
 
+The network reads the caller's graph in one pass, into arrays: node
+indices, the CSR adjacency every backend shares, the checked and
+normalized weights. The networkx copy behind :attr:`SensorNetwork.graph`
+is made on first read; nothing on the distance or overlay path reads it.
+
 Edge weights are *distances* between adjacent sensors, not detection
 rates (the paper is explicit about this distinction). Following §2.1 the
 weights are normalized so the shortest edge has length 1; all cost-ratio
@@ -46,16 +51,38 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.graphs.backends import (
     DistanceBackend,
     SsspEngine,
     make_backend,
 )
+from repro.perf import PERF
 
 Node = Hashable
 
 __all__ = ["SensorNetwork", "Node"]
+
+
+def _edge_weights(heads: Sequence[Node], tails: Sequence[Node], raw: Sequence[object]) -> np.ndarray:
+    """The edges' weights as float64, each one checked positive.
+
+    A weight ``float`` cannot read, or one at or below 0, raises what
+    the per-edge loop this replaces raised for the first such edge:
+    that loop runs again to find it.
+    """
+    try:
+        weight = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
+    except (TypeError, ValueError):
+        weight = None
+    if weight is None or np.any(weight <= 0):
+        for u, v, x in zip(heads, tails, raw, strict=True):
+            w = float(x)
+            if w <= 0:
+                raise ValueError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
+    assert weight is not None
+    return weight
 
 
 class SensorNetwork:
@@ -65,7 +92,8 @@ class SensorNetwork:
     ----------
     graph:
         Connected undirected graph. Edge attribute ``weight`` holds the
-        inter-sensor distance; missing weights default to 1.0.
+        inter-sensor distance; missing weights default to 1.0. It is
+        never changed; :attr:`graph` copies it on first read.
     positions:
         Optional mapping node -> (x, y) used by geometric constructions
         (Z-DAT zones) and plotting. Generators in
@@ -117,42 +145,20 @@ class SensorNetwork:
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise ValueError("sensor network must have at least one node")
-        if not nx.is_connected(graph):
-            raise ValueError("sensor network must be connected (paper §2.1)")
-
-        self._graph = graph.copy()
-        for u, v, data in self._graph.edges(data=True):
-            w = float(data.get("weight", 1.0))
-            if w <= 0:
-                raise ValueError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
-            data["weight"] = w
-
-        if normalize and self._graph.number_of_edges() > 0:
-            # function-level import: repro.core imports this module at
-            # package init, so a top-level import would be circular
-            from repro.core.costs import close_to
-
-            min_w = min(d["weight"] for _, _, d in self._graph.edges(data=True))
-            if not close_to(min_w, 1.0):
-                for _, _, d in self._graph.edges(data=True):
-                    d["weight"] = d["weight"] / min_w
-
-        # Deterministic node ordering: sort by (type name, repr) so mixed
-        # id types (rare) still order stably, plain ints/strs sort naturally.
-        try:
-            self._nodes: list[Node] = sorted(self._graph.nodes())
-        except TypeError:
-            self._nodes = sorted(self._graph.nodes(), key=repr)
-        self._index: dict[Node, int] = {v: i for i, v in enumerate(self._nodes)}
+        if graph.is_directed():
+            # what ``nx.is_connected`` raises for a directed graph
+            raise nx.NetworkXNotImplemented("not implemented for directed type")
+        with PERF.timer("graphs.ingest"):
+            self._ingest(graph, normalize)
         self._index_proxy: Mapping[Node, int] | None = None
         self._all_idx = list(range(len(self._nodes)))
+        self._graph: nx.Graph | None = None
 
         self._positions = dict(positions) if positions else None
         name = distance_backend
         if name == "auto":
             name = "full" if len(self._nodes) <= self.LAZY_THRESHOLD else "lazy"
-        self._adj_csr: csr_matrix | None = None
-        self._engine = SsspEngine(self._adjacency)
+        self._engine = SsspEngine(self._csr)
         self._backend: DistanceBackend = make_backend(
             name,
             self._engine,
@@ -165,9 +171,62 @@ class SensorNetwork:
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
+    def _ingest(self, graph: nx.Graph, normalize: bool) -> None:
+        """Index the nodes and read the edges into the CSR, in one pass.
+
+        The pass over ``edges(data="weight", default=1.0)`` yields the
+        endpoints, which become index columns, and the weights, which
+        are checked and normalized as one array; connectivity is one
+        ``connected_components`` call on those columns. The CSR is the
+        one a per-edge build makes: both directions of every edge,
+        interleaved in edge order, summed by scipy's COO conversion.
+        """
+        # Deterministic node ordering: sort by (type name, repr) so mixed
+        # id types (rare) still order stably, plain ints/strs sort naturally.
+        try:
+            self._nodes: list[Node] = sorted(graph)
+        except TypeError:
+            self._nodes = sorted(graph, key=repr)
+        n = len(self._nodes)
+        self._index: dict[Node, int] = dict(zip(self._nodes, range(n)))
+        edges = list(graph.edges(data="weight", default=1.0))
+        heads, tails, raw = zip(*edges) if edges else ((), (), ())
+        m = len(edges)
+        u = np.fromiter(map(self._index.__getitem__, heads), dtype=np.int64, count=m)
+        v = np.fromiter(map(self._index.__getitem__, tails), dtype=np.int64, count=m)
+        links = csr_matrix((np.ones(m), (u, v)), shape=(n, n))
+        if connected_components(links, directed=False, return_labels=False) != 1:
+            raise ValueError("sensor network must be connected (paper §2.1)")
+        weight = _edge_weights(heads, tails, raw)
+        if normalize and m > 0:
+            # function-level import: repro.core imports this module at
+            # package init, so a top-level import would be circular
+            from repro.core.costs import close_to
+
+            min_w = float(weight.min())
+            if not close_to(min_w, 1.0):
+                weight = weight / min_w
+        self._source = graph
+        self._weights = weight
+        rows = np.column_stack((u, v)).ravel()
+        cols = np.column_stack((v, u)).ravel()
+        self._csr = csr_matrix((np.repeat(weight, 2), (rows, cols)), shape=(n, n))
+
     @property
     def graph(self) -> nx.Graph:
-        """The underlying (normalized) networkx graph."""
+        """The underlying (normalized) networkx graph.
+
+        A copy of the graph the network was built from, carrying the
+        network's own weights (floats, normalized), made on first read:
+        distances and the overlay never need it. The caller's graph is
+        never changed, but it is read again for this copy, so change it
+        only after reading ``graph`` once (or hand over a copy).
+        """
+        if self._graph is None:
+            g = self._source.copy()
+            for (_, _, data), w in zip(g.edges(data=True), self._weights.tolist(), strict=True):
+                data["weight"] = w
+            self._graph = g
         return self._graph
 
     @property
@@ -214,15 +273,15 @@ class SensorNetwork:
 
     def neighbors(self, node: Node) -> list[Node]:
         """Adjacent sensors of ``node`` (an object can move directly between them)."""
-        return sorted(self._graph.neighbors(node), key=self.index_of)
+        return sorted(self.graph.neighbors(node), key=self.index_of)
 
     def degree(self, node: Node) -> int:
         """Number of adjacent sensors."""
-        return self._graph.degree(node)
+        return self.graph.degree(node)
 
     def edge_weight(self, u: Node, v: Node) -> float:
         """Weight (distance) of edge ``(u, v)``."""
-        return float(self._graph[u][v]["weight"])
+        return float(self.graph[u][v]["weight"])
 
     def position(self, node: Node) -> tuple[float, float]:
         """Geographic position of ``node``.
@@ -264,20 +323,6 @@ class SensorNetwork:
     def _dist(self) -> np.ndarray | None:
         """The materialized all-pairs matrix, if any (tests/introspection)."""
         return self._backend.matrix_if_materialized()
-
-    def _adjacency(self) -> csr_matrix:
-        if self._adj_csr is None:
-            n = self.n
-            rows: list[int] = []
-            cols: list[int] = []
-            vals: list[float] = []
-            for u, v, data in self._graph.edges(data=True):
-                i, j = self._index[u], self._index[v]
-                rows.extend((i, j))
-                cols.extend((j, i))
-                vals.extend((data["weight"], data["weight"]))
-            self._adj_csr = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        return self._adj_csr
 
     @property
     def distance_matrix(self) -> np.ndarray:
@@ -446,7 +491,7 @@ class SensorNetwork:
 
     def shortest_path(self, u: Node, v: Node) -> list[Node]:
         """One shortest path from ``u`` to ``v`` as a list of nodes."""
-        return nx.shortest_path(self._graph, u, v, weight="weight")
+        return nx.shortest_path(self.graph, u, v, weight="weight")
 
     def k_neighborhood(self, node: Node, k: float) -> list[Node]:
         """All nodes within distance ``k`` of ``node``, including ``node`` (§2.1).
@@ -517,6 +562,6 @@ class SensorNetwork:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SensorNetwork(n={self.n}, m={self._graph.number_of_edges()}, "
+            f"SensorNetwork(n={self.n}, m={len(self._weights)}, "
             f"positions={self._positions is not None})"
         )

@@ -19,18 +19,22 @@ The same pass picks every default parent. Maximality puts each node of
 ``V_ℓ`` strictly within ``2^(ℓ+1)`` of ``V_{ℓ+1}``, so the ball of that
 radius each member's ``E_ℓ`` edges come from already holds its closest
 ``V_{ℓ+1}`` node and its distance: the overlay costs one sparse ball
-per level member, exact under every distance backend.
+per level member, exact under every distance backend. The MIS runs on
+the same pair arrays (:func:`repro.hierarchy.mis.luby_mis_pairs`), its
+draws keyed by the members' network indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Hashable
 
 import numpy as np
 
 from repro.graphs.network import SensorNetwork
-from repro.hierarchy.mis import deterministic_mis, luby_mis
+from repro.hierarchy.mis import deterministic_mis_pairs, luby_mis_pairs
+from repro.perf import PERF
 
 Node = Hashable
 
@@ -105,24 +109,6 @@ def _threshold_pairs(
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
 
 
-def group_pairs(
-    owners: list[Node], targets: list[Node], rows: np.ndarray, cols: np.ndarray
-) -> dict[Node, list[Node]]:
-    """``owners[r] -> [targets[c], ...]`` from row-major ``(r, c)`` pairs.
-
-    Every owner gets a list (empty without pairs); each list keeps the
-    pairs' column order.
-    """
-    ends = np.cumsum(np.bincount(rows, minlength=len(owners))).tolist()
-    found = [targets[j] for j in cols.tolist()]
-    out: dict[Node, list[Node]] = {}
-    start = 0
-    for v, end in zip(owners, ends, strict=True):
-        out[v] = found[start:end]
-        start = end
-    return out
-
-
 def _nearest_uppers(
     upper: np.ndarray, rows: np.ndarray, cols: np.ndarray, dists: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,6 +159,7 @@ def build_levels(
     if mis_algorithm not in ("luby", "deterministic"):
         raise ValueError(f"unknown MIS algorithm {mis_algorithm!r}")
     levels: list[list[Node]] = [list(net.nodes)]
+    index = np.arange(net.n)  # network index of each member of the top level
     parents: list[dict[Node, Node]] = []
     hops: list[dict[Node, float]] = []
     rounds: list[int] = [0]
@@ -190,16 +177,17 @@ def build_levels(
             raise RuntimeError("level construction failed to converge")
         members = levels[-1]
         rows, cols, dists = _threshold_pairs(net, members, threshold=float(2**ell))
-        adj = group_pairs(members, members, rows, cols)
-        if mis_algorithm == "luby":
-            mis, r = luby_mis(members, adj, seed=seed + ell)
-        else:
-            mis, r = deterministic_mis(members, adj)
-        upper = np.fromiter((v in mis for v in members), dtype=bool, count=len(members))
-        parent, hop = _nearest_uppers(upper, rows, cols, dists)
-        parents.append(dict(zip(members, [members[j] for j in parent.tolist()], strict=True)))
-        hops.append(dict(zip(members, hop.tolist(), strict=True)))
-        levels.append([v for v, up in zip(members, upper.tolist(), strict=True) if up])
+        with PERF.timer("hierarchy.mis"):
+            if mis_algorithm == "luby":
+                upper, r = luby_mis_pairs(index, rows, cols, seed=seed + ell)
+            else:
+                upper, r = deterministic_mis_pairs(len(members), rows, cols)
+        with PERF.timer("hierarchy.parents"):
+            parent, hop = _nearest_uppers(upper, rows, cols, dists)
+            parents.append(dict(zip(members, [members[j] for j in parent.tolist()], strict=True)))
+            hops.append(dict(zip(members, hop.tolist(), strict=True)))
+        levels.append(list(compress(members, upper.tolist())))
+        index = index[upper]
         rounds.append(r)
     # Post-build invariant (paper §2.2): the top level is exactly {r}.
     assert len(levels[-1]) == 1, "level construction must end at a single root"

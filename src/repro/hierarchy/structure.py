@@ -40,7 +40,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.graphs.network import SensorNetwork
-from repro.hierarchy.levels import CHUNK, LevelStructure, build_levels, group_pairs
+from repro.hierarchy.levels import CHUNK, LevelStructure, build_levels
 from repro.obs.trace import TRACER
 
 Node = Hashable
@@ -227,8 +227,12 @@ class Hierarchy(BaseHierarchy):
                 )
             )
             owner, col = np.divmod(np.unique(key), len(uppers))
-            for w, found in group_pairs(chunk, uppers, owner, col).items():
-                sets[w] = tuple(found)
+            ends = np.cumsum(np.bincount(owner, minlength=len(chunk))).tolist()
+            found = [uppers[j] for j in col.tolist()]
+            start = 0
+            for w, end in zip(chunk, ends, strict=True):
+                sets[w] = tuple(found[start:end])
+                start = end
         self._parent_sets[level] = sets
         return sets
 

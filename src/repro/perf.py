@@ -20,7 +20,8 @@ latency go?* — funnels through this module. It deliberately stays tiny:
   elsewhere. Each timer also keeps a bounded reservoir of samples so
   the report can quote p50/p95/p99 — exact up to
   :data:`TimerStat.RESERVOIR_CAP` observations, a seeded uniform
-  reservoir beyond (deterministic for a fixed observation sequence).
+  reservoir beyond (Li's algorithm L, deterministic for a fixed
+  observation sequence).
 
 A process-wide singleton :data:`PERF` is what the library instruments;
 :meth:`PerfRegistry.report` renders everything as a JSON-ready dict that
@@ -46,6 +47,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import operator
 import random
 import time
 from contextlib import contextmanager
@@ -63,10 +66,12 @@ class TimerStat:
 
     Besides count/total/max the stat keeps a bounded sample reservoir
     for percentile queries: the first :data:`RESERVOIR_CAP` observations
-    are kept verbatim (percentiles are then exact); past the cap,
-    classic reservoir sampling (Vitter's algorithm R, driven by a
-    fixed-seed RNG so replaying the same observation sequence yields
-    the same reservoir) keeps a uniform sample.
+    are kept verbatim (percentiles are then exact); past the cap, Li's
+    algorithm L keeps a uniform sample. It draws how many observations
+    to skip before the next replacement instead of one number per
+    observation, from a fixed-seed RNG, so replaying the same
+    observation sequence yields the same reservoir, and :meth:`add` and
+    :meth:`add_many` share the skip state.
     """
 
     #: sample-reservoir bound: exact percentiles up to this many adds
@@ -79,6 +84,16 @@ class TimerStat:
     _rng: random.Random = field(
         default_factory=lambda: random.Random(0x7E5CA1E), repr=False, compare=False
     )
+    #: algorithm L's running weight ``W``
+    _w: float = field(default=1.0, repr=False, compare=False)
+    #: the observation (1-based count) that replaces a sample next
+    _next: int = field(default=0, repr=False, compare=False)
+
+    def _schedule(self, at: int) -> None:
+        """Draw the replacement after observation ``at`` (algorithm L)."""
+        rand = self._rng.random
+        self._w *= math.exp(math.log(1.0 - rand()) / self.RESERVOIR_CAP)
+        self._next = at + 1 + int(math.log(1.0 - rand()) / math.log1p(-self._w))
 
     def add(self, dt: float) -> None:
         """Fold one observation of ``dt`` seconds into the stat."""
@@ -89,45 +104,39 @@ class TimerStat:
         samples = self.samples
         if len(samples) < self.RESERVOIR_CAP:
             samples.append(dt)
-            return
-        # ``randrange(n)`` inlined: the same rejection loop over
-        # ``getrandbits(n.bit_length())``, so the same draws
-        getrandbits = self._rng.getrandbits
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        if r < self.RESERVOIR_CAP:
-            samples[r] = dt
+            if len(samples) == self.RESERVOIR_CAP:
+                self._schedule(n)
+        elif n == self._next:
+            samples[self._rng.randrange(self.RESERVOIR_CAP)] = dt
+            self._schedule(n)
 
     def add_many(self, values: Iterable[float]) -> None:
         """Fold ``values`` in order: the exact state of one :meth:`add`
         per value (same count, same sequentially summed ``total_s``,
-        same max, same reservoir from the same RNG draws), at a loop
-        iteration per value instead of a method call."""
-        n = self.count
-        total = self.total_s
-        top = self.max_s
+        same max, same reservoir from the same RNG draws). The count,
+        sum and max are C-level folds (``reduce`` adds left to right,
+        as :meth:`add` does; ``sum()`` compensates on 3.12); only the
+        values that replace a sample cost a Python step."""
+        batch = values if isinstance(values, list) else list(values)
+        if not batch:
+            return
+        first = self.count  # observations before this batch
+        self.count = last = first + len(batch)
+        self.total_s = functools.reduce(operator.add, batch, self.total_s)
+        top = max(batch)
+        if top > self.max_s:
+            self.max_s = top
         samples = self.samples
         cap = self.RESERVOIR_CAP
-        getrandbits = self._rng.getrandbits
-        for dt in values:
-            n += 1
-            total += dt  # an explicit loop: sum() compensates on 3.12
-            if dt > top:
-                top = dt
+        room = cap - len(samples)
+        if room > 0:
+            samples.extend(batch[:room])
             if len(samples) < cap:
-                samples.append(dt)
-                continue
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            if r < cap:
-                samples[r] = dt
-        self.count = n
-        self.total_s = total
-        self.max_s = top
+                return
+            self._schedule(first + room)
+        while first < self._next <= last:
+            samples[self._rng.randrange(cap)] = batch[self._next - first - 1]
+            self._schedule(self._next)
 
     @property
     def mean_s(self) -> float:

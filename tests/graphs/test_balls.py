@@ -4,8 +4,8 @@
 ``SsspEngine.balls``; its entries must be exactly the finite entries of
 scipy's pruned Dijkstra (bit for bit, the same row-major order, nothing
 past the limit), one ``limited_sssp`` per source, and the row cache
-must stay untouched. The matrix-backed backends read the same entries
-off their matrix.
+must stay untouched, on both sides of ``DENSE_BALL_ENTRIES``. The
+matrix-backed backends read the same entries off their matrix.
 """
 
 import networkx as nx
@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
+from repro.graphs import backends
+from repro.graphs.backends import DENSE_BALL_ENTRIES
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
 
@@ -129,3 +131,33 @@ def test_no_sources_no_entries():
     net = SensorNetwork(GRAPHS["ring"], normalize=False, distance_backend="lazy")
     assert all(col.size == 0 for col in net.balls([], 3.0))
     assert net.oracle_stats["limited_sssp"] == 0
+
+
+@pytest.mark.parametrize("budget", [0, DENSE_BALL_ENTRIES], ids=["frontier", "dense"])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_both_sides_of_the_dense_budget_equal_pruned_dijkstra(name, budget, monkeypatch):
+    """A chunk within ``DENSE_BALL_ENTRIES`` is one pruned scipy solve, a
+    wider one the frontier solver: the same entries either way, with
+    and without targets."""
+    frontier = backends._frontier_balls
+    calls = []
+    monkeypatch.setattr(backends, "DENSE_BALL_ENTRIES", budget)
+    monkeypatch.setattr(
+        backends, "_frontier_balls", lambda *args: calls.append(args[1].size) or frontier(*args)
+    )
+    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
+    rng = np.random.default_rng(11)
+    sources = [net.node_at(int(i)) for i in rng.choice(net.n, size=9, replace=False)]
+    sources += sources[:1]
+    targets = list(net.nodes)[1::3]
+    position = {net.index_of(v): k for k, v in enumerate(targets)}
+    for limit in _limits(net):
+        want_src, want_node, want_dist = _reference(net, sources, limit)
+        got = net.balls(sources, limit)
+        assert all(np.array_equal(a, b) for a, b in zip(got, (want_src, want_node, want_dist), strict=True))
+        keep = np.isin(want_node, list(position))
+        src, col, dist = net.balls(sources, limit, targets)
+        assert np.array_equal(src, want_src[keep])
+        assert np.array_equal(col, [position[j] for j in want_node[keep].tolist()])
+        assert np.array_equal(dist, want_dist[keep])
+    assert calls == ([len(sources)] * 6 if budget == 0 else [])

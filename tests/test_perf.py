@@ -1,6 +1,7 @@
 """Tests for the repro.perf instrumentation module."""
 
 import json
+import math
 import random
 
 import pytest
@@ -78,6 +79,8 @@ def _state(stat: TimerStat) -> tuple:
         stat.max_s.hex(),
         [v.hex() for v in stat.samples],
         stat._rng.getstate(),
+        stat._next,
+        stat._w.hex(),
     )
 
 
@@ -122,24 +125,49 @@ class TestFoldedAdds:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_add_draws_like_randrange(self, seed):
-        """``add`` inlines ``randrange``'s rejection loop: the reservoir
-        and RNG state equal algorithm R over ``Random(0x7E5CA1E).randrange``."""
-        values = _values(seed, 2 * CAP + 123)
+    def test_add_samples_by_skips(self, seed):
+        """Past the cap, ``add`` is Li's algorithm L over
+        ``Random(0x7E5CA1E)``: a weight ``W`` and a skip drawn after
+        the cap-th value and after each replacement, whose slot is
+        ``randrange(cap)``."""
+        values = _values(seed, 5 * CAP + 123)
         rng = random.Random(0x7E5CA1E)
+        w, due = 1.0, 0
+
+        def schedule(at: int) -> int:
+            nonlocal w
+            w *= math.exp(math.log(1.0 - rng.random()) / CAP)
+            return at + 1 + math.floor(math.log(1.0 - rng.random()) / math.log1p(-w))
+
         reference: list[float] = []
+        replaced = 0
         for count, v in enumerate(values, start=1):
             if len(reference) < CAP:
                 reference.append(v)
-            else:
-                slot = rng.randrange(count)
-                if slot < CAP:
-                    reference[slot] = v
+                if len(reference) == CAP:
+                    due = schedule(count)
+            elif count == due:
+                reference[rng.randrange(CAP)] = v
+                replaced += 1
+                due = schedule(count)
         stat = TimerStat()
         for v in values:
             stat.add(v)
         assert stat.samples == reference
         assert stat._rng.getstate() == rng.getstate()
+        # about cap · ln(5) replacements over the 4 · cap values past the cap
+        assert 0.6 * CAP * math.log(5) < replaced < 1.4 * CAP * math.log(5)
+
+    def test_reservoir_is_uniform(self):
+        """Every position of a long run is equally likely to be kept:
+        the sample's mean and its share of early values match the run's."""
+        n = 40 * CAP
+        stat = TimerStat()
+        stat.add_many([float(i) for i in range(n)])
+        assert len(stat.samples) == CAP
+        assert abs(sum(stat.samples) / CAP / n - 0.5) < 0.02
+        early = sum(1 for v in stat.samples if v < n / 4)
+        assert abs(early / CAP - 0.25) < 0.03
 
 
 class TestCounters:
