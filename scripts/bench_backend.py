@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""The 100k-node distance-backend bench, as a JSON artifact.
+"""The 100k-node ``lazy`` distance-backend bench, as a JSON artifact.
 
-Builds one ~100 000-node grid and runs the same point-query workload
-under the ``lazy`` (exact LRU rows) and ``landmark`` (hub-label upper
-bounds) backends, reporting per-backend build time, query latency
-p50/p99, and resident memory. Neither backend may materialize the
-all-pairs matrix — at this scale that would be ~75 GB — so the script
-exits non-zero if ``oracle_stats["matrix_materialized"]`` is ever true.
+Builds one ~100 000-node grid and runs a point-query workload under the
+``lazy`` backend (exact single-source rows in a bounded LRU), reporting
+build time, query latency p50/p99 and resident memory. The backend must
+not materialize the all-pairs matrix — at this scale that would be
+~75 GB — so the script exits non-zero if
+``oracle_stats["matrix_materialized"]`` is ever true.
 
 The query mix draws ``--queries`` pairs over ``--sources`` distinct
-sources: more sources than the landmark exactness budget, so the
-landmark backend demonstrably switches to O(k) bound lookups while the
-lazy backend keeps paying full single-source solves.
+sources, so the row cache both hits (a repeated source) and solves
+(a new one).
 
 CI uploads the output as ``BENCH_backend.json`` next to
 ``BENCH_serve.json`` and ``BENCH_build.json``.
@@ -47,8 +46,6 @@ def main() -> None:
     parser.add_argument("--nodes", type=int, default=100_000)
     parser.add_argument("--queries", type=int, default=256)
     parser.add_argument("--sources", type=int, default=96)
-    parser.add_argument("--landmarks", type=int, default=16)
-    parser.add_argument("--budget", type=int, default=64)
     parser.add_argument("--seed", type=int, default=123)
     parser.add_argument("--out", default="BENCH_backend.json")
     args = parser.parse_args()
@@ -71,72 +68,48 @@ def main() -> None:
         for q in range(args.queries)
     ]
 
-    report: dict = {
+    gc.collect()
+    rss0 = rss_mb()
+    t0 = time.perf_counter()
+    net = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
+    build_s = time.perf_counter() - t0
+    rss_built = rss_mb()
+
+    lat: list[float] = []
+    for u, v in pairs:
+        t0 = time.perf_counter()
+        net.distance(u, v)  # repro-lint: disable=RPL001
+        lat.append(time.perf_counter() - t0)
+    lat_ms = np.asarray(lat) * 1e3
+    stats = net.oracle_stats
+    materialized = bool(stats["matrix_materialized"])
+    report = {
         "bench": "distance_backend_100k",
+        "backend": "lazy",
         "nodes": n,
         "grid": [side, side],
         "queries": args.queries,
         "distinct_sources": len(sources),
-        "landmarks": args.landmarks,
-        "exact_budget": args.budget,
         "seed": args.seed,
-        "backends": {},
+        "build_s": build_s,
+        "query_mean_ms": float(lat_ms.mean()),
+        "query_p50_ms": float(np.percentile(lat_ms, 50)),
+        "query_p99_ms": float(np.percentile(lat_ms, 99)),
+        "query_max_ms": float(lat_ms.max()),
+        "rss_before_mb": rss0,
+        "rss_after_build_mb": rss_built,
+        "rss_after_queries_mb": rss_mb(),
+        "matrix_materialized": materialized,
+        "oracle_stats": stats,
+        "ok": not materialized,
     }
-    ok = True
-    for name in ("lazy", "landmark"):
-        gc.collect()
-        rss0 = rss_mb()
-        options: dict[str, object] = (
-            {"num_landmarks": args.landmarks, "exact_budget": args.budget}
-            if name == "landmark"
-            else {}
-        )
-        t0 = time.perf_counter()
-        net = SensorNetwork(
-            base.graph,
-            normalize=False,
-            distance_backend=name,
-            backend_options=options,
-        )
-        init_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if name == "landmark":
-            net.build_landmarks()
-        prepare_s = time.perf_counter() - t0
-        rss_built = rss_mb()
-
-        lat: list[float] = []
-        for u, v in pairs:
-            t0 = time.perf_counter()
-            net.distance(u, v)  # repro-lint: disable=RPL001
-            lat.append(time.perf_counter() - t0)
-        lat_ms = np.asarray(lat) * 1e3
-        stats = net.oracle_stats
-        materialized = bool(stats["matrix_materialized"])
-        ok = ok and not materialized
-        report["backends"][name] = {
-            "init_s": init_s,
-            "prepare_s": prepare_s,
-            "build_s": init_s + prepare_s,
-            "query_mean_ms": float(lat_ms.mean()),
-            "query_p50_ms": float(np.percentile(lat_ms, 50)),
-            "query_p99_ms": float(np.percentile(lat_ms, 99)),
-            "query_max_ms": float(lat_ms.max()),
-            "rss_before_mb": rss0,
-            "rss_after_build_mb": rss_built,
-            "rss_after_queries_mb": rss_mb(),
-            "matrix_materialized": materialized,
-            "oracle_stats": stats,
-        }
-        del net
-    report["ok"] = ok
 
     text = json.dumps(report, indent=1)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(text)
-    if not ok:
-        raise SystemExit("a backend materialized the all-pairs matrix")
+    if materialized:
+        raise SystemExit("the lazy backend materialized the all-pairs matrix")
 
 
 if __name__ == "__main__":

@@ -11,13 +11,12 @@ Commands:
 - ``perf [--side N] [--distance-backend B] [--out PATH]`` — run one
   MOT workload with instrumentation on and emit the JSON perf report
   (oracle hit/miss pressure, per-operation timers, ledger summary);
-- ``audit-backend [--side N] [--landmarks K] [--budget B]`` — check
-  the distance-backend contract on small graphs: exact backends
-  (``full``, ``lazy``, ``memmap``) must agree bit-for-bit with a dense
-  reference solve, the ``landmark`` backend must answer admissible
-  upper bounds (exact within its budget, and exact ``balls`` past it), and
-  every backend must report the same k-neighborhoods and a certified
-  diameter bracket (see :mod:`repro.graphs.audit`);
+- ``audit-backend [--side N] [--geometric-nodes N]`` — check the
+  distance-backend contract on small graphs: ``full`` and ``lazy`` must
+  agree bit-for-bit with a dense reference solve, ``lazy``'s solved
+  ``balls`` must equal the reference's entries, and both must report
+  the same k-neighborhoods, a certified diameter bracket and the same
+  overlay (see :mod:`repro.graphs.audit`);
 - ``chaos [--loss P] [--jitter J] [--crashes K] …`` — run one workload
   through the concurrent simulator under an injected fault plan
   (message loss, delay jitter, node crashes) and emit the JSON chaos
@@ -77,6 +76,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+from repro.graphs.backends import BACKEND_NAMES
 
 __all__ = ["main"]
 
@@ -216,8 +217,6 @@ def _cmd_audit_backend(args: argparse.Namespace) -> int:
         side=args.side,
         geometric_nodes=args.geometric_nodes,
         seed=args.seed,
-        num_landmarks=args.landmarks,
-        exact_budget=args.budget,
     )
     text = json.dumps(report, indent=1)
     if args.out:
@@ -609,7 +608,7 @@ def main(argv: list[str] | None = None) -> int:
     p_perf.add_argument("--queries", type=int, default=50)
     p_perf.add_argument("--seed", type=int, default=1)
     p_perf.add_argument("--distance-backend",
-                        choices=("auto", "full", "lazy", "landmark", "memmap"),
+                        choices=("auto", *BACKEND_NAMES),
                         default="auto", help="distance backend")
     p_perf.add_argument("--prometheus", action="store_true",
                         help="emit Prometheus text exposition instead of JSON")
@@ -618,16 +617,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ab = sub.add_parser(
         "audit-backend",
-        help="check distance-backend exactness/admissibility on small graphs",
+        help="check distance-backend exactness on small graphs",
     )
     p_ab.add_argument("--side", type=int, default=6, help="grid side of the audit graph")
     p_ab.add_argument("--geometric-nodes", type=int, default=48,
                       help="node count of the random-geometric audit graph")
     p_ab.add_argument("--seed", type=int, default=1)
-    p_ab.add_argument("--landmarks", type=int, default=8,
-                      help="landmark count of the audited landmark backend")
-    p_ab.add_argument("--budget", type=int, default=4,
-                      help="exactness-fallback budget of the audited landmark backend")
     p_ab.add_argument("--out", help="write the JSON report here instead of stdout")
     p_ab.set_defaults(fn=_cmd_audit_backend)
 
@@ -687,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sb.add_argument("--trace", default=None, metavar="PATH",
                       help="record a JSONL span trace of the run to PATH")
     p_sb.add_argument("--distance-backend",
-                      choices=("auto", "full", "lazy", "landmark", "memmap"),
+                      choices=("auto", *BACKEND_NAMES),
                       default="auto",
                       help="distance backend of the shared network")
     p_sb.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -736,7 +731,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ev.add_argument("--rate", type=float, default=500.0,
                       help="serve-section offered load in ops/s")
     p_ev.add_argument("--distance-backend",
-                      choices=("auto", "full", "lazy", "landmark", "memmap"),
+                      choices=("auto", *BACKEND_NAMES),
                       default="auto",
                       help="distance backend of the scenario networks")
     p_ev.add_argument("--check", nargs="?", metavar="BASELINE",

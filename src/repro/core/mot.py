@@ -160,13 +160,11 @@ class MOTTracker:
     # internal helpers
     # ------------------------------------------------------------------
     def _dist(self, a: Node, b: Node) -> float:
-        # Every cost the ledger records flows through here. Under an
-        # approximate distance backend (``landmark``) these are
-        # *admissible upper bounds* on the true message cost, so
-        # recorded cost ratios stay valid upper bounds too; tracker
-        # correctness (spines, DL/SDL pointers) never depends on them —
-        # it rides on hierarchy structure, which is built from
-        # radius-limited queries that are exact under every backend.
+        # Every cost the ledger records flows through here, and every
+        # distance backend answers exactly, so the recorded costs are
+        # the true message costs. Tracker correctness (spines, DL/SDL
+        # pointers) never depends on them: it rides on hierarchy
+        # structure, which is built from radius-limited queries.
         return self.net.distance(a, b)
 
     def _phys(self, hnode: HNode) -> Node:

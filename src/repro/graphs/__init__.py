@@ -4,14 +4,10 @@ from repro.graphs.backends import (
     BACKEND_NAMES,
     DistanceBackend,
     FullMatrixBackend,
-    LandmarkBackend,
     LazyLRUBackend,
-    MemmapFullBackend,
     make_backend,
-    register_backend,
 )
 from repro.graphs.network import SensorNetwork
-from repro.graphs.rowstore import MemmapRowStore
 from repro.graphs.generators import (
     grid_network,
     ring_network,
@@ -29,12 +25,8 @@ __all__ = [
     "DistanceBackend",
     "FullMatrixBackend",
     "LazyLRUBackend",
-    "LandmarkBackend",
-    "MemmapFullBackend",
-    "MemmapRowStore",
     "BACKEND_NAMES",
     "make_backend",
-    "register_backend",
     "grid_network",
     "ring_network",
     "line_network",

@@ -1,66 +1,51 @@
-"""Pluggable compressed distance backends (the ``DistanceBackend`` protocol).
+"""Pluggable exact distance backends (the ``DistanceBackend`` protocol).
 
 Every distance answer in this package flows through one of the backends
 defined here. :class:`repro.graphs.network.SensorNetwork` owns node
 identity (sorting, index maps, weight normalization) and delegates all
 shortest-path work to a backend operating purely on integer node
-indices. The protocol is deliberately small — the six methods ROADMAP
-item 1 names (``distances_from``, ``distances_to_many``,
-``pair_distances``, ``k_neighborhood``, ``diameter_bounds``, ``stats``)
-plus the radius-limited ``balls`` and the single-pair and landmark
-helpers the trackers already consumed:
+indices. The protocol is deliberately small: ``distances_from``,
+``distances_to_many``, ``pair_distances``, ``k_neighborhood``,
+``diameter_bounds`` and ``stats``, plus the radius-limited ``balls`` and
+the single-pair helpers the trackers consume:
 
 - :class:`FullMatrixBackend` (``"full"``) — one all-pairs Dijkstra up
   front; O(n²) memory, O(1) exact lookups. The seed oracle's full mode.
 - :class:`LazyLRUBackend` (``"lazy"``) — exact single-source rows on
-  demand in a bounded LRU. The seed oracle's lazy mode.
-- :class:`LandmarkBackend` (``"landmark"``) — sub-quadratic: ``k``
-  pinned landmark rows (farthest-point traversal) answer
-  ``min_L d(u, L) + d(L, v)`` **admissible upper bounds** in O(k) per
-  pair / O(k·n) per row, with an *exactness-fallback budget* of full
-  Dijkstra solves spent on the first unlimited row queries. Memory is
-  O((k + cache) · n) — never the matrix.
-- :class:`MemmapFullBackend` (``"memmap"``) — the full matrix stored in
-  a fingerprinted :class:`repro.graphs.rowstore.MemmapRowStore` file, so
-  several networks / serve shards / worker processes share one copy
-  through the OS page cache instead of each materializing O(n²) RAM.
+  demand in a bounded LRU; O(cache · n) memory, never the matrix. The
+  seed oracle's lazy mode.
 
 Exactness contract (what each consumer layer may assume):
 
-- **Radius-limited queries are exact under every backend.** They have
-  one entry point, ``balls(sources, limit)``: every node within
-  ``limit`` of each source, as sparse ``(source position, node index,
-  distance)`` entries. ``full`` and ``memmap`` read the entries off
-  their resident matrix; ``lazy`` and ``landmark`` run
+- **Every answer is exact.** Both backends run the same scipy solver
+  over the same CSR, so every unlimited answer is bit-for-bit equal to
+  a dense reference solve; the cost ratios (paper §2.1, §4.1) divide
+  by these distances.
+- **Radius-limited queries** have one entry point, ``balls(sources,
+  limit)``: every node within ``limit`` of each source, as sparse
+  ``(source position, node index, distance)`` entries. ``full`` reads
+  the entries off its resident matrix; ``lazy`` runs
   :meth:`SsspEngine.balls` — scipy's pruned solve for a chunk whose
   dense rows fit in :data:`DENSE_BALL_ENTRIES`, a sparse frontier
-  solver equal to it bit for bit otherwise — and never consult the
-  approximation or a row cache. Hierarchy construction (``build_levels``, which also picks the
-  default parents, and the parent sets solved on first read),
+  solver equal to it bit for bit otherwise — and never consults its
+  row cache. Hierarchy construction (``build_levels``, which also picks
+  the default parents, and the parent sets solved on first read),
   ``k_neighborhood`` and the adjacent-pair fast path only issue limited
-  queries, so the overlay is identical under every backend
+  queries, so the overlay is identical under both backends
   (``repro audit-backend`` checks it as a whole).
-- **Unlimited queries are exact on exact backends** (``full``, ``lazy``,
-  ``memmap`` — bit-for-bit equal to a dense reference solve) and
-  *admissible upper bounds* on ``landmark`` once the exactness budget is
-  spent. Tracker cost ledgers therefore remain upper bounds on true
-  communication cost; query/maintenance *correctness* (finding the
-  object) never depends on distance exactness, only on hierarchy
-  pointers.
 - **Diameter bounds are always certified.** ``diameter_bounds()``
-  returns ``(lo, hi)`` with ``lo ≤ D ≤ hi`` under every backend; the
-  landmark backend's double sweep uses exact rows outside the budget.
+  returns ``(lo, hi)`` with ``lo ≤ D ≤ hi``: ``(D, D)`` off the matrix,
+  an iterated double sweep and twice it off rows.
 
 ``python -m repro audit-backend`` (:mod:`repro.graphs.audit`) checks
 this contract on small graphs; ``scripts/bench_backend.py`` measures the
-100k-node build/query/memory profile.
+100k-node ``lazy`` build/query/memory profile.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -73,19 +58,9 @@ __all__ = [
     "SsspEngine",
     "FullMatrixBackend",
     "LazyLRUBackend",
-    "LandmarkBackend",
-    "MemmapFullBackend",
     "BACKEND_NAMES",
     "make_backend",
-    "register_backend",
 ]
-
-#: default landmark count of the landmark backend (and of build_landmarks)
-DEFAULT_LANDMARKS = 16
-#: default exactness-fallback budget of the landmark backend: how many
-#: unlimited row queries may run a full Dijkstra before answers switch
-#: to landmark upper bounds
-DEFAULT_EXACT_BUDGET = 64
 
 
 def _ball_cutoff(k: float) -> float:
@@ -267,21 +242,6 @@ class SsspEngine:
             return None
         return float(m.data[lo + int(pos[0])])
 
-    def fingerprint(self) -> tuple[int, int, str]:
-        """Structural identity of the weighted graph: ``(n, nnz, digest)``.
-
-        Used by the memmap backend to decide whether an on-disk matrix
-        belongs to this graph. The digest is a sha256 over the CSR
-        arrays themselves (indptr, indices, data), widened to fixed
-        dtypes so the value is platform-independent — summary statistics
-        like a weight sum collide across distinct unit-weight graphs of
-        equal size, which silently attached the wrong matrix.
-        """
-        m = self.csr
-        h = hashlib.sha256()
-        for arr, dtype in ((m.indptr, np.int64), (m.indices, np.int64), (m.data, np.float64)):
-            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-        return int(m.shape[0]), int(m.nnz), h.hexdigest()
 
 
 class _RowLRU:
@@ -319,10 +279,6 @@ class _RowLRU:
         self.hits += 1
         return row
 
-    def peek(self, i: int) -> np.ndarray | None:
-        """Like :meth:`get` but without touching recency or counters."""
-        return self._rows.get(i)
-
     def put(self, i: int, row: np.ndarray) -> None:
         if i in self._rows:
             self._rows.move_to_end(i)
@@ -340,19 +296,13 @@ class DistanceBackend(Protocol):
 
     Implementations answer in terms of **integer node indices** (the
     deterministic order ``SensorNetwork`` assigns); the network class
-    translates node identifiers at its boundary. ``exact`` declares
-    whether unlimited queries are exact; radius-limited queries are
-    exact under every backend (see the module docstring's contract).
+    translates node identifiers at its boundary. Every answer is exact
+    (see the module docstring's contract).
     """
 
     @property
     def name(self) -> str:
         """Registry name of this backend (``"full"``, ``"lazy"``, …)."""
-        ...
-
-    @property
-    def exact(self) -> bool:
-        """Whether every unlimited answer equals the true distance."""
         ...
 
     @property
@@ -407,28 +357,22 @@ class DistanceBackend(Protocol):
         """The matrix if already resident, else ``None`` (never computes)."""
         ...
 
-    def build_landmarks(self, k: int | None = None) -> tuple[int, ...]:
-        """Pin ``k`` landmark rows; returns the chosen indices."""
-        ...
-
     def stats(self) -> dict[str, int | float | str | bool]:
-        """Counters describing oracle pressure (cache, solves, landmarks)."""
+        """Counters describing oracle pressure (cache, solves, batches)."""
         ...
 
 
 class _BackendBase:
-    """Shared machinery: the row LRU, landmark pinning, batched counters.
+    """Shared machinery: the row LRU, batched counters.
 
     Subclasses provide :meth:`distances_from` /
     :meth:`distances_to_many` / :meth:`pair_distance` /
     :meth:`diameter_bounds`; everything derivable (pair batching,
-    k-neighborhoods, landmark upper bounds, stats) lives here, and
-    :meth:`balls` runs the engine's sparse solver unless the backend
-    holds the matrix.
+    k-neighborhoods, stats) lives here, and :meth:`balls` runs the
+    engine's sparse solver unless the backend holds the matrix.
     """
 
     name = "base"
-    exact = True
     supports_matrix = False
 
     def __init__(self, engine: SsspEngine, n: int, cache_rows: int) -> None:
@@ -436,9 +380,6 @@ class _BackendBase:
         self._n = n
         self._rows = _RowLRU(cache_rows)
         self._batched_calls = 0
-        self._landmark_idx: np.ndarray | None = None
-        self._landmark_rows: np.ndarray | None = None
-        self._landmark_k: int | None = None
 
     # -- required of subclasses ---------------------------------------
     def distances_from(self, i: int) -> np.ndarray:
@@ -509,64 +450,7 @@ class _BackendBase:
         """Exact ball; boundary nodes kept by the cost tolerance."""
         return self.balls([i], _ball_cutoff(k))[1]
 
-    # -- landmark upper-bound oracle ----------------------------------
-    def _pinned_row(self, i: int) -> np.ndarray:
-        """An exact row for landmark pinning, reusing caches when present.
-
-        Prefers a row pinned by a previous :meth:`build_landmarks` call
-        (a rebuild with a different ``k`` revisits the same traversal
-        prefix), then an already-cached LRU row, else runs one exact
-        solve.
-        """
-        if self._landmark_idx is not None and self._landmark_rows is not None:
-            pos = np.nonzero(self._landmark_idx == i)[0]
-            if pos.size:
-                return np.asarray(self._landmark_rows[int(pos[0])])
-        row = self._rows.peek(i)
-        if row is not None:
-            return np.asarray(row)
-        return np.asarray(self._engine.solve(i))
-
-    def build_landmarks(self, k: int | None = None) -> tuple[int, ...]:
-        """Pick ``k`` landmarks by farthest-point traversal and pin their rows.
-
-        Landmark rows live outside the LRU (they are pinned), costing
-        ``k · n`` floats — reported as ``landmark_pinned_bytes`` in
-        :meth:`stats`. Deterministic: starts from node 0 and greedily
-        maximizes the distance to the chosen set, ties by node index.
-        Idempotent: repeat calls with the same effective ``k`` are a
-        no-op; a different ``k`` rebuilds (reusing rows pinned by the
-        previous build and any cached LRU rows).
-        """
-        if k is not None and k <= 0:
-            raise ValueError("landmark count must be >= 1")
-        k = min(k if k is not None else DEFAULT_LANDMARKS, self._n)
-        if self._landmark_idx is not None and self._landmark_k == k:
-            return tuple(int(i) for i in self._landmark_idx)
-        chosen = [0]
-        rows = [self._pinned_row(0)]
-        while len(chosen) < k:
-            mindist = np.minimum.reduce(rows)
-            nxt = int(np.argmax(mindist))
-            if mindist[nxt] <= 0:  # every node already a landmark
-                break
-            chosen.append(nxt)
-            rows.append(self._pinned_row(nxt))
-        self._landmark_idx = np.asarray(chosen)
-        self._landmark_rows = np.vstack(rows)
-        self._landmark_k = k
-        return tuple(chosen)
-
-    def _landmark_bound(self, i: int, j: int) -> float:
-        """``min_L d(i, L) + d(L, j)`` — admissible by the triangle inequality."""
-        if self._landmark_rows is None:
-            self.build_landmarks()
-        assert self._landmark_rows is not None
-        PERF.incr("oracle.landmark_ub")
-        return float(np.min(self._landmark_rows[:, i] + self._landmark_rows[:, j]))
-
     def stats(self) -> dict[str, int | float | str | bool]:
-        lm = self._landmark_rows
         return {
             "row_cache_capacity": self._rows.capacity,
             "row_cache_size": len(self._rows),
@@ -576,8 +460,6 @@ class _BackendBase:
             "rows_computed": self._engine.rows_computed,
             "limited_sssp": self._engine.limited_sssp,
             "batched_calls": self._batched_calls,
-            "landmarks": 0 if self._landmark_idx is None else int(self._landmark_idx.size),
-            "landmark_pinned_bytes": 0 if lm is None else int(lm.nbytes),
             "matrix_materialized": self.matrix_if_materialized() is not None,
         }
 
@@ -586,7 +468,6 @@ class FullMatrixBackend(_BackendBase):
     """The seed oracle's full mode: one all-pairs solve, exact O(1) lookups."""
 
     name = "full"
-    exact = True
     supports_matrix = True
 
     def __init__(self, engine: SsspEngine, n: int, cache_rows: int) -> None:
@@ -662,15 +543,11 @@ class FullMatrixBackend(_BackendBase):
         d = float(self._ensure().max())
         return d, d
 
-    def _pinned_row(self, i: int) -> np.ndarray:
-        return np.asarray(self._ensure()[i])
-
 
 class LazyLRUBackend(_BackendBase):
     """The seed oracle's lazy mode: exact rows on demand in a bounded LRU."""
 
     name = "lazy"
-    exact = True
     supports_matrix = False
 
     def distances_from(self, i: int) -> np.ndarray:
@@ -696,8 +573,9 @@ class LazyLRUBackend(_BackendBase):
                 missing.append(i)
         block = np.empty((0, self._n))
         if missing:
-            block = self._solve_missing(missing)
+            block = np.atleast_2d(self._engine.solve(np.asarray(missing)))
             for k, i in enumerate(missing):
+                self._rows.put(i, block[k])
                 rows[i] = block[k]
         if len(missing) < len(src_idx):
             # a cached or repeated source: restack in source order (with
@@ -706,13 +584,6 @@ class LazyLRUBackend(_BackendBase):
         # ``take`` keeps the selection row-major; ``block[:, cols]`` would
         # return a column-major copy, several times slower to build and scan
         return block if tgt_idx is None else np.take(block, list(tgt_idx), axis=1)
-
-    def _solve_missing(self, missing: list[int]) -> np.ndarray:
-        """Exact rows for the cache misses of one batch, cached as solved."""
-        block = np.atleast_2d(self._engine.solve(np.asarray(missing)))
-        for k, i in enumerate(missing):
-            self._rows.put(i, block[k])
-        return block
 
     def _adjacent_distance(self, i: int, j: int, w: float) -> float:
         """``d(i, j)`` of neighbours joined by an edge of weight ``w``.
@@ -737,10 +608,6 @@ class LazyLRUBackend(_BackendBase):
             return self._adjacent_distance(i, j, w)
         return float(self.distances_from(i)[j])
 
-    def _sweep_row(self, i: int) -> np.ndarray:
-        """An exact row for the diameter double sweep."""
-        return self.distances_from(i)
-
     def diameter_bounds(self) -> tuple[float, float]:
         """Iterated double sweep: certified ``(estimate, 2·estimate)``.
 
@@ -752,7 +619,7 @@ class LazyLRUBackend(_BackendBase):
         cur = 0
         best = -1.0
         for _ in range(max(2, int(np.ceil(np.log2(self._n + 1))) + 2)):
-            row = self._sweep_row(cur)
+            row = self.distances_from(cur)
             far_i = int(np.argmax(row))
             ecc = float(row[far_i])
             if ecc <= best:
@@ -762,232 +629,20 @@ class LazyLRUBackend(_BackendBase):
         return best, 2.0 * best
 
 
-class LandmarkBackend(LazyLRUBackend):
-    """Sub-quadratic landmark/hub-label distances with an exactness budget.
-
-    Unlimited row/pair queries are exact (and LRU-cached) while the
-    *exactness-fallback budget* lasts — each full Dijkstra solve spends
-    one unit — and switch to landmark upper bounds
-    ``min_L d(u, L) + d(L, v)`` once it is gone: O(k) per pair,
-    O(k·n) per row, no new graph traversal. Approximate rows are held in
-    their own small LRU and **never** enter the exact row cache.
-    Radius-limited queries, adjacency fast paths, k-neighborhoods and
-    the diameter sweep stay exact and free of budget charges.
-    """
-
-    name = "landmark"
-    exact = False
-    supports_matrix = False
-
-    def __init__(
-        self,
-        engine: SsspEngine,
-        n: int,
-        cache_rows: int,
-        num_landmarks: int | None = None,
-        exact_budget: int = DEFAULT_EXACT_BUDGET,
-    ) -> None:
-        super().__init__(engine, n, cache_rows)
-        self._num_landmarks = num_landmarks if num_landmarks is not None else DEFAULT_LANDMARKS
-        self._exact_budget_initial = max(0, int(exact_budget))
-        self._exact_budget = self._exact_budget_initial
-        self._approx_rows = _RowLRU(max(1, cache_rows))
-        self._approx_row_count = 0
-        self._approx_pair_count = 0
-
-    def build_landmarks(self, k: int | None = None) -> tuple[int, ...]:
-        # a no-arg call must honour the configured ``num_landmarks``,
-        # not the module default — repeat calls stay idempotent
-        return super().build_landmarks(k if k is not None else self._num_landmarks)
-
-    # -- approximation machinery --------------------------------------
-    def _ensure_landmarks(self) -> np.ndarray:
-        if self._landmark_rows is None:
-            self.build_landmarks(self._num_landmarks)
-        assert self._landmark_rows is not None
-        return self._landmark_rows
-
-    def _approx_row(self, i: int) -> np.ndarray:
-        """Upper-bound row ``min_L d(i, L) + d(L, ·)`` with a zero diagonal."""
-        cached = self._approx_rows.peek(i)
-        if cached is not None:
-            return cached
-        lm = self._ensure_landmarks()
-        row = np.min(lm + lm[:, i : i + 1], axis=0)
-        row[i] = 0.0  # d(i, i) — the landmark detour is never needed here
-        self._approx_row_count += 1
-        PERF.incr("oracle.approx_rows")
-        self._approx_rows.put(i, row)
-        return row
-
-    def _charge_exact(self, rows_needed: int) -> int:
-        """Spend up to ``rows_needed`` units of the exactness budget."""
-        granted = min(self._exact_budget, rows_needed)
-        self._exact_budget -= granted
-        return granted
-
-    # -- overridden query paths ---------------------------------------
-    def distances_from(self, i: int) -> np.ndarray:
-        row = self._rows.get(i)
-        if row is not None:
-            return row
-        if self._charge_exact(1):
-            row = self._engine.solve(i)
-            self._rows.put(i, row)
-            return row
-        return self._approx_row(i)
-
-    def _solve_missing(self, missing: list[int]) -> np.ndarray:
-        granted = self._charge_exact(len(missing))
-        if granted:
-            exact_part = super()._solve_missing(missing[:granted])
-        else:
-            exact_part = np.empty((0, self._n))
-        # rows past the budget cut are landmark bounds, cached in
-        # _approx_rows by _approx_row and never in the exact LRU
-        approx_part = [self._approx_row(i) for i in missing[granted:]]
-        if not approx_part:
-            return exact_part
-        return np.vstack([exact_part, *approx_part])
-
-    def pair_distance(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        row = self._rows.get(i)
-        if row is not None:
-            return float(row[j])
-        row = self._rows.get(j)
-        if row is not None:
-            return float(row[i])
-        w = self._engine.edge_weight(i, j)
-        if w is not None:
-            return self._adjacent_distance(i, j, w)
-        if self._charge_exact(1):
-            row = self._engine.solve(i)
-            self._rows.put(i, row)
-            return float(row[j])
-        self._approx_pair_count += 1
-        return self._landmark_bound(i, j)
-
-    def _sweep_row(self, i: int) -> np.ndarray:
-        # the diameter bracket must stay certified: sweep rows are real
-        # eccentricities, so they bypass the budget and use exact solves
-        row = self._rows.peek(i)
-        if row is not None:
-            return row
-        row = self._engine.solve(i)
-        self._rows.put(i, row)
-        return row
-
-    def stats(self) -> dict[str, int | float | str | bool]:
-        out = super().stats()
-        out.update(
-            {
-                "exact_budget_initial": self._exact_budget_initial,
-                "exact_budget_remaining": self._exact_budget,
-                "approx_rows": self._approx_row_count,
-                "approx_pairs": self._approx_pair_count,
-                "approx_row_cache_size": len(self._approx_rows),
-            }
-        )
-        return out
-
-
-class MemmapFullBackend(FullMatrixBackend):
-    """Full matrix in a fingerprinted memmap file shared across consumers.
-
-    The first consumer computes the all-pairs matrix once and writes it
-    through :class:`repro.graphs.rowstore.MemmapRowStore`; every later
-    backend pointed at the same path (other networks, serve shards,
-    worker processes) attaches read-only and shares pages through the OS
-    page cache instead of materializing its own O(n²) copy. A sidecar
-    fingerprint (n, edge count, sha256 of the CSR arrays) guards against
-    attaching a stale file from a different graph.
-    """
-
-    name = "memmap"
-    exact = True
-    supports_matrix = True
-
-    def __init__(
-        self,
-        engine: SsspEngine,
-        n: int,
-        cache_rows: int,
-        path: str | None = None,
-    ) -> None:
-        super().__init__(engine, n, cache_rows)
-        self._path = path
-        self._attached = False
-
-    @property
-    def path(self) -> str | None:
-        """Backing file path (resolved on first use when defaulted)."""
-        return self._path
-
-    @property
-    def attached(self) -> bool:
-        """Whether the matrix was attached from an existing store file."""
-        return self._attached
-
-    def _ensure(self) -> np.ndarray:
-        if self._dist is None:
-            from repro.graphs.rowstore import MemmapRowStore
-
-            store = MemmapRowStore(self._path, self._engine.fingerprint())
-            self._path = store.path
-            existing = store.attach()
-            if existing is not None:
-                self._attached = True
-                self._dist = existing
-            else:
-                self._dist = store.create(self._engine.full_matrix())
-        return self._dist
-
-    def stats(self) -> dict[str, int | float | str | bool]:
-        out = super().stats()
-        out.update(
-            {
-                "memmap_path": self._path or "",
-                "memmap_attached": self._attached,
-            }
-        )
-        return out
-
-
 #: names accepted by :func:`make_backend` / ``SensorNetwork(distance_backend=…)``
-BACKEND_NAMES = ("full", "lazy", "landmark", "memmap")
+BACKEND_NAMES = ("full", "lazy")
 
-_FACTORIES: dict[str, Callable[..., DistanceBackend]] = {
+# a plain assignment, not an annotated one: RPL104 (``repro check``)
+# reads the values of this literal and checks each class against
+# ``DistanceBackend``, and it skips an annotated assignment
+_FACTORIES = {
     "full": FullMatrixBackend,
     "lazy": LazyLRUBackend,
-    "landmark": LandmarkBackend,
-    "memmap": MemmapFullBackend,
 }
 
 
-def register_backend(name: str, factory: Callable[..., DistanceBackend]) -> None:
-    """Register a custom backend factory under ``name``.
-
-    The factory is called as ``factory(engine, n, cache_rows,
-    **options)`` and must return a :class:`DistanceBackend`.
-    """
-    _FACTORIES[name] = factory
-
-
-def make_backend(
-    name: str,
-    engine: SsspEngine,
-    n: int,
-    cache_rows: int,
-    options: dict[str, object] | None = None,
-) -> DistanceBackend:
-    """Construct the backend registered under ``name``.
-
-    ``options`` are forwarded to the factory: the landmark backend
-    accepts ``num_landmarks`` and ``exact_budget``, the memmap backend
-    ``path``.
-    """
+def make_backend(name: str, engine: SsspEngine, n: int, cache_rows: int) -> DistanceBackend:
+    """Construct the backend registered under ``name``."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
@@ -995,4 +650,4 @@ def make_backend(
         raise ValueError(
             f"unknown distance backend {name!r} (known: {known})"
         ) from None
-    return factory(engine, n, cache_rows, **(options or {}))
+    return factory(engine, n, cache_rows)

@@ -4,12 +4,10 @@ A :class:`SensorNetwork` wraps a connected, weighted, undirected
 :class:`networkx.Graph` and exposes the primitives every tracking
 algorithm in this package relies on:
 
-- shortest-path distances ``dist_G(u, v)`` answered by a pluggable
-  **distance backend** (:mod:`repro.graphs.backends`): ``"full"``
-  precomputes the all-pairs matrix, ``"lazy"`` keeps exact
-  single-source rows in a bounded LRU, ``"landmark"`` answers
-  sub-quadratic admissible upper bounds with an exactness-fallback
-  budget, ``"memmap"`` shares one on-disk matrix across consumers,
+- exact shortest-path distances ``dist_G(u, v)`` answered by a
+  pluggable **distance backend** (:mod:`repro.graphs.backends`):
+  ``"full"`` precomputes the all-pairs matrix, ``"lazy"`` keeps exact
+  single-source rows in a bounded LRU,
 - batched distance queries (:meth:`SensorNetwork.distances_to_many`,
   :meth:`SensorNetwork.pairwise_submatrix`,
   :meth:`SensorNetwork.pair_distances`,
@@ -27,10 +25,10 @@ algorithm in this package relies on:
   once; positional access is by :meth:`SensorNetwork.node_at`).
 
 Radius-limited queries go through :meth:`SensorNetwork.balls` alone:
-sparse ``(source position, node index, distance)`` entries, exact under
-every backend, read off the matrix by matrix-backed backends and solved
-without a dense row or a row cache by the others. The dense queries
-take no radius, so no row they return is ever cut off at one.
+sparse ``(source position, node index, distance)`` entries, read off
+the matrix by ``full`` and solved without a dense row or a row cache by
+``lazy``. The dense queries take no radius, so no row they return is
+ever cut off at one.
 
 The network reads the caller's graph in one pass, into arrays: node
 indices, the CSR adjacency every backend shares, the checked and
@@ -104,23 +102,17 @@ class SensorNetwork:
     lazy_cache_rows:
         Capacity of the exact row cache (default
         :data:`LAZY_CACHE_ROWS`). Memory is ``capacity · n`` floats;
-        unused by matrix-backed modes.
+        unused by the ``full`` backend.
     distance_backend:
         Any name in :data:`repro.graphs.backends.BACKEND_NAMES` —
         ``"full"`` precomputes the all-pairs matrix (O(n²) memory,
         fastest repeated queries); ``"lazy"`` computes single-source
         rows on demand and keeps the most recent ones in a bounded LRU
-        (scales to hundreds of thousands of sensors); ``"landmark"``
-        and ``"memmap"`` are described in :mod:`repro.graphs.backends`
-        — or ``"auto"`` (default), which picks ``full`` up to
-        :data:`LAZY_THRESHOLD` nodes and ``lazy`` beyond. Components
-        that genuinely need the whole matrix (doubling-dimension
-        estimation, sparse covers) require a matrix-backed backend and
-        say so.
-    backend_options:
-        Extra keyword arguments for the backend factory — the landmark
-        backend accepts ``num_landmarks`` and ``exact_budget``, the
-        memmap backend ``path``.
+        (scales to hundreds of thousands of sensors) — or ``"auto"``
+        (default), which picks ``full`` up to :data:`LAZY_THRESHOLD`
+        nodes and ``lazy`` beyond. Components that genuinely need the
+        whole matrix (doubling-dimension estimation, sparse covers)
+        require ``full`` and say so.
 
     Raises
     ------
@@ -141,7 +133,6 @@ class SensorNetwork:
         normalize: bool = True,
         lazy_cache_rows: int | None = None,
         distance_backend: str = "auto",
-        backend_options: dict[str, object] | None = None,
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise ValueError("sensor network must have at least one node")
@@ -164,7 +155,6 @@ class SensorNetwork:
             self._engine,
             len(self._nodes),
             self.LAZY_CACHE_ROWS if lazy_cache_rows is None else lazy_cache_rows,
-            backend_options,
         )
         self._diameter_bounds: tuple[float, float] | None = None
 
@@ -302,22 +292,13 @@ class SensorNetwork:
     # ------------------------------------------------------------------
     @property
     def distance_mode(self) -> str:
-        """Name of the active distance backend (``"full"``, ``"lazy"``, …)."""
+        """Name of the active distance backend (``"full"`` or ``"lazy"``)."""
         return self._backend.name
 
     @property
     def distance_backend(self) -> DistanceBackend:
         """The active :class:`repro.graphs.backends.DistanceBackend`."""
         return self._backend
-
-    @property
-    def distances_exact(self) -> bool:
-        """Whether unlimited distance answers are exact under this backend.
-
-        Radius-limited queries are exact under *every* backend; see the
-        exactness contract in :mod:`repro.graphs.backends`.
-        """
-        return self._backend.exact
 
     @property
     def _dist(self) -> np.ndarray | None:
@@ -328,20 +309,14 @@ class SensorNetwork:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distance matrix, indexed like :meth:`node_at`.
 
-        Computed lazily once; O(n^2) memory. Only matrix-backed
-        backends (``full``, ``memmap``) provide it — callers that need
-        the whole matrix (doubling estimation, sparse covers) must
-        construct the network with ``distance_backend="full"``.
+        Computed lazily once; O(n^2) memory. Only the ``full`` backend
+        provides it — callers that need the whole matrix (doubling
+        estimation, sparse covers) must construct the network with
+        ``distance_backend="full"``.
         """
         if not self._backend.supports_matrix:
-            mode = self._backend.name
-            qualifier = (
-                "in lazy distance mode"
-                if mode == "lazy"
-                else f"under the {mode!r} distance backend"
-            )
             raise RuntimeError(
-                f"distance_matrix is unavailable {qualifier}; "
+                "distance_matrix is unavailable in lazy distance mode; "
                 'construct the SensorNetwork with distance_backend="full"'
             )
         return self._backend.matrix()
@@ -354,8 +329,7 @@ class SensorNetwork:
         ``u, v`` with no cached row they read ``v`` off the ball of
         ``u`` at the connecting edge's weight (exact, touches only a
         small ball) instead of computing and caching a full row for a
-        throwaway pair. The landmark backend answers an admissible
-        upper bound once its exactness budget is spent.
+        throwaway pair.
         """
         return self._backend.pair_distance(self._index[u], self._index[v])
 
@@ -402,11 +376,10 @@ class SensorNetwork:
         at 0, sorted by source position, then column. The column is the
         node index; with ``targets`` (distinct nodes in network order)
         only their entries are kept and the column is the position in
-        ``targets``. Entries are exact under every backend; nothing past
-        the limit is stored, so memory follows the balls, not
-        ``len(sources) · n``. Matrix-backed backends read the entries
-        off the matrix; the others run a sparse Dijkstra that bypasses
-        the row cache (one ``limited_sssp`` per source).
+        ``targets``. Nothing past the limit is stored, so memory follows
+        the balls, not ``len(sources) · n``. The ``full`` backend reads
+        the entries off the matrix; ``lazy`` runs a sparse Dijkstra
+        that bypasses the row cache (one ``limited_sssp`` per source).
         """
         src_idx = [self._index[u] for u in sources]
         tgt_idx = None if targets is None else [self._index[v] for v in targets]
@@ -502,27 +475,10 @@ class SensorNetwork:
         dropped (the ``dists <= k`` comparison this replaced could).
         It reads :meth:`balls` at radius ``k`` (plus the tolerance): in
         row-backed modes a sparse solve that only explores the ball it
-        reports, which on big networks is far cheaper than a full row;
-        it is exact under every backend.
+        reports, which on big networks is far cheaper than a full row.
         """
         hits = self._backend.k_neighborhood(self._index[node], k)
         return [self._nodes[i] for i in hits]
-
-    # ------------------------------------------------------------------
-    # landmark upper-bound oracle
-    # ------------------------------------------------------------------
-    def build_landmarks(self, k: int | None = None) -> tuple[Node, ...]:
-        """Pick ``k`` landmarks by farthest-point traversal and pin their rows.
-
-        Landmark rows live outside the LRU (they are pinned), costing
-        ``k · n`` floats — reported as ``landmark_pinned_bytes`` in
-        :attr:`oracle_stats`. Deterministic: starts from node 0 and
-        greedily maximizes the distance to the chosen set, ties by node
-        index. Idempotent: a repeat call with the same ``k`` is a
-        no-op, and cached LRU rows are reused instead of recomputed.
-        """
-        chosen = self._backend.build_landmarks(k)
-        return tuple(self._nodes[i] for i in chosen)
 
     @property
     def oracle_stats(self) -> dict[str, int | str | float | bool]:
@@ -533,10 +489,8 @@ class SensorNetwork:
         batched call count once); ``rows_computed`` counts exact
         single-source Dijkstra solves, ``limited_sssp`` the sources of
         sparse :meth:`balls` solves, ``batched_calls`` invocations of
-        the batched dense API;
-        ``landmark_pinned_bytes`` is the memory pinned outside the LRU
-        by :meth:`build_landmarks`. Approximate backends add their own
-        counters (``approx_rows``, ``exact_budget_remaining``, …).
+        the batched dense API; ``matrix_materialized`` whether the
+        all-pairs matrix is resident.
         """
         stats: dict[str, int | str | float | bool] = {
             "mode": self._backend.name,

@@ -330,9 +330,8 @@ def build_hierarchy(
     the build queries one radius-limited ball per level member; parent
     sets are solved per level on first read (a tracker's first publish).
 
-    Works under every distance backend of ``net``: construction only
-    issues radius-limited ball queries (exact under the approximate
-    ``landmark`` backend too — see the exactness contract in
+    Works under either distance backend of ``net``: construction only
+    issues radius-limited ball queries (see the exactness contract in
     :mod:`repro.graphs.backends`) and sizes its level count from the
     certified ``diameter_bounds`` upper bound, so the overlay is
     identical whichever backend answers.

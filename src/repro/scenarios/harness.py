@@ -35,6 +35,7 @@ from repro.experiments.runner import (
     make_concurrent_tracker,
     make_tracker,
 )
+from repro.graphs.backends import BACKEND_NAMES
 from repro.graphs.generators import grid_network
 from repro.graphs.network import SensorNetwork
 from repro.metrics.load import LoadStats
@@ -74,7 +75,7 @@ class EvalConfig:
             raise ValueError('workers > 0 requires clock="wall"')
         if self.rate <= 0:
             raise ValueError("rate must be positive")
-        if self.distance_backend not in ("auto", "full", "lazy", "landmark", "memmap"):
+        if self.distance_backend not in ("auto", *BACKEND_NAMES):
             raise ValueError(f"unknown distance_backend {self.distance_backend!r}")
 
     def as_dict(self) -> dict:

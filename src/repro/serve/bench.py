@@ -37,6 +37,7 @@ import math
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 
+from repro.graphs.backends import BACKEND_NAMES
 from repro.graphs.generators import grid_network
 from repro.graphs.network import SensorNetwork
 from repro.obs.export import JsonlTraceWriter
@@ -75,7 +76,8 @@ class ServeBenchConfig:
     clock: str = "virtual"  # "virtual" (deterministic) or "wall"
     mobility: str = "random_walk"
     #: distance backend of the shared SensorNetwork ("auto" keeps the
-    #: generator's choice; "memmap" lets shards share one on-disk matrix)
+    #: generator's choice: "full" up to SensorNetwork.LAZY_THRESHOLD
+    #: nodes, "lazy" beyond)
     distance_backend: str = "auto"
     metrics_snapshot_interval_s: float | None = 0.5  # service-clock seconds
     trace_path: str | None = None  # JSONL span trace (None = tracing off)
@@ -91,7 +93,7 @@ class ServeBenchConfig:
             raise ValueError("workers must be >= 0 (0 = in-process shards)")
         if self.workers > 0 and self.clock != "wall":
             raise ValueError('workers > 0 requires clock="wall"')
-        if self.distance_backend not in ("auto", "full", "lazy", "landmark", "memmap"):
+        if self.distance_backend not in ("auto", *BACKEND_NAMES):
             raise ValueError(f"unknown distance_backend {self.distance_backend!r}")
 
     @property
@@ -168,12 +170,6 @@ def drive_workload(net, workload, cfg: ServeBenchConfig) -> dict:
     """
     trace = arrival_trace(workload, cfg.rate, seed=cfg.seed)
     clock = VirtualClock() if cfg.clock == "virtual" else WallClock()
-    if cfg.workers > 0 and cfg.distance_backend in ("full", "memmap"):
-        # materialize/attach the distance matrix BEFORE the workers
-        # fork: a memmap backend attaches read-only and its pages are
-        # then shared via the OS page cache across every worker instead
-        # of computed (or copied) once per process
-        net.distance(net.node_at(0), net.node_at(0))
     service = TrackingService(
         net, cfg.service_config(), seed=cfg.seed, clock=clock
     )

@@ -27,8 +27,8 @@ RPL102    await-atomicity: ``self.*`` state read before an ``await``
           and written after it without a re-read (asyncio race)
 RPL103    ledger conservation: a distance-oracle cost must flow into
           exactly one ledger/perf sink on every CFG path
-RPL104    protocol conformance: classes registered via
-          ``register_backend`` must implement ``DistanceBackend``
+RPL104    protocol conformance: the backend classes in
+          ``_FACTORIES`` must implement ``DistanceBackend``
 RPL105    worker protocol totality: the ``repro.serve.worker`` handler
           table must mirror the transport's frame-kind tables
 ========  ==============================================================

@@ -418,7 +418,7 @@ class AsyncBlockingChecker(BaseChecker):
         {
             "distance", "distances_from", "distances_to_many",
             "pairwise_submatrix", "pair_distances", "consecutive_distances",
-            "path_length", "diameter", "diameter_bounds", "build_landmarks",
+            "path_length", "diameter", "diameter_bounds",
         }
     )
     #: blocking file-I/O attribute calls (pathlib and raw file objects)

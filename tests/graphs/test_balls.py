@@ -5,7 +5,7 @@
 scipy's pruned Dijkstra (bit for bit, the same row-major order, nothing
 past the limit), one ``limited_sssp`` per source, and the row cache
 must stay untouched, on both sides of ``DENSE_BALL_ENTRIES``. The
-matrix-backed backends read the same entries off their matrix.
+``full`` backend reads the same entries off its matrix.
 """
 
 import networkx as nx
@@ -89,18 +89,15 @@ def test_entries_equal_pruned_dijkstra_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_matrix_backends_read_the_same_entries(name, tmp_path):
+def test_matrix_backends_read_the_same_entries(name):
     lazy = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
     sources = list(lazy.nodes)[::7]
-    for mode, options in (("full", {}), ("memmap", {"path": str(tmp_path / "m.f64")})):
-        net = SensorNetwork(
-            GRAPHS[name], normalize=False, distance_backend=mode, backend_options=options
-        )
-        for limit in _limits(lazy):
-            got = net.balls(sources, limit)
-            want = lazy.balls(sources, limit)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-        assert net.oracle_stats["limited_sssp"] == 0  # read, not solved
+    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="full")
+    for limit in _limits(lazy):
+        got = net.balls(sources, limit)
+        want = lazy.balls(sources, limit)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert net.oracle_stats["limited_sssp"] == 0  # read, not solved
 
 
 @pytest.mark.parametrize("mode", ["lazy", "full"])

@@ -1,5 +1,5 @@
-"""Tests for the batched distance API, the bounded row LRU, the iterated
-double-sweep diameter, and landmark upper bounds."""
+"""Tests for the batched distance API, the bounded row LRU and the
+iterated double-sweep diameter."""
 
 import numpy as np
 import pytest
@@ -221,38 +221,3 @@ class TestDiameter:
         lazy = _grid_net(5, "lazy")
         lo, hi = lazy.diameter_bounds
         assert lo <= hi <= 2.0 * lo
-
-
-class TestLandmarks:
-    """Landmark upper bounds, served by the ``landmark`` backend once its
-    exactness budget is spent."""
-
-    def test_upper_bound_is_admissible(self):
-        base = random_geometric_network(50, seed=4)
-        full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
-        approx = SensorNetwork(
-            base.graph, normalize=False, distance_backend="landmark",
-            backend_options={"num_landmarks": 8, "exact_budget": 0},
-        )
-        rnd_pairs = [(0, 49), (5, 30), (12, 41), (7, 7), (20, 21)]
-        for u, v in rnd_pairs:
-            ub = approx.distance(u, v)
-            assert ub >= full.distance(u, v) - 1e-9
-
-    def test_exact_when_row_cached(self):
-        full = _grid_net(6, "full")
-        approx = _grid_net(6, "landmark", backend_options={"exact_budget": 1})
-        approx.distances_from(3)  # spends the whole budget on an exact row
-        assert approx.distance(3, 30) == pytest.approx(full.distance(3, 30))
-        assert approx.distance(30, 3) == pytest.approx(full.distance(3, 30))
-
-    def test_landmarks_build_on_first_use(self):
-        approx = _grid_net(6, "landmark", backend_options={"exact_budget": 0})
-        assert approx.oracle_stats["landmarks"] == 0
-        approx.distance(0, 35)
-        assert approx.oracle_stats["landmarks"] > 0
-
-    def test_landmark_count_capped_at_n(self):
-        lazy = _grid_net(3, "lazy")
-        marks = lazy.build_landmarks(100)
-        assert len(marks) <= 9

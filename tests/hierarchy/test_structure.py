@@ -66,25 +66,19 @@ class TestDefaultParentHop:
 
     @staticmethod
     def _hops(base: SensorNetwork, backend: str):
-        options = {"exact_budget": base.n} if backend == "landmark" else None
-        net = SensorNetwork(
-            base.graph,
-            normalize=False,
-            distance_backend=backend,
-            backend_options=options,
-        )
+        net = SensorNetwork(base.graph, normalize=False, distance_backend=backend)
         hs = build_hierarchy(net, seed=1)
         keys = [(ell, w) for ell in range(hs.h) for w in hs.level_nodes(ell)]
         kept = np.array([hs.default_parent_hop(ell, w) for ell, w in keys])
         oracle = net.pair_distances([(w, hs.default_parent(ell, w)) for ell, w in keys])
         return kept, oracle
 
-    @pytest.mark.parametrize("backend", ["full", "lazy", "landmark"])
+    @pytest.mark.parametrize("backend", ["full", "lazy"])
     def test_bit_identical_on_unit_grids(self, backend):
         kept, oracle = self._hops(grid_network(7, 6), backend)
         assert kept.size and np.array_equal(kept, oracle)
 
-    @pytest.mark.parametrize("backend", ["full", "lazy", "landmark"])
+    @pytest.mark.parametrize("backend", ["full", "lazy"])
     def test_close_on_a_weighted_graph(self, backend):
         kept, oracle = self._hops(random_geometric_network(50, seed=3), backend)
         assert kept.size == oracle.size

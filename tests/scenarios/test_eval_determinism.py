@@ -46,8 +46,9 @@ def test_suite_subset_and_header():
 def test_eval_config_validation():
     with pytest.raises(ValueError, match='requires clock="wall"'):
         EvalConfig(workers=2, clock="virtual")
-    with pytest.raises(ValueError, match="unknown distance_backend"):
-        EvalConfig(distance_backend="psychic")
+    for name in ("psychic", "landmark", "memmap"):
+        with pytest.raises(ValueError, match="unknown distance_backend"):
+            EvalConfig(distance_backend=name)
     with pytest.raises(ValueError):
         EvalConfig(clock="sundial")
     with pytest.raises(ValueError):

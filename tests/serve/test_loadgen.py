@@ -106,6 +106,9 @@ class TestServeBenchDeterminism:
             ServeBenchConfig(clock="sundial")
         with pytest.raises(ValueError, match="rate"):
             ServeBenchConfig(rate=-1.0)
+        for name in ("landmark", "memmap"):
+            with pytest.raises(ValueError, match="unknown distance_backend"):
+                ServeBenchConfig(distance_backend=name)
 
 
 class TestWallClockPacing:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.costs import close_to
 from repro.graphs.generators import grid_network
+from repro.graphs.network import SensorNetwork
 from repro.serve import (
     MoveRequest,
     PublishRequest,
@@ -134,6 +135,15 @@ class TestHealth:
             TrackingService(
                 NET, ServiceConfig(workers=2), seed=1, clock=VirtualClock()
             )
+
+    def test_full_matrix_is_resident_before_the_fork(self):
+        # workers share the parent's matrix copy-on-write only if it is
+        # resident when start() forks them: the hierarchy build in
+        # __init__ reads it, so no warm-up query is needed
+        net = SensorNetwork(NET.graph, normalize=False, distance_backend="full")
+        assert net.oracle_stats["matrix_materialized"] is False
+        TrackingService(net, ServiceConfig(workers=1), seed=1)
+        assert net.oracle_stats["matrix_materialized"] is True
 
 
 class TestCrashRecovery:

@@ -263,8 +263,7 @@ def test_serve_demo_runs(capsys):
     assert "rejected" in out
 
 
-AUDIT_BACKEND_SMALL = ["audit-backend", "--side", "4", "--geometric-nodes", "24",
-                       "--landmarks", "4", "--budget", "2"]
+AUDIT_BACKEND_SMALL = ["audit-backend", "--side", "4", "--geometric-nodes", "24"]
 
 
 def test_audit_backend_to_stdout(capsys):
@@ -275,9 +274,8 @@ def test_audit_backend_to_stdout(capsys):
     assert report["ok"] is True
     assert report["failed"] == 0
     names = {c["check"] for c in report["checks"]}
-    assert {"full_bit_for_bit", "lazy_bit_for_bit", "memmap_bit_for_bit",
-            "landmark_rows_admissible", "landmark_pairs_admissible",
-            "landmark_limited_exact", "k_neighborhood_agreement",
+    assert {"full_bit_for_bit", "lazy_bit_for_bit", "full_matrix_flag",
+            "lazy_matrix_flag", "lazy_balls_exact", "k_neighborhood_agreement",
             "diameter_bracket", "overlay_parity"} <= names
 
 
@@ -294,11 +292,20 @@ def test_perf_distance_backend_flag(capsys):
     import json
 
     assert main(["perf", "--side", "5", "--objects", "2", "--moves", "8",
-                 "--queries", "4", "--distance-backend", "landmark"]) == 0
+                 "--queries", "4", "--distance-backend", "lazy"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["run"]["distance_backend"] == "landmark"
-    assert report["oracle"]["mode"] == "landmark"
-    assert "exact_budget_remaining" in report["oracle"]
+    assert report["run"]["distance_backend"] == "lazy"
+    assert report["oracle"]["mode"] == "lazy"
+    assert report["oracle"]["matrix_materialized"] is False
+
+
+@pytest.mark.parametrize("verb", ["perf", "serve-bench", "eval"])
+def test_removed_distance_backends_are_rejected(verb, capsys):
+    for name in ("memmap", "landmark"):
+        with pytest.raises(SystemExit) as exc_info:
+            main([verb, "--distance-backend", name])
+        assert exc_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_serve_bench_distance_backend_flag(capsys):
