@@ -17,6 +17,12 @@ engine's op log is then replayed through a fresh sequential tracker
 its own scalar-equivalence proof: a fast-but-wrong kernel fails the
 script, not just the separate audit job.
 
+The engine runs on a network of its own, so the scalar side's dense
+queries never reach it, and the script exits non-zero if its timed
+calls compute an exact oracle row or materialize the all-pairs matrix:
+the request path reads static tables, and the optima wait for a ledger
+read (the report's ``batch.oracle`` records both counters).
+
 ``--min-speedup X`` gates the exit code. CI runs the default chunk and
 ``--chunk 256`` (the batch a saturated serve shard hands the engine)
 with ``--min-speedup 10``, so a kernel regression to scalar-equivalent
@@ -60,6 +66,7 @@ def main() -> int:
     from repro.sim.workload import make_workload
 
     net = grid_network(args.side, args.side)
+    batch_net = grid_network(args.side, args.side)
     workload = make_workload(
         net,
         num_objects=args.objects,
@@ -100,8 +107,10 @@ def main() -> int:
         OpBatch.of(ops[i : i + args.chunk]) for i in range(0, len(ops), args.chunk)
     ]
     batch_s = float("inf")
+    rows = 0
     for _ in range(repeats):
-        engine = BatchMOTEngine.build(net, config, seed=args.seed)
+        engine = BatchMOTEngine.build(batch_net, config, seed=args.seed)
+        before = batch_net.oracle_stats["rows_computed"]
         gc.collect()
         gc.disable()
         t0 = time.perf_counter()
@@ -111,6 +120,8 @@ def main() -> int:
                 raise SystemExit(f"batch op failed: {errors[min(errors)]!r}")
         batch_s = min(batch_s, time.perf_counter() - t0)
         gc.enable()
+        rows += batch_net.oracle_stats["rows_computed"] - before
+    materialized = bool(batch_net.oracle_stats["matrix_materialized"])
 
     speedup = scalar_s / batch_s if batch_s > 0 else float("inf")
     report = {
@@ -125,7 +136,11 @@ def main() -> int:
             "seed": args.seed,
         },
         "scalar": {"seconds": scalar_s, "ops_s": len(ops) / scalar_s},
-        "batch": {"seconds": batch_s, "ops_s": len(ops) / batch_s},
+        "batch": {
+            "seconds": batch_s,
+            "ops_s": len(ops) / batch_s,
+            "oracle": {"rows_computed": rows, "matrix_materialized": materialized},
+        },
         "speedup": speedup,
         "min_speedup": args.min_speedup,
     }
@@ -146,6 +161,13 @@ def main() -> int:
     )
     if not audit_ok:
         print("bench_batch: scalar-equivalence audit failed", file=sys.stderr)
+        return 1
+    if rows or materialized:
+        print(
+            f"bench_batch: the timed calls asked the oracle: {rows} exact rows, "
+            f"matrix materialized: {materialized}",
+            file=sys.stderr,
+        )
         return 1
     if args.min_speedup > 0 and speedup < args.min_speedup:
         print(

@@ -7,6 +7,10 @@ build, and ``peak_traced_mb``: the peak of Python allocations during
 one more build, untimed, under ``tracemalloc`` (the network is made
 before tracing starts). Each case also records:
 
+- ``matrix_materialized``: whether the all-pairs matrix was resident
+  after the builds. A build asks the oracle for balls alone, so it
+  reads ``false`` under ``full`` as well;
+
 - ``network_best_s`` / ``network_mean_s`` / ``network_times_s``: the
   ``SensorNetwork`` construction from the caller's graph, timed
   ``--repeats`` times on its own (the build times leave it out);
@@ -20,15 +24,15 @@ The cases:
 
 - the 2048-node 64x32 grid of
   ``benchmarks/test_microbench.py::test_bench_hierarchy_construction_2048_boundary``,
-  on the full matrix (``auto`` at 2048 nodes). Its network is shared
-  across repeats, so after the first one a build reads the cached
-  matrix. The top-level fields are this case: the number the tracing
-  layer's zero-overhead-when-disabled claim is audited against (see
-  docs/OBSERVABILITY.md);
+  under ``full`` (``auto`` at 2048 nodes). Its network is shared across
+  repeats; its matrix is never computed, so every repeat solves its
+  balls as the first one does. The top-level fields are this case: the
+  number the tracing layer's zero-overhead-when-disabled claim is
+  audited against (see docs/OBSERVABILITY.md);
 - under ``lazy_4096``, the 64x64 grid on the lazy row oracle, the
   network of perfbench's ``open-queries-4k``. Every repeat builds a
-  fresh network, so each one pays the whole build: the diameter sweep
-  and one sparse ball per level member.
+  fresh network, so each one pays the whole build: one sparse ball per
+  level member.
 
 CI uploads the output as ``BENCH_build.json`` next to the serve-bench
 report, so regressions show up as artifact diffs rather than anecdotes.
@@ -79,6 +83,7 @@ def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, An
         "times_s": times,
         "phases_s": phases,
         "peak_traced_mb": peak / 2**20,
+        "matrix_materialized": bool(net.oracle_stats["matrix_materialized"]),
     }
 
 
@@ -134,6 +139,7 @@ def main() -> None:
         "limited_sssp": full["limited_sssp"],
         "phases_s": full["phases_s"],
         "peak_traced_mb": full["peak_traced_mb"],
+        "matrix_materialized": full["matrix_materialized"],
         "network_best_s": full["network_best_s"],
         "network_mean_s": full["network_mean_s"],
         "network_times_s": full["network_times_s"],

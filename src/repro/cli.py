@@ -16,7 +16,9 @@ Commands:
   agree bit-for-bit with a dense reference solve, ``lazy``'s solved
   ``balls`` must equal the reference's entries, and both must report
   the same k-neighborhoods, a certified diameter bracket and the same
-  overlay (see :mod:`repro.graphs.audit`);
+  overlay, a ``full`` build and its batch tables must leave the matrix
+  unmaterialized, and the batch engine's SDL hops must equal the
+  reference's (see :mod:`repro.graphs.audit`);
 - ``chaos [--loss P] [--jitter J] [--crashes K] …`` — run one workload
   through the concurrent simulator under an injected fault plan
   (message loss, delay jitter, node crashes) and emit the JSON chaos

@@ -28,7 +28,8 @@ every parent set is the singleton default parent, so
   per-object state either.
 
 Static per-hierarchy tables (built once, shared across engines over the
-same hierarchy):
+same hierarchy; radius-limited balls are the only oracle query they
+issue, so a ``full`` network's matrix stays unmaterialized):
 
 - ``chain[i, ℓ]`` — node index of ``home^ℓ(node i)``;
 - ``chain_hop[i, ℓ]`` — ``dist(chain[i, ℓ], chain[i, ℓ+1])``, read from
@@ -42,7 +43,11 @@ same hierarchy):
   addition positions when ``count_special_parent_cost`` is on;
 - ``lift[ℓ]`` — node index of the special parent's host for a spine
   entry at level ``ℓ`` (``home^{min(ℓ+σ,h)-ℓ}``), the table behind the
-  vectorized SDL probe.
+  vectorized SDL probe;
+- ``sdl_hop[ℓ, w]`` — ``dist(lift[ℓ][w], w)`` for ``w ∈ V_ℓ``,
+  ``1 ≤ ℓ < h − σ``: the extra hop of a query that hits an SDL entry,
+  one ball query per level from the distinct hosts (the scalar
+  tracker's source for that hop), so answers never ask the oracle.
 
 Per-object state is three columns plus a row map: ``proxy`` (node
 index), ``epoch`` (applied moves) and ``published``. Each op's answer
@@ -68,6 +73,14 @@ Contracts:
   ``CostLedger.record_*_batch`` APIs. Float totals can differ from a
   per-op accumulation by float grouping only (bit-identical on
   unit-weight networks).
+- A move's or query's optimum (paper §4.1) feeds only the ledger's
+  cost ratios, so the kernels do not compute it: each call's
+  ``(source, target)`` pairs, costs and message count wait in packed
+  buffers (16 bytes per op, 17 per call), and every read of
+  :attr:`BatchMOTEngine.ledger` resolves them (one exact row per
+  distinct source) and records each call's delta in call order —
+  bit-identical to recording it at call time. Assigning the ledger
+  (snapshot restore) drops what is pending.
 - The applied-op log and the answered-query log are appended to
   capacity-doubling column buffers; :attr:`BatchMOTEngine.oplog` and
   :attr:`BatchMOTEngine.query_log` are read-only views built on read.
@@ -90,6 +103,7 @@ import numpy as np
 
 from repro.core.costs import CostLedger, close_to
 from repro.core.mot import MOTConfig, MOTTracker
+from repro.graphs.backends import _ball_cutoff
 from repro.graphs.network import SensorNetwork
 from repro.hierarchy.structure import BaseHierarchy, build_hierarchy
 
@@ -126,15 +140,17 @@ class _Tables:
         # (valid only at that level's member indices; -1 elsewhere); the
         # hop distances come from the hierarchy's own construction solve,
         # so building the tables runs no oracle query
+        members: list[np.ndarray] = []  # V_l as increasing node indices
         dparr: list[np.ndarray] = []
         hop_full: list[np.ndarray] = []
         for ell in range(h):
+            level = hs.level_nodes(ell)  # type: ignore[attr-defined]
+            idx = np.fromiter(map(index_of, level), np.int64, len(level))
             dp = np.full(n, -1, dtype=np.int64)
             hf = np.zeros(n, dtype=np.float64)
-            for w in hs.level_nodes(ell):  # type: ignore[attr-defined]
-                i = index_of(w)
-                dp[i] = index_of(hs.default_parent(ell, w))  # type: ignore[attr-defined]
-                hf[i] = hs.default_parent_hop(ell, w)  # type: ignore[attr-defined]
+            dp[idx] = [index_of(hs.default_parent(ell, w)) for w in level]  # type: ignore[attr-defined]
+            hf[idx] = [hs.default_parent_hop(ell, w) for w in level]  # type: ignore[attr-defined]
+            members.append(idx)
             dparr.append(dp)
             hop_full.append(hf)
 
@@ -160,6 +176,33 @@ class _Tables:
             for step in range(ell, min(ell + gap, h)):
                 cur = dparr[step][cur]
             lift[ell] = cur.astype(np.int32)
+
+        # sdl_hop[l, w] = dist(lift[l][w], w): a query's extra hop from
+        # the special parent that the spine entry (l, node w) installed
+        # back to w, for w in V_l and 1 <= l < h - gap (the levels the
+        # SDL probe reads). One ball query per level from the distinct
+        # hosts — the source the scalar tracker measures the hop from —
+        # against V_l, at the radius of the longest default-parent hop
+        # chain from a member to its host (a path, so no shorter than
+        # the distance)
+        sdl_hop = np.zeros((h + 1, n), dtype=np.float64)
+        if config.use_special_parents:
+            for ell in range(1, h - gap):
+                w = members[ell]
+                reach = np.zeros(len(w))
+                cur = w
+                for step in range(ell, ell + gap):
+                    reach += hop_full[step][cur]
+                    cur = dparr[step][cur]
+                hosts, at = np.unique(cur, return_inverse=True)
+                src, col, dist = net.index_balls(
+                    hosts, _ball_cutoff(float(reach.max())), net.ball_columns(w)
+                )
+                key = src * len(w) + col  # increasing: entries are row-major
+                want = at * len(w) + np.arange(len(w))
+                pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
+                assert np.array_equal(key[pos], want), "an SDL host lies outside its ball"
+                sdl_hop[ell, w] = dist[pos]
 
         # SDL install/remove message cost per (level, node) — only
         # charged in count_special_parent_cost mode
@@ -195,6 +238,7 @@ class _Tables:
         self.cum_q = cum_q
         self.up_cum = up_cum
         self.lift = lift
+        self.sdl_hop = sdl_hop
 
 
 #: hierarchy → {(use_special, count_sdl): tables}; weak so a dropped
@@ -230,6 +274,12 @@ _MISSING = itertools.repeat(-1)
 
 #: the log buffers' record layouts (packed: 9 and 29 bytes per entry)
 _OP_DTYPE = np.dtype([("row", np.int32), ("kind", np.int8), ("node", np.int32)])
+#: the pending-optimum buffers' layouts: one 16-byte entry per executed
+#: move or query (the pair whose distance is its optimum, and its cost),
+#: one 17-byte entry per kernel call (its last entry's end, its message
+#: count, its op kind)
+_PENDING_DTYPE = np.dtype([("source", np.int32), ("target", np.int32), ("cost", np.float64)])
+_CALL_DTYPE = np.dtype([("end", np.int64), ("messages", np.int64), ("kind", np.int8)])
 _QUERY_DTYPE = np.dtype(
     [
         ("row", np.int32),
@@ -280,7 +330,7 @@ class BatchResult:
 
     Plain lists in the batch's FIFO order, one entry per op: ``proxy``
     (node index of the proxy after the op; for a query, the answer),
-    ``cost``, ``epoch``, ``coalesced``, ``optimal`` and ``messages``.
+    ``cost``, ``epoch``, ``coalesced`` and ``messages``.
     ``errors`` maps the position of each failed op to the exception
     the scalar tracker would have raised; the columns hold zeros there.
     ``len()`` is the op count.
@@ -290,7 +340,6 @@ class BatchResult:
     cost: list[float]
     epoch: list[int]
     coalesced: list[bool]
-    optimal: list[float]
     messages: list[int]
     errors: dict[int, Exception]
 
@@ -337,7 +386,7 @@ class BatchMOTEngine:
                 "BatchMOTEngine requires use_parent_sets=False "
                 "(single default-parent chains)"
             )
-        self.ledger = CostLedger()
+        self._ledger = CostLedger()
         self._t = _tables_for(hierarchy, self.config)
         self.h = self._t.h
         self._index = self.net.index_map
@@ -365,6 +414,7 @@ class BatchMOTEngine:
         self._n_ops = 0
         self._query_log = np.zeros(cap, dtype=_QUERY_DTYPE)
         self._n_queries = 0
+        self._drop_pending()
 
     @classmethod
     def build(
@@ -387,6 +437,79 @@ class BatchMOTEngine:
             use_parent_sets=config.use_parent_sets,
         )
         return cls(hs, config)
+
+    # ------------------------------------------------------------------
+    # the ledger and its pending optima
+    # ------------------------------------------------------------------
+    @property
+    def ledger(self) -> CostLedger:
+        """The cost ledger, every kernel call up to now accounted.
+
+        A move's or query's optimum is a distance no answer needs, so
+        the kernels only record the pair behind it; each read resolves
+        what is pending first (:meth:`_settle`).
+        """
+        if self._n_calls:
+            self._settle()
+        return self._ledger
+
+    @ledger.setter
+    def ledger(self, ledger: CostLedger) -> None:
+        """Adopt ``ledger`` as the whole account (snapshot restore): the
+        pending calls are dropped, not added to it."""
+        self._ledger = ledger
+        self._drop_pending()
+
+    def _drop_pending(self) -> None:
+        self._pending = np.zeros(64, dtype=_PENDING_DTYPE)
+        self._n_pending = 0
+        self._calls = np.zeros(16, dtype=_CALL_DTYPE)
+        self._n_calls = 0
+
+    def _defer(
+        self,
+        kind: int,
+        source: np.ndarray,
+        target: np.ndarray,
+        cost: np.ndarray,
+        messages: np.ndarray,
+    ) -> None:
+        """Append one kernel call to the pending buffers: each op's
+        ``(source, target)`` pair and cost, and the call's message count."""
+        end = self._n_pending + len(cost)
+        if end > len(self._pending):
+            self._pending = _grown(self._pending, end)
+        seg = self._pending[self._n_pending : end]
+        seg["source"], seg["target"], seg["cost"] = source, target, cost
+        self._n_pending = end
+        if self._n_calls == len(self._calls):
+            self._calls = _grown(self._calls, self._n_calls + 1)
+        self._calls[self._n_calls] = (end, int(np.add.reduce(messages)), kind)
+        self._n_calls += 1
+
+    def _settle(self) -> None:
+        """Resolve every pending optimum into the ledger, then free them.
+
+        Each optimum is read off its source's exact row (the old proxy
+        of a move, the source of a query), as the scalar tracker reads
+        it. The calls' deltas then go in in call order, each reduced
+        over its own contiguous slice as the kernel would have, so every
+        ledger field is the one recording them at call time gives, bit
+        for bit.
+        """
+        pend = self._pending[: self._n_pending]
+        optimal = self.net.pair_index_distances(np.column_stack((pend["source"], pend["target"])))
+        cost = np.ascontiguousarray(pend["cost"])
+        ledger = self._ledger
+        start = 0
+        for end, messages, kind in self._calls[: self._n_calls].tolist():
+            delta = _delta(cost[start:end], optimal[start:end], messages)
+            if kind == _MOVE:
+                ledger.record_maintenance_batch(*delta)
+            else:
+                ledger.record_query_batch(*delta)
+            start = end
+        self._drop_pending()
 
     # ------------------------------------------------------------------
     # introspection
@@ -429,6 +552,12 @@ class BatchMOTEngine:
             )
             if published
         }
+
+    @property
+    def tables(self) -> _Tables:
+        """The static per-hierarchy tables (module docstring); read-only,
+        shared by every engine over the same hierarchy and config."""
+        return self._t
 
     def spine_row(self, obj: str) -> np.ndarray:
         """The object's spine as node indices, level 0..h (a copy).
@@ -509,7 +638,7 @@ class BatchMOTEngine:
         n = len(batch)
         errors: dict[int, Exception] = {}
         if n == 0:
-            return BatchResult([], [], [], [], [], [], errors)
+            return BatchResult([], [], [], [], [], errors)
 
         # 1. translate once: kind -> code, obj -> row, node -> index
         # (-1 where unknown), as one (3, n) array
@@ -608,20 +737,22 @@ class BatchMOTEngine:
         else:
             back = order if pos is None else pos[order]
         ints = np.zeros((3, n), dtype=np.int64)  # proxy, epoch, messages
-        floats = np.zeros((2, n))  # cost, optimal
+        costs = np.zeros(n)
         coalesced = np.zeros(n, dtype=bool)
         ints[0, back] = after
         ints[1, back] = epoch
 
-        # 5. the kernels, once each, and one ledger delta per op kind
+        # 5. the kernels, once each; publishes, no-op moves and local
+        # queries go to the ledger now, moves and queries once their
+        # optima are resolved (the ``ledger`` property)
         t = self._t
-        ledger = self.ledger
+        ledger = self._ledger
         births: np.ndarray | None = None
         if n_pub:
             births = (kw == _PUBLISH).nonzero()[0] if n_pub < m else np.arange(m)
             pub = t.pub_cost[xw[births]]
             w = back[births]
-            floats[0, w] = pub
+            costs[w] = pub
             ints[2, w] = self.h
             ledger.record_publish_batch(float(np.add.reduce(pub)), n_pub)
         if real is not None:
@@ -629,12 +760,12 @@ class BatchMOTEngine:
             if n_move > moved.size:
                 ledger.record_noop_moves(n_move - moved.size)
             if moved.size:
-                cost, optimal, messages = self._move_kernel(prior[moved], xw[moved])
+                old, new = prior[moved], xw[moved]
+                cost, messages = self._move_kernel(old, new)
                 w = back[moved]
-                floats[0, w] = cost
-                floats[1, w] = optimal
+                costs[w] = cost
                 ints[2, w] = messages
-                ledger.record_maintenance_batch(*_delta(cost, optimal, messages))
+                self._defer(_MOVE, old, new, cost, messages)
         if queries is not None:
             local = xw[queries] == prior[queries]
             n_local = int(np.count_nonzero(local))
@@ -642,15 +773,15 @@ class BatchMOTEngine:
                 ledger.record_local_queries(n_local)
                 queries = queries[~local]
             if queries.size:
-                cost, optimal, messages = self._query_kernel(xw[queries], prior[queries])
+                src, proxy = xw[queries], prior[queries]
+                cost, messages = self._query_kernel(src, proxy)
                 w = back[queries]
-                floats[0, w] = cost
-                floats[1, w] = optimal
+                costs[w] = cost
                 ints[2, w] = messages
-                ledger.record_query_batch(*_delta(cost, optimal, messages))
+                self._defer(_QUERY, src, proxy, cost, messages)
         if twins is not None and sources is not None:
             w, src = back[twins], back[sources]
-            floats[:, w] = floats[:, src]
+            costs[w] = costs[src]
             ints[2, w] = ints[2, src]
             coalesced[w] = True
 
@@ -666,11 +797,10 @@ class BatchMOTEngine:
             self._epoch[rw[tail]] = epoch[tail]
         if births is not None:
             self._published[rw[births]] = True
-        self._log(rows, code, nidx, n_query, pos, ints, floats, coalesced)
+        self._log(rows, code, nidx, n_query, pos, ints, costs, coalesced)
 
         proxy, epochs, messages = ints.tolist()
-        cost, optimal = floats.tolist()
-        return BatchResult(proxy, cost, epochs, coalesced.tolist(), optimal, messages, errors)
+        return BatchResult(proxy, costs.tolist(), epochs, coalesced.tolist(), messages, errors)
 
     def _validate(
         self,
@@ -727,10 +857,8 @@ class BatchMOTEngine:
                 errors[i] = KeyError(f"{batch.node[i]!r} is not a sensor of this network")
         return reason == 0
 
-    def _move_kernel(
-        self, old: np.ndarray, new: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cost, optimum and message count of real moves ``old -> new``."""
+    def _move_kernel(self, old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cost and message count of real moves ``old -> new``."""
         t = self._t
         # peak level: first level >= 1 where the old spine meets the new
         # chain (the root guarantees a hit)
@@ -744,13 +872,10 @@ class BatchMOTEngine:
                 lvl[None, :] < peak[:, None], t.sdl_cost[old_up, lvl[None, :]], 0.0
             ).sum(axis=1)
         cost = t.up_cum[new, peak] + down
-        optimal = self.net.pair_index_distances(np.array((old, new)).T)
-        return cost, optimal, 2 * peak
+        return cost, 2 * peak
 
-    def _query_kernel(
-        self, src: np.ndarray, proxy: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cost, optimum and message count of non-local queries."""
+    def _query_kernel(self, src: np.ndarray, proxy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cost and message count of non-local queries."""
         t = self._t
         gap = t.gap
         # climb: DL hit when the source chain meets the spine; SDL hit
@@ -773,16 +898,10 @@ class BatchMOTEngine:
         if sdl_rows.size:
             # one extra hop from the hit node to the special child that
             # installed the entry (the spine entry at level - gap)
-            sc_level = level[sdl_rows]
-            cost[sdl_rows] += self.net.pair_index_distances(
-                np.array(
-                    (t.chain[src[sdl_rows], sc_level], spine[sdl_rows, sc_level - gap]),
-                    dtype=np.int64,
-                ).T
-            )
+            sc_level = level[sdl_rows] - gap
+            cost[sdl_rows] += t.sdl_hop[sc_level, spine[sdl_rows, sc_level]]
             messages[sdl_rows] += 1
-        optimal = self.net.pair_index_distances(np.array((src, proxy)).T)
-        return cost, optimal, messages
+        return cost, messages
 
     def _log(
         self,
@@ -792,7 +911,7 @@ class BatchMOTEngine:
         n_queries: int,
         pos: np.ndarray | None,
         ints: np.ndarray,
-        floats: np.ndarray,
+        costs: np.ndarray,
         coalesced: np.ndarray,
     ) -> None:
         """Append the applied ops to the log buffers, in FIFO order."""
@@ -825,13 +944,13 @@ class BatchMOTEngine:
                 seg["row"], seg["source"] = rows[is_query], nidx[is_query]
             seg["epoch"] = ints[1, at]
             seg["proxy"] = ints[0, at]
-            seg["cost"] = floats[0, at]
+            seg["cost"] = costs[at]
             seg["coalesced"] = coalesced[at]
             self._n_queries = end
 
 
 def _delta(
-    cost: np.ndarray, optimal: np.ndarray, messages: np.ndarray
+    cost: np.ndarray, optimal: np.ndarray, messages: int
 ) -> tuple[float, float, int, int, float | None]:
     """One kernel call's ledger delta: the sums, the op count, the
     message count and the largest ``cost / optimal`` over positive
@@ -843,13 +962,7 @@ def _delta(
         worst = float(np.maximum.reduce(cost[positive] / optimal[positive]))
     else:
         worst = None
-    return (
-        float(np.add.reduce(cost)),
-        float(np.add.reduce(optimal)),
-        len(cost),
-        int(np.add.reduce(messages)),
-        worst,
-    )
+    return float(np.add.reduce(cost)), float(np.add.reduce(optimal)), len(cost), messages, worst
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,13 @@ Checks per graph (a grid and a random geometric network by default):
 - **diameter bracket** — ``diameter_bounds`` contains the true
   diameter under both backends;
 - **overlay parity** — ``build_hierarchy`` gives equal levels, default
-  parents and hops (exact ``==``) under ``full``, which reads its balls
-  off the matrix, and ``lazy``, which solves them.
+  parents and hops (exact ``==``) under ``full`` and ``lazy``;
+- **a build without the matrix** — a fresh ``full`` network's overlay
+  and batch-engine tables leave the matrix unmaterialized and compute
+  no exact row (``build_matrix_free``);
+- **exact SDL hops** — the batch engine's SDL-hop table holds each
+  special parent's host-to-child distance exactly as the dense
+  reference's row of the host has it (``sdl_hop_exact``, exact ``==``).
 
 :func:`run_backend_audit` returns a JSON-ready report whose ``ok``
 gates the CLI exit code.
@@ -32,6 +37,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro.core.batch import BatchMOTEngine
 from repro.graphs.backends import BACKEND_NAMES
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
@@ -147,6 +153,31 @@ def _audit_one_graph(label: str, base: SensorNetwork, seed: int) -> list[dict[st
         all(overlay == reference for overlay in overlays.values()),
         f"levels, default parents and hops of {len(reference[0])} levels "
         f"identical under {', '.join(overlays)}",
+    )
+
+    # -- a full build and its tables leave the matrix alone ------------
+    fresh = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+    hs = build_hierarchy(fresh, seed=seed, special_parent_gap=1)
+    tables = BatchMOTEngine(hs).tables
+    stats = fresh.oracle_stats
+    record(
+        "build_matrix_free",
+        stats["matrix_materialized"] is False and stats["rows_computed"] == 0,
+        f"full build and batch tables: matrix_materialized="
+        f"{stats['matrix_materialized']}, rows_computed={stats['rows_computed']}",
+    )
+
+    # -- each SDL hop is its host's exact distance ---------------------
+    level, child = [], []
+    for ell in range(1, hs.h - 1):
+        members = [fresh.index_of(w) for w in hs.level_nodes(ell)]
+        level += [ell] * len(members)
+        child += members
+    host = tables.lift[level, child]
+    record(
+        "sdl_hop_exact",
+        bool(np.array_equal(tables.sdl_hop[level, child], ref[host, child])),
+        f"{len(child)} SDL hops (gap 1) equal the dense reference's host rows",
     )
     return checks
 

@@ -9,8 +9,9 @@ indices. The protocol is deliberately small: ``distances_from``,
 ``diameter_bounds`` and ``stats``, plus the radius-limited ``balls`` and
 the single-pair helpers the trackers consume:
 
-- :class:`FullMatrixBackend` (``"full"``) — one all-pairs Dijkstra up
-  front; O(n²) memory, O(1) exact lookups. The seed oracle's full mode.
+- :class:`FullMatrixBackend` (``"full"``) — one all-pairs Dijkstra on
+  the first dense query; O(n²) memory, O(1) exact lookups after it.
+  The seed oracle's full mode.
 - :class:`LazyLRUBackend` (``"lazy"``) — exact single-source rows on
   demand in a bounded LRU; O(cache · n) memory, never the matrix. The
   seed oracle's lazy mode.
@@ -23,19 +24,28 @@ Exactness contract (what each consumer layer may assume):
   by these distances.
 - **Radius-limited queries** have one entry point, ``balls(sources,
   limit)``: every node within ``limit`` of each source, as sparse
-  ``(source position, node index, distance)`` entries. ``full`` reads
-  the entries off its resident matrix; ``lazy`` runs
-  :meth:`SsspEngine.balls` — scipy's pruned solve for a chunk whose
+  ``(source position, node index, distance)`` entries. Both backends
+  run :meth:`SsspEngine.balls` — scipy's pruned solve for a chunk whose
   dense rows fit in :data:`DENSE_BALL_ENTRIES`, a sparse frontier
-  solver equal to it bit for bit otherwise — and never consults its
-  row cache. Hierarchy construction (``build_levels``, which also picks
-  the default parents, and the parent sets solved on first read),
-  ``k_neighborhood`` and the adjacent-pair fast path only issue limited
-  queries, so the overlay is identical under both backends
-  (``repro audit-backend`` checks it as a whole).
+  solver equal to it bit for bit otherwise — and neither consults its
+  row cache or its matrix. Hierarchy construction (``build_levels``,
+  which also picks the default parents, and the parent sets solved on
+  first read), the batch engine's SDL-hop table, ``k_neighborhood``
+  and the adjacent-pair fast path only issue limited queries, so the
+  overlay is identical under both backends and a ``full`` network
+  brought up for serving never computes its matrix (``repro
+  audit-backend`` checks both).
+- **Dense queries** (rows, blocks, pairs, the diameter) are where the
+  backends differ: ``full`` computes its all-pairs matrix on the first
+  one and reads every later one off it; ``lazy`` solves the rows it
+  needs into its bounded LRU. Pair batches are read off each source's
+  exact row, distinct sources solved in chunks whose rows fit in
+  :data:`DENSE_BALL_ENTRIES`.
 - **Diameter bounds are always certified.** ``diameter_bounds()``
   returns ``(lo, hi)`` with ``lo ≤ D ≤ hi``: ``(D, D)`` off the matrix,
-  an iterated double sweep and twice it off rows.
+  an iterated double sweep and twice it off rows. Both are dense
+  queries; the level pass sizes its safety cap from the sum of the
+  edge weights instead, which needs no solve.
 
 ``python -m repro audit-backend`` (:mod:`repro.graphs.audit`) checks
 this contract on small graphs; ``scripts/bench_backend.py`` measures the
@@ -45,7 +55,7 @@ this contract on small graphs; ``scripts/bench_backend.py`` measures the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -267,9 +277,6 @@ class _RowLRU:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __contains__(self, i: int) -> bool:
-        return i in self._rows
-
     def get(self, i: int) -> np.ndarray | None:
         row = self._rows.get(i)
         if row is None:
@@ -321,12 +328,12 @@ class DistanceBackend(Protocol):
         ...
 
     def balls(
-        self, src_idx: Sequence[int], limit: float, tgt_idx: Sequence[int] | None = None
+        self, src_idx: Sequence[int], limit: float, columns: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(source position, column, distance)`` of every node within
         ``limit`` of each source, sorted by source position, then column:
-        the node index, or the position in ``tgt_idx`` (index-sorted,
-        distinct) when given, entries of other nodes dropped."""
+        the node index, or ``columns[node]`` when given (an n-wide map,
+        increasing over the nodes it keeps; ``-1`` drops a node)."""
         ...
 
     def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -334,7 +341,8 @@ class DistanceBackend(Protocol):
         ...
 
     def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
-        """:meth:`pair_distances` over a ``(k, 2)`` index array."""
+        """``d(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` index array,
+        read off ``i``'s exact row."""
         ...
 
     def pair_distance(self, i: int, j: int) -> float:
@@ -363,13 +371,12 @@ class DistanceBackend(Protocol):
 
 
 class _BackendBase:
-    """Shared machinery: the row LRU, batched counters.
+    """Shared machinery: the row LRU, batched counters, the ball solver.
 
     Subclasses provide :meth:`distances_from` /
     :meth:`distances_to_many` / :meth:`pair_distance` /
     :meth:`diameter_bounds`; everything derivable (pair batching,
-    k-neighborhoods, stats) lives here, and :meth:`balls` runs the
-    engine's sparse solver unless the backend holds the matrix.
+    balls, k-neighborhoods, stats) lives here.
     """
 
     name = "base"
@@ -424,25 +431,31 @@ class _BackendBase:
         return block[a, b]
 
     def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
-        """:meth:`pair_distances` over a ``(k, 2)`` index array.
+        """``d(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` index array.
 
-        The columnar batch kernels hold integer node indices; accepting
-        the array directly spares them a per-pair tuple conversion.
+        Each distance is read off the exact row of ``i``. The distinct
+        sources are solved in chunks whose rows fit in
+        :data:`DENSE_BALL_ENTRIES`, so a batch of any size holds one
+        chunk of rows at a time.
         """
         if len(pairs) == 0:
             return np.empty(0)
-        return self.pair_distances(pairs.tolist())
+        sources, at = np.unique(pairs[:, 0], return_inverse=True)
+        step = max(1, DENSE_BALL_ENTRIES // self._n)
+        out = np.empty(len(pairs))
+        for lo in range(0, len(sources), step):
+            rows = self.distances_to_many(sources[lo : lo + step].tolist())
+            sel = np.flatnonzero((at >= lo) & (at < lo + step))
+            out[sel] = rows[at[sel] - lo, pairs[sel, 1]]
+        return out
 
     def balls(
-        self, src_idx: Sequence[int], limit: float, tgt_idx: Sequence[int] | None = None
+        self, src_idx: Sequence[int], limit: float, columns: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         src, node, dist = self._engine.balls(src_idx, limit)
-        if tgt_idx is None:
+        if columns is None:
             return src, node, dist
-        # index-sorted targets: their positions keep the entries' order
-        position = np.full(self._n, -1)
-        position[tgt_idx] = np.arange(len(tgt_idx))
-        col = position[node]
+        col = columns[node]
         keep = np.flatnonzero(col >= 0)
         return src[keep], col[keep], dist[keep]
 
@@ -465,7 +478,9 @@ class _BackendBase:
 
 
 class FullMatrixBackend(_BackendBase):
-    """The seed oracle's full mode: one all-pairs solve, exact O(1) lookups."""
+    """The seed oracle's full mode: one all-pairs solve on the first dense
+    query, exact O(1) lookups after it; balls are solved, never read off
+    the matrix, so an overlay build leaves it unmaterialized."""
 
     name = "full"
     supports_matrix = True
@@ -492,9 +507,6 @@ class FullMatrixBackend(_BackendBase):
         self, src_idx: Sequence[int], tgt_idx: Sequence[int] | None = None
     ) -> np.ndarray:
         self._count_batched()
-        return self._block(src_idx, tgt_idx)
-
-    def _block(self, src_idx: Sequence[int], tgt_idx: Sequence[int] | None) -> np.ndarray:
         M = self._ensure()
         if tgt_idx is None:
             return M[list(src_idx)]
@@ -521,23 +533,6 @@ class FullMatrixBackend(_BackendBase):
             return np.empty(0)
         self._count_batched()
         return self._ensure()[pairs[:, 0], pairs[:, 1]]
-
-    def balls(
-        self, src_idx: Sequence[int], limit: float, tgt_idx: Sequence[int] | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the entries the engine would solve, read off the matrix (one
-        # flat scan: a 2-D nonzero is several times slower on the block).
-        # Consecutive sources, as in the level pass's first chunks, are
-        # read in place: their copy would be the largest transient of a
-        # build, and a freed copy makes the allocator keep the next one.
-        src = np.asarray(src_idx, dtype=np.intp)
-        if tgt_idx is None and src.size and src[-1] - src[0] + 1 == src.size and np.all(src[1:] > src[:-1]):
-            block = self._ensure()[src[0] : src[-1] + 1]
-        else:
-            block = self._block(src_idx, tgt_idx)
-        flat = np.flatnonzero(block <= limit)
-        src, col = np.divmod(flat, block.shape[1])
-        return src, col, block.ravel()[flat]
 
     def diameter_bounds(self) -> tuple[float, float]:
         d = float(self._ensure().max())
@@ -632,10 +627,7 @@ class LazyLRUBackend(_BackendBase):
 #: names accepted by :func:`make_backend` / ``SensorNetwork(distance_backend=…)``
 BACKEND_NAMES = ("full", "lazy")
 
-# a plain assignment, not an annotated one: RPL104 (``repro check``)
-# reads the values of this literal and checks each class against
-# ``DistanceBackend``, and it skips an annotated assignment
-_FACTORIES = {
+_FACTORIES: dict[str, Callable[..., DistanceBackend]] = {
     "full": FullMatrixBackend,
     "lazy": LazyLRUBackend,
 }

@@ -6,15 +6,16 @@ algorithm in this package relies on:
 
 - exact shortest-path distances ``dist_G(u, v)`` answered by a
   pluggable **distance backend** (:mod:`repro.graphs.backends`):
-  ``"full"`` precomputes the all-pairs matrix, ``"lazy"`` keeps exact
-  single-source rows in a bounded LRU,
+  ``"full"`` computes the all-pairs matrix on the first dense query,
+  ``"lazy"`` keeps exact single-source rows in a bounded LRU,
 - batched distance queries (:meth:`SensorNetwork.distances_to_many`,
   :meth:`SensorNetwork.pairwise_submatrix`,
   :meth:`SensorNetwork.pair_distances`,
   :meth:`SensorNetwork.consecutive_distances`) that resolve many
   sources in one Dijkstra call — the hot path of the trackers,
-- radius-limited balls (:meth:`SensorNetwork.balls`): every node within
-  a radius of each source, as sparse entries — the only query of
+- radius-limited balls (:meth:`SensorNetwork.balls`, and
+  :meth:`SensorNetwork.index_balls` over node indices): every node
+  within a radius of each source, as sparse entries — the only query of
   hierarchy construction,
 - the network diameter ``D`` (exact in matrix-backed modes; an iterated
   double-sweep estimate with a certified 2-approximation upper bound
@@ -24,11 +25,11 @@ algorithm in this package relies on:
 - deterministic integer indexing of nodes (node identifiers are sorted
   once; positional access is by :meth:`SensorNetwork.node_at`).
 
-Radius-limited queries go through :meth:`SensorNetwork.balls` alone:
-sparse ``(source position, node index, distance)`` entries, read off
-the matrix by ``full`` and solved without a dense row or a row cache by
-``lazy``. The dense queries take no radius, so no row they return is
-ever cut off at one.
+Radius-limited queries go through :meth:`SensorNetwork.index_balls`
+alone (:meth:`SensorNetwork.balls` is its node-level front): sparse
+``(source position, node index, distance)`` entries, solved without a
+dense row, a row cache or the matrix under both backends. The dense
+queries take no radius, so no row they return is ever cut off at one.
 
 The network reads the caller's graph in one pass, into arrays: node
 indices, the CSR adjacency every backend shares, the checked and
@@ -105,9 +106,10 @@ class SensorNetwork:
         unused by the ``full`` backend.
     distance_backend:
         Any name in :data:`repro.graphs.backends.BACKEND_NAMES` —
-        ``"full"`` precomputes the all-pairs matrix (O(n²) memory,
-        fastest repeated queries); ``"lazy"`` computes single-source
-        rows on demand and keeps the most recent ones in a bounded LRU
+        ``"full"`` computes the all-pairs matrix on the first dense
+        query (O(n²) memory, fastest repeated queries); ``"lazy"``
+        computes single-source rows on demand and keeps the most
+        recent ones in a bounded LRU
         (scales to hundreds of thousands of sensors) — or ``"auto"``
         (default), which picks ``full`` up to :data:`LAZY_THRESHOLD`
         nodes and ``lazy`` beyond. Components that genuinely need the
@@ -377,18 +379,40 @@ class SensorNetwork:
         node index; with ``targets`` (distinct nodes in network order)
         only their entries are kept and the column is the position in
         ``targets``. Nothing past the limit is stored, so memory follows
-        the balls, not ``len(sources) · n``. The ``full`` backend reads
-        the entries off the matrix; ``lazy`` runs a sparse Dijkstra
-        that bypasses the row cache (one ``limited_sssp`` per source).
+        the balls, not ``len(sources) · n``. Both backends run a sparse
+        Dijkstra that bypasses the row cache and the matrix (one
+        ``limited_sssp`` per source). The node-level front of
+        :meth:`index_balls`.
         """
         src_idx = [self._index[u] for u in sources]
-        tgt_idx = None if targets is None else [self._index[v] for v in targets]
-        if tgt_idx is not None:
-            if tgt_idx == self._all_idx:
-                tgt_idx = None  # every node in order — the node index is the column
-            elif np.any(np.diff(tgt_idx) <= 0):
-                raise ValueError("ball targets must be distinct nodes in network order")
-        return self._backend.balls(src_idx, limit, tgt_idx)
+        columns = None
+        if targets is not None:
+            tgt_idx = [self._index[v] for v in targets]
+            if tgt_idx != self._all_idx:  # every node in order: the node index is the column
+                if np.any(np.diff(tgt_idx) <= 0):
+                    raise ValueError("ball targets must be distinct nodes in network order")
+                columns = self.ball_columns(np.asarray(tgt_idx, dtype=np.int64))
+        return self._backend.balls(src_idx, limit, columns)
+
+    def index_balls(
+        self, sources: np.ndarray, limit: float, columns: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`balls` from node *indices*, against a prebuilt target map.
+
+        ``columns`` is :meth:`ball_columns` of the targets, or ``None``
+        for every node. Callers that query one target set chunk by chunk
+        (the level pass, the parent sets, the batch engine's SDL-hop
+        table) translate their nodes and build the map once.
+        """
+        return self._backend.balls(sources, limit, columns)
+
+    def ball_columns(self, targets: np.ndarray) -> np.ndarray:
+        """The ``columns`` map of :meth:`index_balls` for ``targets``
+        (distinct node indices in increasing order): each target's
+        position, ``-1`` for every other node."""
+        columns = np.full(self.n, -1, dtype=np.int64)
+        columns[targets] = np.arange(len(targets))
+        return columns
 
     def pair_distances(self, pairs: Sequence[tuple[Node, Node]]) -> np.ndarray:
         """``[dist(u, v) for u, v in pairs]`` resolved in one batched call.
@@ -406,11 +430,13 @@ class SensorNetwork:
         return self._backend.pair_distances(idx_pairs)
 
     def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
-        """:meth:`pair_distances` over a ``(k, 2)`` array of node *indices*.
+        """``dist(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` array of
+        node *indices*, read off ``i``'s exact row.
 
-        The columnar batch kernels already hold integer indices; this
-        skips the per-pair node-to-index dict lookups (and, on matrix
-        backends, resolves as one fancy-indexed gather).
+        The batch engine resolves its pending optima here when its
+        ledger is read. ``full`` gathers from its matrix; ``lazy``
+        solves the distinct sources in chunks whose rows fit in
+        :data:`repro.graphs.backends.DENSE_BALL_ENTRIES`.
         """
         if len(pairs) == 0:
             return np.empty(0)
@@ -432,6 +458,16 @@ class SensorNetwork:
     def path_length(self, seq: Sequence[Node]) -> float:
         """Total length of the visit sequence ``seq`` (sum of hops)."""
         return float(self.consecutive_distances(seq).sum())
+
+    @property
+    def total_weight(self) -> float:
+        """Sum of the (normalized) edge weights.
+
+        A shortest path uses each edge at most once, so this bounds the
+        diameter from above with no solve: the level pass sizes its
+        safety cap from it.
+        """
+        return float(self._weights.sum())
 
     @property
     def diameter(self) -> float:

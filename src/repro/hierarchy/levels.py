@@ -87,20 +87,23 @@ CHUNK = 512
 
 
 def _threshold_pairs(
-    net: SensorNetwork, members: list[Node], threshold: float
+    net: SensorNetwork, index: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs of ``members`` closer than ``threshold``: the edges of ``E_ℓ``.
+    """Pairs of members closer than ``threshold``: the edges of ``E_ℓ``.
 
+    ``index`` holds the members' network indices, in increasing order.
     Returns member positions ``(row, col)`` in row-major order, self
     pairs excluded, and their distances. Each chunk of sources is one
-    :meth:`~repro.graphs.network.SensorNetwork.balls` query of radius
-    ``threshold`` against the members, whose entries come row-major.
+    :meth:`~repro.graphs.network.SensorNetwork.index_balls` query of
+    radius ``threshold`` against the members, whose entries come
+    row-major; the members' column map is built once per level.
     """
+    columns = None if len(index) == net.n else net.ball_columns(index)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     dists: list[np.ndarray] = []
-    for start in range(0, len(members), CHUNK):
-        src, col, dist = net.balls(members[start : start + CHUNK], threshold, members)
+    for start in range(0, len(index), CHUNK):
+        src, col, dist = net.index_balls(index[start : start + CHUNK], threshold, columns)
         row = src + start
         pair = np.flatnonzero((dist < threshold) & (row != col))
         rows.append(row[pair])
@@ -168,15 +171,16 @@ def build_levels(
     # is adjacent and the MIS collapses to one node. The cap must come
     # from a certified *upper* bound on D — the lazy-mode double-sweep
     # estimate is a lower bound and capping on it truncated hierarchies
-    # on large networks before a single root existed.
-    _, d_upper = net.diameter_bounds
-    max_levels = int(np.ceil(np.log2(max(d_upper, 1.0)))) + 3
+    # on large networks before a single root existed. The sum of the
+    # edge weights bounds D with no solve, so the build asks the oracle
+    # for balls alone.
+    max_levels = int(np.ceil(np.log2(max(net.total_weight, 1.0)))) + 3
     while len(levels[-1]) > 1:
         ell += 1
         if ell > max_levels:
             raise RuntimeError("level construction failed to converge")
         members = levels[-1]
-        rows, cols, dists = _threshold_pairs(net, members, threshold=float(2**ell))
+        rows, cols, dists = _threshold_pairs(net, index, threshold=float(2**ell))
         with PERF.timer("hierarchy.mis"):
             if mis_algorithm == "luby":
                 upper, r = luby_mis_pairs(index, rows, cols, seed=seed + ell)

@@ -201,29 +201,34 @@ class Hierarchy(BaseHierarchy):
         """Parent sets of every ``w ∈ V_level``, solved on first read.
 
         One chunked ball query of ``V_level`` against ``V_{level+1}`` at
-        the parent-set radius. The default parent always belongs, which
-        matters for radius factors below 1 (it can lie past the radius,
-        never past ``2^(level+1)``).
+        the parent-set radius, over node indices translated once per
+        level. The default parent always belongs, which matters for
+        radius factors below 1 (it can lie past the radius, never past
+        ``2^(level+1)``).
         """
         sets = self._parent_sets[level]
         if sets is not None:
             return sets
+        net = self.net
         members = self.levels.levels[level]
         uppers = self.levels.levels[level + 1]
         radius = self.parent_set_radius_factor * (2.0 ** (level + 1))
-        position = {u: k for k, u in enumerate(uppers)}
         parent = self._default_parent[level]
+        member_idx = np.fromiter(map(net.index_of, members), np.int64, len(members))
+        columns = net.ball_columns(np.fromiter(map(net.index_of, uppers), np.int64, len(uppers)))
+        # each member's default parent as a position in ``uppers``
+        home = columns[[net.index_of(parent[w]) for w in members]]
         sets = {}
         for start in range(0, len(members), CHUNK):
             chunk = members[start : start + CHUNK]
-            src, col, _ = self.net.balls(chunk, radius, uppers)
+            src, col, _ = net.index_balls(member_idx[start : start + CHUNK], radius, columns)
             # each member's uppers in its ball, plus its default parent,
             # sorted and deduplicated as one (member, upper) key; uppers
             # are index-sorted, so each set comes out in ID order
             key = np.concatenate(
                 (
                     src * len(uppers) + col,
-                    np.arange(len(chunk)) * len(uppers) + [position[parent[w]] for w in chunk],
+                    np.arange(len(chunk)) * len(uppers) + home[start : start + CHUNK],
                 )
             )
             owner, col = np.divmod(np.unique(key), len(uppers))
@@ -332,9 +337,10 @@ def build_hierarchy(
 
     Works under either distance backend of ``net``: construction only
     issues radius-limited ball queries (see the exactness contract in
-    :mod:`repro.graphs.backends`) and sizes its level count from the
-    certified ``diameter_bounds`` upper bound, so the overlay is
-    identical whichever backend answers.
+    :mod:`repro.graphs.backends`) and caps its level count from the
+    sum of the edge weights, an upper bound on the diameter that needs
+    no solve, so the overlay is identical whichever backend answers and
+    a ``full`` network's matrix stays unmaterialized.
     """
     with TRACER.span("build", nodes=net.n, seed=seed) as sp:
         ls = build_levels(net, seed=seed, mis_algorithm=mis_algorithm)

@@ -22,12 +22,15 @@ reaches its ShardWorker over one of two transports:
   :class:`~repro.serve.transport.Channel`, and each request is one
   frame round trip.
 
-Workers are **forked**, not spawned: the hierarchy and the shared
-:class:`SensorNetwork` (including a ``full`` backend's distance matrix,
-which the hierarchy build reads in ``TrackingService.__init__``, before
-the fork) are inherited copy-on-write, so per-worker memory is the MOT
-state, not the graph. Fork also means a worker is always the same code
-version as its parent — the pickle framing never crosses versions.
+Workers are **forked**, not spawned: the hierarchy, the engine's
+static tables and the shared :class:`SensorNetwork` are inherited
+copy-on-write, so per-worker memory is the MOT state, not the graph.
+They inherit no distance matrix: bring-up builds the overlay from
+balls and the request path asks the oracle nothing, so a ``full``
+network computes its matrix only when a worker's ledger is first read
+(the ``snapshot`` and ``stop`` replies), in that worker. Fork also means
+a worker is always the same code version as its parent — the pickle
+framing never crosses versions.
 
 Worker processes are **wall-clock only**. The virtual clock's
 determinism contract needs every state transition on one cooperative

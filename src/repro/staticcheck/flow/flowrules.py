@@ -692,7 +692,8 @@ class BackendProtocolChecker(FlowChecker):
 
     The static complement of the ``repro audit-backend`` runtime gate:
     every factory handed to ``register_backend`` (and every entry of the
-    built-in ``_FACTORIES`` table) is resolved to its backend class,
+    built-in ``_FACTORIES`` table, annotated or not) is resolved to its
+    backend class,
     whose indexed MRO must provide each protocol member — the three
     properties and every method, with a compatible signature (same
     required positionals in the same order; extra parameters must be
@@ -750,11 +751,11 @@ class BackendProtocolChecker(FlowChecker):
                     and len(node.args) >= 2
                 ):
                     sites.append((node, node.args[1]))
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
-                if any(
-                    isinstance(t, ast.Name) and t.id == "_FACTORIES"
-                    for t in node.targets
-                ):
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
+                node.value, ast.Dict
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Name) and t.id == "_FACTORIES" for t in targets):
                     for value in node.value.values:
                         sites.append((value, value))
         return sites

@@ -79,7 +79,6 @@ class Outcome(NamedTuple):
     cost: float
     epoch: int
     coalesced: bool
-    optimal: float
     messages: int
 
 
@@ -91,7 +90,7 @@ def _apply(engine: BatchMOTEngine, ops) -> list[Outcome]:
     return [
         Outcome(
             kind, res.errors.get(i), node_at(res.proxy[i]), res.cost[i],
-            res.epoch[i], res.coalesced[i], res.optimal[i], res.messages[i],
+            res.epoch[i], res.coalesced[i], res.messages[i],
         )
         for i, (kind, _obj, _node) in enumerate(ops)
     ]
@@ -133,14 +132,19 @@ def _assert_equivalent(ops, scalar_results, outcomes):
 
 
 def _assert_ledgers_match(tracker, engine, ops, outcomes):
-    """Ledger equality modulo coalescing (twins are engine-side savings)."""
+    """Ledger equality modulo coalescing (twins are engine-side savings,
+    their optima the network's distance from the source to the answer)."""
     coalesced = [
         (out, op[2])
         for out, op in zip(outcomes, ops)
         if out.kind == "query" and out.error is None and out.coalesced
     ]
     saved_local = sum(1 for out, src in coalesced if out.proxy == src)
-    saved = [(out.cost, out.optimal, out.messages) for out, src in coalesced if out.proxy != src]
+    saved = [
+        (out.cost, engine.net.distance(src, out.proxy), out.messages)
+        for out, src in coalesced
+        if out.proxy != src
+    ]
     lt, le = tracker.ledger, engine.ledger
     assert le.publish_cost == pytest.approx(lt.publish_cost)
     assert le.maintenance_cost == pytest.approx(lt.maintenance_cost)

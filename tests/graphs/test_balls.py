@@ -5,7 +5,8 @@
 scipy's pruned Dijkstra (bit for bit, the same row-major order, nothing
 past the limit), one ``limited_sssp`` per source, and the row cache
 must stay untouched, on both sides of ``DENSE_BALL_ENTRIES``. The
-``full`` backend reads the same entries off its matrix.
+``full`` backend solves the same entries and leaves its matrix
+unmaterialized.
 """
 
 import networkx as nx
@@ -89,7 +90,7 @@ def test_entries_equal_pruned_dijkstra_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_matrix_backends_read_the_same_entries(name):
+def test_full_solves_the_same_entries_without_its_matrix(name):
     lazy = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
     sources = list(lazy.nodes)[::7]
     net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="full")
@@ -97,7 +98,10 @@ def test_matrix_backends_read_the_same_entries(name):
         got = net.balls(sources, limit)
         want = lazy.balls(sources, limit)
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert net.oracle_stats["limited_sssp"] == 0  # read, not solved
+    stats = net.oracle_stats
+    assert stats["limited_sssp"] == 3 * len(sources)  # solved, not read
+    assert stats["matrix_materialized"] is False
+    assert stats["rows_computed"] == 0
 
 
 @pytest.mark.parametrize("mode", ["lazy", "full"])

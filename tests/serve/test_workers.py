@@ -14,6 +14,7 @@ import signal
 
 import pytest
 
+from repro.core.batch import OpBatch
 from repro.core.costs import close_to
 from repro.graphs.generators import grid_network
 from repro.graphs.network import SensorNetwork
@@ -29,6 +30,7 @@ from repro.serve import (
     arrival_trace,
     replay,
 )
+from repro.serve.worker import ShardWorker, WorkerSpec
 from repro.sim.workload import make_workload
 
 NET = grid_network(6, 6)
@@ -136,13 +138,39 @@ class TestHealth:
                 NET, ServiceConfig(workers=2), seed=1, clock=VirtualClock()
             )
 
-    def test_full_matrix_is_resident_before_the_fork(self):
-        # workers share the parent's matrix copy-on-write only if it is
-        # resident when start() forks them: the hierarchy build in
-        # __init__ reads it, so no warm-up query is needed
+    def test_full_service_serves_without_its_matrix(self):
+        # bring-up builds the overlay from balls and the request path
+        # answers from static tables, so a ``full`` network computes no
+        # row and no matrix, and a forked worker inherits none
+        def untouched(net):
+            stats = net.oracle_stats
+            return stats["matrix_materialized"] is False and stats["rows_computed"] == 0
+
+        ops = [("publish", f"o{i}", NET.node_at(i)) for i in range(8)]
+        ops += [("move", f"o{i}", NET.node_at(35 - i)) for i in range(8)]
+        ops += [("query", f"o{i}", NET.node_at(3 * i)) for i in range(8)]
+
+        async def in_process(net):
+            service = TrackingService(net, ServiceConfig(shards=2), seed=1, clock=WallClock())
+            await service.start()
+            assert untouched(net)
+            for kind, obj, node in ops:
+                request = {"publish": PublishRequest, "move": MoveRequest, "query": QueryRequest}
+                await service.submit(request[kind](obj, node))
+            assert untouched(net)
+            await service.stop()
+
         net = SensorNetwork(NET.graph, normalize=False, distance_backend="full")
-        assert net.oracle_stats["matrix_materialized"] is False
-        TrackingService(net, ServiceConfig(workers=1), seed=1)
+        run(in_process(net))
+
+        net = SensorNetwork(NET.graph, normalize=False, distance_backend="full")
+        service = TrackingService(net, ServiceConfig(workers=1), seed=1)
+        worker = ShardWorker(WorkerSpec(0, service.hierarchy, service.mot_config))
+        kind, (_proxy, _cost, _epoch, _coalesced, errors) = worker.handle_batch(OpBatch.of(ops))
+        assert kind == "results" and not errors
+        assert untouched(net)
+        # the final frame's ledger is read, which resolves the optima
+        assert worker.handle_stop(None)[1].ledger.maintenance_ops == 8
         assert net.oracle_stats["matrix_materialized"] is True
 
 

@@ -522,6 +522,25 @@ class TestRPL104:
         found = check(**{"graphs.backends": _PROTOCOL + extra})
         assert rules_of(found) == ["RPL104"]  # pair_distance missing
 
+    def test_annotated_factories_table_is_a_registration_site(self):
+        extra = textwrap.dedent(
+            """\
+
+            from typing import Callable
+
+            class Partial:
+                name = "partial"
+                def distances_from(self, i):
+                    return []
+                def build_landmarks(self, k=None):
+                    return None
+
+            _FACTORIES: dict[str, Callable[..., DistanceBackend]] = {"partial": Partial}
+            """
+        )
+        found = check(**{"graphs.backends": _PROTOCOL + extra})
+        assert rules_of(found) == ["RPL104"]  # pair_distance missing
+
     def test_signature_mismatch_fires(self):
         found = check(
             **{

@@ -276,7 +276,8 @@ def test_audit_backend_to_stdout(capsys):
     names = {c["check"] for c in report["checks"]}
     assert {"full_bit_for_bit", "lazy_bit_for_bit", "full_matrix_flag",
             "lazy_matrix_flag", "lazy_balls_exact", "k_neighborhood_agreement",
-            "diameter_bracket", "overlay_parity"} <= names
+            "diameter_bracket", "overlay_parity", "build_matrix_free",
+            "sdl_hop_exact"} <= names
 
 
 def test_audit_backend_to_file(tmp_path, capsys):
