@@ -78,9 +78,9 @@ Contracts:
   ``(source, target)`` pairs, costs and message count wait in packed
   buffers (16 bytes per op, 17 per call), and every read of
   :attr:`BatchMOTEngine.ledger` resolves them (one exact row per
-  distinct source) and records each call's delta in call order —
-  bit-identical to recording it at call time. Assigning the ledger
-  (snapshot restore) drops what is pending.
+  distinct source, never ``full``'s whole matrix) and records each
+  call's delta in call order — bit-identical to recording it at call
+  time. Assigning the ledger (snapshot restore) drops what is pending.
 - The applied-op log and the answered-query log are appended to
   capacity-doubling column buffers; :attr:`BatchMOTEngine.oplog` and
   :attr:`BatchMOTEngine.query_log` are read-only views built on read.
@@ -140,7 +140,7 @@ class _Tables:
         # (valid only at that level's member indices; -1 elsewhere); the
         # hop distances come from the hierarchy's own construction solve,
         # so building the tables runs no oracle query
-        members: list[np.ndarray] = []  # V_l as increasing node indices
+        member_idx: list[np.ndarray] = []  # V_l as increasing node indices
         dparr: list[np.ndarray] = []
         hop_full: list[np.ndarray] = []
         for ell in range(h):
@@ -150,7 +150,7 @@ class _Tables:
             hf = np.zeros(n, dtype=np.float64)
             dp[idx] = [index_of(hs.default_parent(ell, w)) for w in level]  # type: ignore[attr-defined]
             hf[idx] = [hs.default_parent_hop(ell, w) for w in level]  # type: ignore[attr-defined]
-            members.append(idx)
+            member_idx.append(idx)
             dparr.append(dp)
             hop_full.append(hf)
 
@@ -188,21 +188,21 @@ class _Tables:
         sdl_hop = np.zeros((h + 1, n), dtype=np.float64)
         if config.use_special_parents:
             for ell in range(1, h - gap):
-                w = members[ell]
-                reach = np.zeros(len(w))
-                cur = w
+                vl = member_idx[ell]
+                reach = np.zeros(len(vl))
+                cur = vl
                 for step in range(ell, ell + gap):
                     reach += hop_full[step][cur]
                     cur = dparr[step][cur]
                 hosts, at = np.unique(cur, return_inverse=True)
                 src, col, dist = net.index_balls(
-                    hosts, _ball_cutoff(float(reach.max())), net.ball_columns(w)
+                    hosts, _ball_cutoff(float(reach.max())), net.ball_columns(vl)
                 )
-                key = src * len(w) + col  # increasing: entries are row-major
-                want = at * len(w) + np.arange(len(w))
+                key = src * len(vl) + col  # increasing: entries are row-major
+                want = at * len(vl) + np.arange(len(vl))
                 pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
                 assert np.array_equal(key[pos], want), "an SDL host lies outside its ball"
-                sdl_hop[ell, w] = dist[pos]
+                sdl_hop[ell, vl] = dist[pos]
 
         # SDL install/remove message cost per (level, node) — only
         # charged in count_special_parent_cost mode
@@ -500,15 +500,34 @@ class BatchMOTEngine:
         pend = self._pending[: self._n_pending]
         optimal = self.net.pair_index_distances(np.column_stack((pend["source"], pend["target"])))
         cost = np.ascontiguousarray(pend["cost"])
+        calls = self._calls[: self._n_calls]
+        end = calls["end"]
+        start = np.concatenate(([0], end[:-1]))
+        # a one-op call's sums are its entries; a longer call keeps its
+        # own np.add.reduce, whose pairwise order a segmented sum would
+        # not reproduce (np.add.reduceat adds sequentially)
+        cost_sum, opt_sum = cost[start], optimal[start]
+        for k in np.flatnonzero(end - start > 1).tolist():
+            cost_sum[k] = np.add.reduce(cost[start[k] : end[k]])
+            opt_sum[k] = np.add.reduce(optimal[start[k] : end[k]])
+        # each call's largest cost / optimum over its positive optima
+        # (a maximum rounds nothing, so the segmented one is exact);
+        # -inf marks a call without one
+        ratio = np.full(len(cost), -np.inf)
+        np.divide(cost, optimal, out=ratio, where=optimal > 0)
+        worst = np.maximum.reduceat(ratio, start)
         ledger = self._ledger
-        start = 0
-        for end, messages, kind in self._calls[: self._n_calls].tolist():
-            delta = _delta(cost[start:end], optimal[start:end], messages)
-            if kind == _MOVE:
-                ledger.record_maintenance_batch(*delta)
-            else:
-                ledger.record_query_batch(*delta)
-            start = end
+        for kind, ops, messages, c, o, top in zip(
+            calls["kind"].tolist(),
+            (end - start).tolist(),
+            calls["messages"].tolist(),
+            cost_sum.tolist(),
+            opt_sum.tolist(),
+            worst.tolist(),
+            strict=True,
+        ):
+            record = ledger.record_maintenance_batch if kind == _MOVE else ledger.record_query_batch
+            record(c, o, ops, messages, None if top == -np.inf else top)
         self._drop_pending()
 
     # ------------------------------------------------------------------
@@ -947,22 +966,6 @@ class BatchMOTEngine:
             seg["cost"] = costs[at]
             seg["coalesced"] = coalesced[at]
             self._n_queries = end
-
-
-def _delta(
-    cost: np.ndarray, optimal: np.ndarray, messages: int
-) -> tuple[float, float, int, int, float | None]:
-    """One kernel call's ledger delta: the sums, the op count, the
-    message count and the largest ``cost / optimal`` over positive
-    optima (``None`` if there is none)."""
-    positive = optimal > 0
-    if positive.all():
-        worst: float | None = float(np.maximum.reduce(cost / optimal))
-    elif positive.any():
-        worst = float(np.maximum.reduce(cost[positive] / optimal[positive]))
-    else:
-        worst = None
-    return float(np.add.reduce(cost)), float(np.add.reduce(optimal)), len(cost), messages, worst
 
 
 # ----------------------------------------------------------------------

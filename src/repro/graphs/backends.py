@@ -40,7 +40,11 @@ Exactness contract (what each consumer layer may assume):
   one and reads every later one off it; ``lazy`` solves the rows it
   needs into its bounded LRU. Pair batches are read off each source's
   exact row, distinct sources solved in chunks whose rows fit in
-  :data:`DENSE_BALL_ENTRIES`.
+  :data:`DENSE_BALL_ENTRIES`. The one dense query that never computes
+  ``full``'s matrix is an index pair batch (``pair_index_distances``,
+  the batch engine's ledger read): until the matrix is resident it
+  solves the chunks' rows and keeps none, so a forked worker that
+  reads its ledger holds one chunk of rows, not a private matrix.
 - **Diameter bounds are always certified.** ``diameter_bounds()``
   returns ``(lo, hi)`` with ``lo ≤ D ≤ hi``: ``(D, D)`` off the matrix,
   an iterated double sweep and twice it off rows. Both are dense
@@ -337,12 +341,14 @@ class DistanceBackend(Protocol):
         ...
 
     def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """``[d(i, j) for i, j in pairs]`` via one batched solve."""
+        """``[d(i, j) for i, j in pairs]``: :meth:`pair_index_distances`
+        of the pairs, a dense query."""
         ...
 
     def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
         """``d(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` index array,
-        read off ``i``'s exact row."""
+        read off ``i``'s exact row; ``full`` solves only the sources'
+        rows while its matrix is not resident."""
         ...
 
     def pair_distance(self, i: int, j: int) -> float:
@@ -418,17 +424,7 @@ class _BackendBase:
         PERF.incr("oracle.batched_calls")
 
     def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Unique first elements become sources, unique seconds targets."""
-        if not pairs:
-            return np.empty(0)
-        srcs = list(dict.fromkeys(i for i, _ in pairs))
-        tgts = list(dict.fromkeys(j for _, j in pairs))
-        spos = {i: k for k, i in enumerate(srcs)}
-        tpos = {j: k for k, j in enumerate(tgts)}
-        block = self.distances_to_many(srcs, tgts)
-        a = np.asarray([spos[i] for i, _ in pairs])
-        b = np.asarray([tpos[j] for _, j in pairs])
-        return block[a, b]
+        return self.pair_index_distances(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
     def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
         """``d(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` index array.
@@ -436,18 +432,28 @@ class _BackendBase:
         Each distance is read off the exact row of ``i``. The distinct
         sources are solved in chunks whose rows fit in
         :data:`DENSE_BALL_ENTRIES`, so a batch of any size holds one
-        chunk of rows at a time.
+        chunk of rows at a time; they go in order of first appearance,
+        the order a row cache sees them in.
         """
         if len(pairs) == 0:
             return np.empty(0)
-        sources, at = np.unique(pairs[:, 0], return_inverse=True)
+        src = pairs[:, 0]
+        _, first, at = np.unique(src, return_index=True, return_inverse=True)
+        at = np.argsort(np.argsort(first))[at]  # each pair's source rank
+        sources = src[np.sort(first)]
+        by_rank = np.argsort(at, kind="stable")
+        ranks = at[by_rank]
         step = max(1, DENSE_BALL_ENTRIES // self._n)
         out = np.empty(len(pairs))
         for lo in range(0, len(sources), step):
-            rows = self.distances_to_many(sources[lo : lo + step].tolist())
-            sel = np.flatnonzero((at >= lo) & (at < lo + step))
+            rows = self._source_rows(sources[lo : lo + step])
+            sel = by_rank[np.searchsorted(ranks, lo) : np.searchsorted(ranks, lo + step)]
             out[sel] = rows[at[sel] - lo, pairs[sel, 1]]
         return out
+
+    def _source_rows(self, sources: np.ndarray) -> np.ndarray:
+        """The exact rows of one chunk of a pair batch's sources."""
+        return self.distances_to_many(sources.tolist())
 
     def balls(
         self, src_idx: Sequence[int], limit: float, columns: np.ndarray | None = None
@@ -518,21 +524,22 @@ class FullMatrixBackend(_BackendBase):
         return float(self._ensure()[i, j])
 
     def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        # the base implementation deduplicates sources/targets to keep
-        # the distances_to_many block small — pointless when the whole
-        # matrix is resident: one fancy-indexed gather beats the Python
-        # dict churn (the columnar batch kernels hit this per batch)
-        if len(pairs) == 0:
-            return np.empty(0)
-        self._count_batched()
-        arr = np.asarray(pairs, dtype=np.intp)
-        return self._ensure()[arr[:, 0], arr[:, 1]]
+        if len(pairs):
+            self._ensure()  # a dense query: the matrix is computed here
+        return super().pair_distances(pairs)
 
     def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
-        if len(pairs) == 0:
-            return np.empty(0)
+        # while no matrix is resident, the batch engine's ledger read
+        # solves only its sources' rows: a forked worker builds no
+        # private copy of the matrix to resolve its optima
+        if self._dist is None or len(pairs) == 0:
+            return super().pair_index_distances(pairs)
         self._count_batched()
-        return self._ensure()[pairs[:, 0], pairs[:, 1]]
+        return self._dist[pairs[:, 0], pairs[:, 1]]
+
+    def _source_rows(self, sources: np.ndarray) -> np.ndarray:
+        self._count_batched()
+        return self._engine.solve(sources)
 
     def diameter_bounds(self) -> tuple[float, float]:
         d = float(self._ensure().max())

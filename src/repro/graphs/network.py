@@ -418,11 +418,12 @@ class SensorNetwork:
         """``[dist(u, v) for u, v in pairs]`` resolved in one batched call.
 
         The batched replacement for per-pair :meth:`distance` loops
-        (lint rule RPL001): unique first elements become Dijkstra
-        sources, unique second elements become target columns, so ``k``
-        pairs cost one multi-source solve over the distinct sources
-        instead of up to ``k`` independent row computations. Duplicate
-        pairs and repeated endpoints are free.
+        (lint rule RPL001): each distance is read off its first
+        element's row (:meth:`pair_index_distances`), so ``k`` pairs
+        cost one multi-source solve over the distinct sources instead
+        of up to ``k`` independent row computations. Duplicate pairs and
+        repeated endpoints are free. A dense query: ``full`` computes
+        its matrix here.
         """
         if not pairs:
             return np.empty(0)
@@ -434,9 +435,10 @@ class SensorNetwork:
         node *indices*, read off ``i``'s exact row.
 
         The batch engine resolves its pending optima here when its
-        ledger is read. ``full`` gathers from its matrix; ``lazy``
-        solves the distinct sources in chunks whose rows fit in
-        :data:`repro.graphs.backends.DENSE_BALL_ENTRIES`.
+        ledger is read. The distinct sources are solved in chunks whose
+        rows fit in :data:`repro.graphs.backends.DENSE_BALL_ENTRIES`
+        (``lazy`` through its row cache); ``full`` gathers from its
+        matrix when it is resident and never computes it here.
         """
         if len(pairs) == 0:
             return np.empty(0)

@@ -26,9 +26,10 @@ Workers are **forked**, not spawned: the hierarchy, the engine's
 static tables and the shared :class:`SensorNetwork` are inherited
 copy-on-write, so per-worker memory is the MOT state, not the graph.
 They inherit no distance matrix: bring-up builds the overlay from
-balls and the request path asks the oracle nothing, so a ``full``
-network computes its matrix only when a worker's ledger is first read
-(the ``snapshot`` and ``stop`` replies), in that worker. Fork also means
+balls and the request path asks the oracle nothing. A worker's ledger
+read (the ``snapshot`` and ``stop`` replies) solves only the rows of
+its pending optima's distinct sources, one chunk at a time, so a
+``full`` network's matrix is computed in no worker. Fork also means
 a worker is always the same code version as its parent — the pickle
 framing never crosses versions.
 

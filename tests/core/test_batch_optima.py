@@ -187,4 +187,4 @@ def test_ledger_assignment_drops_what_is_pending():
     assert engine._n_calls > 0
     engine.ledger = CostLedger()
     assert engine.ledger == CostLedger()
-    assert net.oracle_stats["matrix_materialized"] is False  # nothing resolved
+    assert net.oracle_stats["rows_computed"] == 0  # nothing resolved

@@ -132,20 +132,28 @@ class TestBatchedQueries:
         assert stats["row_cache_hits"] == 1 and stats["row_cache_misses"] == 3
         assert stats["rows_computed"] == 3  # source 7 was not solved again
 
+    @pytest.mark.parametrize("backend", ["lazy", "full"])
     @pytest.mark.parametrize("entries", [36, 36 * 5, 1 << 19], ids=["1-row", "5-rows", "default"])
-    def test_pair_index_distances_read_each_sources_row_in_chunks(self, entries, monkeypatch):
+    def test_pair_index_distances_read_each_sources_row_in_chunks(self, entries, backend, monkeypatch):
         """Every pair is its source's exact row entry, bit for bit, however
-        many rows a chunk of distinct sources may hold."""
+        many rows a chunk of distinct sources may hold; ``full`` solves
+        those rows and leaves its matrix unbuilt, until a node-level pair
+        batch (a dense query) computes it."""
         from repro.graphs import backends
 
         base = random_geometric_network(36, seed=4)
         ref = np.asarray(SensorNetwork(base.graph, normalize=False, distance_backend="full").distance_matrix)
-        net = SensorNetwork(base.graph, normalize=False, distance_backend="lazy", lazy_cache_rows=4)
+        net = SensorNetwork(base.graph, normalize=False, distance_backend=backend, lazy_cache_rows=4)
         monkeypatch.setattr(backends, "DENSE_BALL_ENTRIES", entries)
         rng = np.random.default_rng(8)
         pairs = rng.integers(0, 36, size=(300, 2))
         assert np.array_equal(net.pair_index_distances(pairs), ref[pairs[:, 0], pairs[:, 1]])
-        assert net.oracle_stats["rows_computed"] == len(np.unique(pairs[:, 0]))
+        stats = net.oracle_stats
+        assert stats["rows_computed"] == len(np.unique(pairs[:, 0]))
+        assert stats["matrix_materialized"] is False
+        nodes = [(net.node_at(i), net.node_at(j)) for i, j in pairs.tolist()]
+        assert np.array_equal(net.pair_distances(nodes), ref[pairs[:, 0], pairs[:, 1]])
+        assert net.oracle_stats["matrix_materialized"] is (backend == "full")
 
 
 class TestRowLRU:

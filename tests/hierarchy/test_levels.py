@@ -42,27 +42,35 @@ class TestShape:
 class TestDiameterTruncationRegression:
     """The lazy-mode double sweep is a *lower* bound on D; capping
     ``max_levels`` on it used to truncate hierarchies before a single
-    root existed. ``build_levels`` must size its safety cap from the
-    certified upper bound instead."""
+    root existed. ``build_levels`` sizes its safety cap from
+    ``total_weight``, the sum of the edge weights: a certified upper
+    bound on D that needs no solve."""
 
     def test_converges_when_diameter_underestimates(self, monkeypatch):
         from repro.graphs.network import SensorNetwork
 
+        def unavailable(self):
+            raise AssertionError("the level pass read the diameter bounds")
+
         net = grid_network(12, 12)
         true_d = net.diameter
-        # a pathologically bad estimate: the old code capped max_levels on
-        # the *estimate* and raised "failed to converge" here; the fix
-        # sizes the cap from the certified upper bound
-        monkeypatch.setattr(
-            SensorNetwork, "diameter",
-            property(lambda self: true_d / 8.0),
-        )
-        monkeypatch.setattr(
-            SensorNetwork, "diameter_bounds",
-            property(lambda self: (true_d / 8.0, true_d)),
-        )
+        # a pathologically bad estimate (the old code capped max_levels
+        # on it and raised "failed to converge" here), and no bounds to
+        # read at all: the cap comes from total_weight
+        monkeypatch.setattr(SensorNetwork, "diameter", property(lambda self: true_d / 8.0))
+        monkeypatch.setattr(SensorNetwork, "diameter_bounds", property(unavailable))
         ls = build_levels(net, seed=3)
         assert len(ls.levels[-1]) == 1  # single root despite the bad estimate
+
+    def test_cap_is_sized_from_the_total_weight(self, monkeypatch):
+        from repro.graphs.network import SensorNetwork
+
+        # a bound below D leaves too few levels for a single root: the
+        # cap reads total_weight and nothing else
+        net = grid_network(12, 12)
+        monkeypatch.setattr(SensorNetwork, "total_weight", property(lambda self: 1.0))
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            build_levels(net, seed=3)
 
     def test_lazy_mode_reaches_single_root(self):
         from repro.graphs.network import SensorNetwork
