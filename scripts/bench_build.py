@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The hierarchy-build microbench, as a JSON artifact.
 
-Two cases, each built ``--repeats`` times with best/mean wall time, the
+Three cases, each built ``--repeats`` times with best/mean wall time, the
 level sizes and the radius-limited solves (``limited_sssp``) of one
 build, and ``peak_traced_mb``: the peak of Python allocations during
 one more build, untimed, under ``tracemalloc`` (the network is made
@@ -15,10 +15,14 @@ before tracing starts). Each case also records:
   ``SensorNetwork`` construction from the caller's graph, timed
   ``--repeats`` times on its own (the build times leave it out);
 - ``phases_s``: mean seconds per repeat of every ``PERF`` timer that
-  ran during the timed repeats — ``graphs.ingest`` (network
+  ran during the timed builds — ``graphs.ingest`` (network
   construction), ``oracle.solve`` (exact rows), ``oracle.balls``
   (radius-limited balls), ``oracle.full_matrix``, ``hierarchy.mis``
-  and ``hierarchy.parents`` (default parents).
+  and ``hierarchy.parents`` (default parents);
+- ``tables_best_s`` / ``tables_mean_s`` / ``tables_times_s``: the batch
+  engine's static tables (``repro.core.batch.engine_tables``, default
+  ``MOTConfig``) over each repeat's hierarchy, timed on their own (the
+  build times leave them out).
 
 The cases:
 
@@ -32,7 +36,9 @@ The cases:
 - under ``lazy_4096``, the 64x64 grid on the lazy row oracle, the
   network of perfbench's ``open-queries-4k``. Every repeat builds a
   fresh network, so each one pays the whole build: one sparse ball per
-  level member.
+  level member from level 1 up (level 0's pairs are read off the CSR);
+- under ``lazy_65536``, the 256x256 grid, built the same way: the scale
+  ROADMAP item 3 (a bring-up linear in ``n``) is measured at.
 
 CI uploads the output as ``BENCH_build.json`` next to the serve-bench
 report, so regressions show up as artifact diffs rather than anecdotes.
@@ -50,12 +56,16 @@ from typing import Any, Callable
 
 
 def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, Any]:
-    """Time ``repeats`` builds; sizes and solve count come from the last one."""
+    """Time ``repeats`` builds and their tables; sizes and solve count
+    come from the last build."""
+    from repro.core.batch import engine_tables
+    from repro.core.mot import MOTConfig
     from repro.hierarchy.structure import build_hierarchy
     from repro.perf import PERF
 
     PERF.reset()
     times: list[float] = []
+    built = []
     for _ in range(repeats):
         net = make_net()
         before = net.oracle_stats["limited_sssp"]
@@ -63,7 +73,14 @@ def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, An
         hs = build_hierarchy(net, seed=seed)
         times.append(time.perf_counter() - t0)
         solves = net.oracle_stats["limited_sssp"] - before
+        built.append(hs)
     phases = {name: stat["total_s"] / repeats for name, stat in PERF.report()["timers"].items()}
+    table_times: list[float] = []
+    for each in built:
+        t0 = time.perf_counter()
+        engine_tables(each, MOTConfig())
+        table_times.append(time.perf_counter() - t0)
+    del built
     # tracing slows the build, so its memory is read off a build of its own
     traced = make_net()
     tracemalloc.start()
@@ -82,6 +99,9 @@ def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, An
         "mean_s": sum(times) / len(times),
         "times_s": times,
         "phases_s": phases,
+        "tables_best_s": min(table_times),
+        "tables_mean_s": sum(table_times) / len(table_times),
+        "tables_times_s": table_times,
         "peak_traced_mb": peak / 2**20,
         "matrix_materialized": bool(net.oracle_stats["matrix_materialized"]),
     }
@@ -117,13 +137,21 @@ def main() -> None:
     net = grid_network(64, 32)
     full = _bench(lambda: net, args.repeats, args.seed)
     full.update(_network(net.graph, "full", args.repeats))
-    lazy_graph = grid_network(64, 64).graph
-    lazy = _bench(
-        lambda: SensorNetwork(lazy_graph, normalize=False, distance_backend="lazy"),
-        args.repeats,
-        args.seed,
-    )
-    lazy.update(_network(lazy_graph, "lazy", args.repeats))
+    lazy_cases = {}
+    for side in (64, 256):
+        graph = grid_network(side, side).graph
+        case = _bench(
+            lambda graph=graph: SensorNetwork(graph, normalize=False, distance_backend="lazy"),
+            args.repeats,
+            args.seed,
+        )
+        case.update(_network(graph, "lazy", args.repeats))
+        nodes = side * side
+        lazy_cases[f"lazy_{nodes}"] = {
+            "bench": f"hierarchy_build_{nodes}_lazy",
+            "grid": [side, side],
+            **case,
+        }
     report = {
         "bench": "hierarchy_build_2048",
         "nodes": net.n,
@@ -143,7 +171,10 @@ def main() -> None:
         "network_best_s": full["network_best_s"],
         "network_mean_s": full["network_mean_s"],
         "network_times_s": full["network_times_s"],
-        "lazy_4096": {"bench": "hierarchy_build_4096_lazy", "grid": [64, 64], **lazy},
+        "tables_best_s": full["tables_best_s"],
+        "tables_mean_s": full["tables_mean_s"],
+        "tables_times_s": full["tables_times_s"],
+        **lazy_cases,
     }
     text = json.dumps(report, indent=1)
     with open(args.out, "w", encoding="utf-8") as fh:

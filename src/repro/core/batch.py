@@ -116,6 +116,7 @@ __all__ = [
     "BatchAuditReport",
     "OpBatch",
     "audit_batch_core",
+    "engine_tables",
 ]
 
 
@@ -133,24 +134,21 @@ class _Tables:
         self.h = h
         self.gap = gap
 
-        index_of = net.index_of
-        node_at = net.node_at
-
         # per-level default-parent maps as full-width index arrays
-        # (valid only at that level's member indices; -1 elsewhere); the
-        # hop distances come from the hierarchy's own construction solve,
-        # so building the tables runs no oracle query
-        member_idx: list[np.ndarray] = []  # V_l as increasing node indices
+        # (valid only at that level's member indices; -1 elsewhere), from
+        # the level pass's index arrays; the hop distances come from its
+        # own construction solve, so building the tables runs no oracle
+        # query
+        ls = hs.levels  # type: ignore[attr-defined]
+        member_idx: list[np.ndarray] = ls.level_index  # V_l as increasing node indices
         dparr: list[np.ndarray] = []
         hop_full: list[np.ndarray] = []
         for ell in range(h):
-            level = hs.level_nodes(ell)  # type: ignore[attr-defined]
-            idx = np.fromiter(map(index_of, level), np.int64, len(level))
+            idx = member_idx[ell]
             dp = np.full(n, -1, dtype=np.int64)
             hf = np.zeros(n, dtype=np.float64)
-            dp[idx] = [index_of(hs.default_parent(ell, w)) for w in level]  # type: ignore[attr-defined]
-            hf[idx] = [hs.default_parent_hop(ell, w) for w in level]  # type: ignore[attr-defined]
-            member_idx.append(idx)
+            dp[idx] = ls.parent_index[ell]
+            hf[idx] = ls.parent_hop[ell]
             dparr.append(dp)
             hop_full.append(hf)
 
@@ -210,12 +208,12 @@ class _Tables:
         count_sdl = config.use_special_parents and config.count_special_parent_cost
         if count_sdl:
             sdl_cost = np.zeros((n, h + 1), dtype=np.float64)
+            nodes = ls.nodes
             for ell in range(1, h):
-                members = hs.level_nodes(ell)  # type: ignore[attr-defined]
-                pairs = [(w, node_at(int(lift[ell, index_of(w)]))) for w in members]
-                costs = net.pair_distances(pairs)
-                for k, w in enumerate(members):
-                    sdl_cost[index_of(w), ell] = costs[k]
+                idx = member_idx[ell]
+                lifted = lift[ell, idx].tolist()
+                pairs = [(nodes[w], nodes[x]) for w, x in zip(idx.tolist(), lifted, strict=True)]
+                sdl_cost[idx, ell] = net.pair_distances(pairs)
             self.sdl_cost = sdl_cost
 
         # publish/move cost prefixes in scalar addition order: the climb
@@ -249,7 +247,11 @@ _TABLE_CACHE: "weakref.WeakKeyDictionary[BaseHierarchy, dict]" = (
 )
 
 
-def _tables_for(hs: BaseHierarchy, config: MOTConfig) -> _Tables:
+def engine_tables(hs: BaseHierarchy, config: MOTConfig) -> _Tables:
+    """The static tables every :class:`BatchMOTEngine` over ``hs`` with
+    ``config``'s SDL settings reads, built on the first call and cached
+    with the hierarchy. A process that builds them before it forks hands
+    them to its children with the hierarchy."""
     per_hs = _TABLE_CACHE.setdefault(hs, {})
     key = (config.use_special_parents, config.count_special_parent_cost)
     tables = per_hs.get(key)
@@ -387,7 +389,7 @@ class BatchMOTEngine:
                 "(single default-parent chains)"
             )
         self._ledger = CostLedger()
-        self._t = _tables_for(hierarchy, self.config)
+        self._t = engine_tables(hierarchy, self.config)
         self.h = self._t.h
         self._index = self.net.index_map
         # SDL probe coordinates: a source chain at level ell (gap < ell

@@ -19,7 +19,13 @@ Checks per graph (a grid and a random geometric network by default):
 - **diameter bracket** — ``diameter_bounds`` contains the true
   diameter under both backends;
 - **overlay parity** — ``build_hierarchy`` gives equal levels, default
-  parents and hops (exact ``==``) under ``full`` and ``lazy``;
+  parents and hops (the level pass's index arrays, exact ``==``) under
+  ``full`` and ``lazy``;
+- **E₀ off the CSR** — the single edges lighter than 2 read off the CSR
+  equal the pairs closer than 2 solved as balls (exact ``==``), and a
+  build solves no level-0 ball; a copy with every weight halved (its
+  lightest edge below 1, unnormalized) solves all of them
+  (``level0_pairs_exact``);
 - **a build without the matrix** — a fresh ``full`` network's overlay
   and batch-engine tables leave the matrix unmaterialized and compute
   no exact row (``build_matrix_free``);
@@ -33,19 +39,20 @@ gates the CLI exit code.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
+import networkx as nx
 import numpy as np
 
 from repro.core.batch import BatchMOTEngine
 from repro.graphs.backends import BACKEND_NAMES
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
+from repro.hierarchy.levels import ball_pairs, build_levels
 from repro.hierarchy.structure import build_hierarchy
 
-Node = Hashable
-#: levels, default parents and hops of one overlay
-Overlay = tuple[list[list[Node]], list[dict[Node, Node]], list[dict[Node, float]]]
+#: levels, default parents and hops of one overlay, as index arrays
+Overlay = tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]
 
 __all__ = ["run_backend_audit"]
 
@@ -67,9 +74,41 @@ def _sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
 
 
 def _overlay(net: SensorNetwork, seed: int) -> Overlay:
-    """Levels, default parents and hops of ``net``'s default overlay."""
-    levels = build_hierarchy(net, seed=seed).levels
-    return levels.levels, levels.default_parents, levels.default_parent_hops
+    """Levels, default parents and hops of ``net``'s default overlay, as
+    the level pass's index arrays."""
+    ls = build_hierarchy(net, seed=seed).levels
+    return ls.level_index, ls.parent_index, ls.parent_hop
+
+
+def _same_overlay(a: Overlay, b: Overlay) -> bool:
+    return all(
+        len(x) == len(y) and all(np.array_equal(p, q) for p, q in zip(x, y, strict=True))
+        for x, y in zip(a, b, strict=True)
+    )
+
+
+def _level0_checks(graph: nx.Graph, seed: int) -> tuple[bool, str]:
+    """E₀ read off the CSR against E₀ solved as balls, and the ball
+    solves a build spends on level 0 with and without the shortcut."""
+    net = SensorNetwork(graph, normalize=False)
+    solved = ball_pairs(net, np.arange(net.n), 2.0)
+    read = net.edges_below(2.0)
+    same = all(np.array_equal(a, b) for a, b in zip(read, solved, strict=True))
+    spent = []
+    for factor in (1.0, 0.5):  # halved: the lightest edge is below 1
+        scaled = graph.copy()
+        for _, _, data in scaled.edges(data=True):
+            data["weight"] = data.get("weight", 1.0) * factor
+        fresh = SensorNetwork(scaled, normalize=False)
+        ls = build_levels(fresh, seed=seed)
+        balls = sum(len(index) for index in ls.level_index[1:-1])
+        spent.append(fresh.oracle_stats["limited_sssp"] - balls)
+    shortcut = 2.0 <= 2.0 * net.lightest_edge
+    ok = shortcut and same and spent == [0, net.n]
+    return ok, (
+        f"{len(read[0])} E0 pairs off the CSR equal the balls' ({same}); level-0 ball "
+        f"solves {spent[0]} as given, {spent[1]} with weights halved (n={net.n})"
+    )
 
 
 def _audit_one_graph(label: str, base: SensorNetwork, seed: int) -> list[dict[str, object]]:
@@ -150,10 +189,11 @@ def _audit_one_graph(label: str, base: SensorNetwork, seed: int) -> list[dict[st
     reference = overlays["full"]
     record(
         "overlay_parity",
-        all(overlay == reference for overlay in overlays.values()),
+        all(_same_overlay(overlay, reference) for overlay in overlays.values()),
         f"levels, default parents and hops of {len(reference[0])} levels "
         f"identical under {', '.join(overlays)}",
     )
+    record("level0_pairs_exact", *_level0_checks(base.graph, seed))
 
     # -- a full build and its tables leave the matrix alone ------------
     fresh = SensorNetwork(base.graph, normalize=False, distance_backend="full")
@@ -168,11 +208,9 @@ def _audit_one_graph(label: str, base: SensorNetwork, seed: int) -> list[dict[st
     )
 
     # -- each SDL hop is its host's exact distance ---------------------
-    level, child = [], []
-    for ell in range(1, hs.h - 1):
-        members = [fresh.index_of(w) for w in hs.level_nodes(ell)]
-        level += [ell] * len(members)
-        child += members
+    members = hs.levels.level_index[1 : hs.h - 1]
+    level = np.repeat(np.arange(1, hs.h - 1), [len(m) for m in members])
+    child = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
     host = tables.lift[level, child]
     record(
         "sdl_hop_exact",

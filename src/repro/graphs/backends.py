@@ -119,27 +119,36 @@ def _insert_sorted(
 
 
 #: dense entries (sources × nodes) up to which :meth:`SsspEngine.balls`
-#: takes scipy's pruned solve: 4 MiB of float64. Few-source, large-radius
-#: chunks (the upper levels of a build, single-source balls) run there
-#: at a fraction of the frontier solver's per-round call overhead; a
-#: wide chunk would hold ``len(sources) · n`` floats, so it stays sparse.
+#: takes scipy's pruned solve in one call: 4 MiB of float64. Few-source,
+#: large-radius chunks (the upper levels of a build, single-source
+#: balls) run there at a fraction of the frontier solver's per-round call
+#: overhead; a wider chunk would hold ``len(sources) · n`` floats, so it
+#: is solved in sub-chunks of this size or by the frontier solver.
 DENSE_BALL_ENTRIES = 1 << 19
+
+#: a chunk wider than :data:`DENSE_BALL_ENTRIES` goes to scipy in
+#: sub-chunks when its first source's ball holds at least
+#: ``n / DENSE_BALL_SHARE`` nodes. A pruned scipy solve costs O(n) per
+#: source to start and scan, the frontier solver a few numpy passes per
+#: ball entry and round; on 64×64 to 256×256 grids the two cross near
+#: balls of ``n / 48`` nodes.
+DENSE_BALL_SHARE = 48
 
 
 def _frontier_balls(
-    m: csr_matrix, src: np.ndarray, limit: float
+    m: csr_matrix, src: np.ndarray, limit: float, degree: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:meth:`SsspEngine.balls` without a dense row: O(entries) memory.
 
     Each round relaxes the (source, node) pairs whose label fell in the
     round before over the CSR (symmetric: the network stores both
-    directions), keeps each pair's nearest candidate and stores the
-    ones that beat its label; rounds stop when none does. A candidate
-    is ``d(u) + w(u, v)``, the left fold Dijkstra takes along a path,
-    and float addition is monotone for non-negative weights, so the
-    fixed point equals scipy's pruned Dijkstra bit for bit. Labels are
-    kept sorted by ``source position · n + node``, which is also the
-    output order.
+    directions; ``degree`` is its row lengths), keeps each pair's
+    nearest candidate and stores the ones that beat its label; rounds
+    stop when none does. A candidate is ``d(u) + w(u, v)``, the left
+    fold Dijkstra takes along a path, and float addition is monotone for
+    non-negative weights, so the fixed point equals scipy's pruned
+    Dijkstra bit for bit. Labels are kept sorted by
+    ``source position · n + node``, which is also the output order.
     """
     indptr, adj, weight = m.indptr, m.indices, m.data
     n = int(m.shape[0])
@@ -149,21 +158,23 @@ def _frontier_balls(
     dist = np.zeros(keys.size)
     node, start, d = src, base, np.zeros(src.size)  # the frontier
     while True:
-        lo = indptr[node]
-        deg = indptr[node + 1] - lo
+        deg = degree[node]
         ends = np.cumsum(deg)
-        edge = np.repeat(lo - ends + deg, deg)
+        edge = np.repeat(indptr[node] - ends + deg, deg)
         edge += np.arange(edge.size)
-        cand = np.repeat(d, deg) + weight[edge]
+        cand = np.repeat(d, deg)
+        cand += weight[edge]
         near = np.flatnonzero(cand <= limit)
         cand = cand[near]
-        key = np.repeat(start, deg)[near] + adj[edge[near]]
+        key = np.repeat(start, deg)[near]
+        key += adj[edge[near]]
         # each key's nearest candidate, in key order
         order = np.lexsort((cand, key))
-        key, cand = key[order], cand[order]
+        key = key[order]
         first = np.ones(key.size, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        key, cand = key[first], cand[first]
+        first = np.flatnonzero(first)
+        key, cand = key[first], cand[order[first]]
         pos = np.searchsorted(keys, key)
         new = keys[pos] != key
         better = np.flatnonzero(new | (cand < dist[pos]))
@@ -193,12 +204,13 @@ class SsspEngine:
     is, and the rows come out the same.
     """
 
-    __slots__ = ("csr", "rows_computed", "limited_sssp")
+    __slots__ = ("csr", "rows_computed", "limited_sssp", "_degree")
 
     def __init__(self, csr: csr_matrix) -> None:
         self.csr = csr
         self.rows_computed = 0
         self.limited_sssp = 0
+        self._degree: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -225,21 +237,48 @@ class SsspEngine:
         own entry at 0.
 
         A chunk whose dense rows fit in :data:`DENSE_BALL_ENTRIES` is
-        one pruned scipy solve, scanned row-major; a wider one runs
-        :func:`_frontier_balls`, whose memory is O(entries). Both give
-        scipy's pruned distances bit for bit, so the route never shows
-        in the result.
+        one pruned scipy solve, scanned row-major. A wider one is solved
+        by chunks that fit when its first source's ball holds at least
+        ``n / DENSE_BALL_SHARE`` nodes, and by :func:`_frontier_balls`,
+        whose memory is O(entries), otherwise. Every route gives scipy's
+        pruned distances bit for bit, so the route never shows in the
+        result.
         """
         src = np.asarray(indices, dtype=np.int64).reshape(-1)
         self.limited_sssp += src.size
         PERF.incr("oracle.limited_sssp", src.size)
+        step = DENSE_BALL_ENTRIES // self.n  # sources per scipy call
         with PERF.timer("oracle.balls"):
-            if src.size * self.n <= DENSE_BALL_ENTRIES:
-                block = dijkstra(self.csr, directed=True, indices=src, limit=limit)
-                flat = np.flatnonzero(block <= limit)
-                pos, node = np.divmod(flat, block.shape[1])
-                return pos, node, block.ravel()[flat]
-            return _frontier_balls(self.csr, src, limit)
+            if src.size <= step:
+                return self._dense_balls(src, limit)
+            if step == 0:  # not even one dense row fits
+                return self._frontier(src, limit)
+            first = self._dense_balls(src[:1], limit)
+            if first[0].size * DENSE_BALL_SHARE >= self.n:
+                parts = [first] + [
+                    self._dense_balls(src[lo : lo + step], limit, lo)
+                    for lo in range(1, src.size, step)
+                ]
+            else:
+                pos, node, dist = self._frontier(src[1:], limit)
+                parts = [first, (pos + 1, node, dist)]
+            pos, node, dist = (np.concatenate(col) for col in zip(*parts, strict=True))
+            return pos, node, dist
+
+    def _dense_balls(
+        self, src: np.ndarray, limit: float, offset: int = 0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One pruned scipy solve of ``src``, scanned row-major; source
+        positions count from ``offset``."""
+        block = dijkstra(self.csr, directed=True, indices=src, limit=limit)
+        flat = np.flatnonzero(block <= limit)
+        pos, node = np.divmod(flat, block.shape[1])
+        return pos + offset, node, block.ravel()[flat]
+
+    def _frontier(self, src: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._degree is None:
+            self._degree = np.diff(self.csr.indptr).astype(np.int64)
+        return _frontier_balls(self.csr, src, limit, self._degree)
 
     def full_matrix(self) -> np.ndarray:
         """The dense all-pairs matrix (one timed solve, not row-counted)."""
@@ -597,14 +636,15 @@ class LazyLRUBackend(_BackendBase):
         return float(dists[np.searchsorted(nodes, j)])
 
     def pair_distance(self, i: int, j: int) -> float:
+        """``d(i, j)`` off ``i``'s side only: its cached row, its ball at
+        the connecting edge's weight, or its row. ``j``'s row is never
+        read: Dijkstra's sums from the two ends can differ in the last
+        bit, and ``full`` reads ``i``'s row."""
         if i == j:
             return 0.0
         row = self._rows.get(i)
         if row is not None:
             return float(row[j])
-        row = self._rows.get(j)
-        if row is not None:
-            return float(row[i])
         w = self._engine.edge_weight(i, j)
         if w is not None:
             return self._adjacent_distance(i, j, w)

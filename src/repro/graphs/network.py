@@ -44,6 +44,7 @@ bounds are then independent of the deployment's physical scale.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -64,24 +65,58 @@ Node = Hashable
 __all__ = ["SensorNetwork", "Node"]
 
 
-def _edge_weights(heads: Sequence[Node], tails: Sequence[Node], raw: Sequence[object]) -> np.ndarray:
+def _edge_weights(graph: nx.Graph, raw: Sequence[object]) -> np.ndarray:
     """The edges' weights as float64, each one checked positive.
 
     A weight ``float`` cannot read, or one at or below 0, raises what
     the per-edge loop this replaces raised for the first such edge:
-    that loop runs again to find it.
+    that loop runs again over ``graph``'s edges to find it.
     """
     try:
         weight = np.fromiter(map(float, raw), dtype=np.float64, count=len(raw))
     except (TypeError, ValueError):
         weight = None
     if weight is None or np.any(weight <= 0):
-        for u, v, x in zip(heads, tails, raw, strict=True):
+        for u, v, x in graph.edges(data="weight", default=1.0):
             w = float(x)
             if w <= 0:
                 raise ValueError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
     assert weight is not None
     return weight
+
+
+def _edge_columns(
+    graph: nx.Graph, index: Mapping[Node, int]
+) -> tuple[np.ndarray, np.ndarray, Sequence[object]]:
+    """Head and tail indices and raw weights of ``graph``'s edges, in
+    the order ``graph.edges(data="weight", default=1.0)`` yields them.
+
+    A simple graph is read off ``graph.adjacency()`` as columns:
+    ``edges()`` yields each edge once, from whichever end the adjacency
+    reaches first (a self-loop from its node), so the entries whose
+    tail comes no earlier than their head are its edges in its order.
+    A multigraph's adjacency nests a dict per edge key; it is read
+    through ``edges()``.
+    """
+    if graph.is_multigraph():
+        edges = list(graph.edges(data="weight", default=1.0))
+        heads, tails, raw = zip(*edges) if edges else ((), (), ())
+        u = np.fromiter(map(index.__getitem__, heads), dtype=np.int64, count=len(edges))
+        v = np.fromiter(map(index.__getitem__, tails), dtype=np.int64, count=len(edges))
+        return u, v, raw
+    order, nbrs = zip(*graph.adjacency())
+    n = len(order)
+    deg = np.fromiter(map(len, nbrs), dtype=np.int64, count=n)
+    tails = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(nbrs)), dtype=np.int64, count=int(deg.sum())
+    )
+    at = np.repeat(np.arange(n), deg)  # each entry's head, as an adjacency position
+    heads = np.fromiter(map(index.__getitem__, order), dtype=np.int64, count=n)
+    position = np.empty(n, dtype=np.int64)
+    position[heads] = np.arange(n)
+    keep = position[tails] >= at
+    data = compress(chain.from_iterable(nbr.values() for nbr in nbrs), keep.tolist())
+    return heads[at[keep]], tails[keep], [d.get("weight", 1.0) for d in data]
 
 
 class SensorNetwork:
@@ -166,12 +201,13 @@ class SensorNetwork:
     def _ingest(self, graph: nx.Graph, normalize: bool) -> None:
         """Index the nodes and read the edges into the CSR, in one pass.
 
-        The pass over ``edges(data="weight", default=1.0)`` yields the
-        endpoints, which become index columns, and the weights, which
-        are checked and normalized as one array; connectivity is one
-        ``connected_components`` call on those columns. The CSR is the
-        one a per-edge build makes: both directions of every edge,
-        interleaved in edge order, summed by scipy's COO conversion.
+        The pass (:func:`_edge_columns`) yields the endpoints as index
+        columns and the weights, which are checked and normalized as one
+        array, all in ``edges(data="weight", default=1.0)`` order;
+        connectivity is one ``connected_components`` call on the
+        columns. The CSR is the one a per-edge build makes: both
+        directions of every edge, interleaved in edge order, summed by
+        scipy's COO conversion.
         """
         # Deterministic node ordering: sort by (type name, repr) so mixed
         # id types (rare) still order stably, plain ints/strs sort naturally.
@@ -181,15 +217,12 @@ class SensorNetwork:
             self._nodes = sorted(graph, key=repr)
         n = len(self._nodes)
         self._index: dict[Node, int] = dict(zip(self._nodes, range(n)))
-        edges = list(graph.edges(data="weight", default=1.0))
-        heads, tails, raw = zip(*edges) if edges else ((), (), ())
-        m = len(edges)
-        u = np.fromiter(map(self._index.__getitem__, heads), dtype=np.int64, count=m)
-        v = np.fromiter(map(self._index.__getitem__, tails), dtype=np.int64, count=m)
+        u, v, raw = _edge_columns(graph, self._index)
+        m = len(raw)
         links = csr_matrix((np.ones(m), (u, v)), shape=(n, n))
         if connected_components(links, directed=False, return_labels=False) != 1:
             raise ValueError("sensor network must be connected (paper §2.1)")
-        weight = _edge_weights(heads, tails, raw)
+        weight = _edge_weights(graph, raw)
         if normalize and m > 0:
             # function-level import: repro.core imports this module at
             # package init, so a top-level import would be circular
@@ -326,12 +359,12 @@ class SensorNetwork:
     def distance(self, u: Node, v: Node) -> float:
         """Shortest-path distance ``dist_G(u, v)``.
 
-        Matrix-backed modes read the matrix. Row-backed modes reuse a
-        cached row of either endpoint when one exists; for *adjacent*
-        ``u, v`` with no cached row they read ``v`` off the ball of
-        ``u`` at the connecting edge's weight (exact, touches only a
-        small ball) instead of computing and caching a full row for a
-        throwaway pair.
+        Matrix-backed modes read the matrix. Row-backed modes read
+        ``u``'s side only, so both backends return the same bits: a
+        cached row of ``u`` when one exists; for *adjacent* ``u, v``
+        with none, ``v`` off the ball of ``u`` at the connecting edge's
+        weight (exact, touches only a small ball) instead of computing
+        and caching a full row for a throwaway pair.
         """
         return self._backend.pair_distance(self._index[u], self._index[v])
 
@@ -413,6 +446,29 @@ class SensorNetwork:
         columns = np.full(self.n, -1, dtype=np.int64)
         columns[targets] = np.arange(len(targets))
         return columns
+
+    @property
+    def lightest_edge(self) -> float:
+        """The lightest weight the CSR holds between two distinct nodes
+        (parallel edges summed, self-loops left out); ``inf`` with none."""
+        m = self._csr
+        off = np.repeat(np.arange(self.n), np.diff(m.indptr)) != m.indices
+        return float(m.data[off].min()) if off.any() else float("inf")
+
+    def edges_below(self, limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(i, j, w)`` of every CSR entry with ``i != j`` and ``w < limit``,
+        row-major: both directions of each edge lighter than ``limit``.
+
+        While ``limit`` is at most twice :attr:`lightest_edge`, every
+        path of two or more edges is at least ``limit`` long, so these
+        are exactly the pairs closer than ``limit`` and each ``w`` is
+        the distance Dijkstra stores (``0 + w``): the level pass reads
+        ``E_0`` here instead of solving a ball per node.
+        """
+        m = self._csr
+        head = np.repeat(np.arange(self.n), np.diff(m.indptr))
+        keep = np.flatnonzero((m.data < limit) & (head != m.indices))
+        return head[keep], m.indices[keep].astype(np.int64), m.data[keep]
 
     def pair_distances(self, pairs: Sequence[tuple[Node, Node]]) -> np.ndarray:
         """``[dist(u, v) for u, v in pairs]`` resolved in one batched call.

@@ -18,17 +18,25 @@ cost bounds rest on.
 The same pass picks every default parent. Maximality puts each node of
 ``V_ℓ`` strictly within ``2^(ℓ+1)`` of ``V_{ℓ+1}``, so the ball of that
 radius each member's ``E_ℓ`` edges come from already holds its closest
-``V_{ℓ+1}`` node and its distance: the overlay costs one sparse ball
-per level member, exact under every distance backend. The MIS runs on
-the same pair arrays (:func:`repro.hierarchy.mis.luby_mis_pairs`), its
-draws keyed by the members' network indices.
+``V_{ℓ+1}`` node and its distance: from level 1 up, the overlay costs
+one sparse ball per level member, exact under every distance backend.
+``E_0`` needs none where no path of two edges is shorter than 2 (the
+lightest edge weighs at least 1, as on every normalized network): it is
+then the single edges lighter than 2, each at its weight, read off the
+CSR (:meth:`~repro.graphs.network.SensorNetwork.edges_below`). The MIS
+runs on the same pair arrays (:func:`repro.hierarchy.mis.luby_mis_pairs`),
+its draws keyed by the members' network indices.
+
+Every level is kept as network-index arrays: its members, their default
+parents and hops. The node-keyed lists and maps the scalar tracker and
+the load metrics read are views built from them on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Hashable
+from functools import cached_property
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -38,43 +46,77 @@ from repro.perf import PERF
 
 Node = Hashable
 
-__all__ = ["LevelStructure", "build_levels"]
+__all__ = ["LevelStructure", "ball_pairs", "build_levels"]
 
 
-@dataclass
+@dataclass(eq=False)
 class LevelStructure:
     """The iterated-MIS level sets of ``HS`` and their default parents.
 
     Attributes
     ----------
-    levels:
-        ``levels[ℓ]`` is the sorted list of nodes in ``V_ℓ``. Level 0 is
-        all sensors; the last level contains exactly the root.
-    default_parents:
-        ``default_parents[ℓ][w]`` is the closest ``V_{ℓ+1}`` node to
-        ``w ∈ V_ℓ``, ties broken by node index (``w`` itself when it
-        survives to ``V_{ℓ+1}``); one map per level below the root.
-    default_parent_hops:
-        ``default_parent_hops[ℓ][w]`` is ``dist(w, default_parents[ℓ][w])``.
+    nodes:
+        The network's nodes in index order.
+    level_index:
+        ``level_index[ℓ]`` is ``V_ℓ`` as increasing network indices.
+        Level 0 is every index; the last level holds only the root's.
+    parent_index:
+        ``parent_index[ℓ][k]`` is the network index of the closest
+        ``V_{ℓ+1}`` node to the member ``level_index[ℓ][k]``, ties broken
+        by node index (the member itself when it survives to
+        ``V_{ℓ+1}``); one array per level below the root.
+    parent_hop:
+        ``parent_hop[ℓ][k]`` is the distance from that member to its
+        default parent.
     mis_rounds:
         Per-level round counts reported by Luby's algorithm (level 0
         requires no MIS, so entry 0 is 0).
     """
 
-    levels: list[list[Node]]
-    default_parents: list[dict[Node, Node]]
-    default_parent_hops: list[dict[Node, float]]
+    nodes: Sequence[Node]
+    level_index: list[np.ndarray]
+    parent_index: list[np.ndarray]
+    parent_hop: list[np.ndarray]
     mis_rounds: list[int] = field(default_factory=list)
 
     @property
     def h(self) -> int:
         """Index of the top (root) level."""
-        return len(self.levels) - 1
+        return len(self.level_index) - 1
 
     @property
     def root(self) -> Node:
         """The single top-level sensor."""
-        return self.levels[-1][0]
+        return self.nodes[int(self.level_index[-1][0])]
+
+    def _node_list(self, index: np.ndarray) -> list[Node]:
+        nodes = self.nodes
+        return [nodes[i] for i in index.tolist()]
+
+    @cached_property
+    def levels(self) -> list[list[Node]]:
+        """``levels[ℓ]`` is the sorted list of nodes in ``V_ℓ`` (a view of
+        :attr:`level_index`, built on first read)."""
+        return [self._node_list(index) for index in self.level_index]
+
+    @cached_property
+    def default_parents(self) -> list[dict[Node, Node]]:
+        """``default_parents[ℓ][w]`` is the default parent of ``w ∈ V_ℓ``
+        (a view of :attr:`parent_index`, built on first read)."""
+        return [
+            dict(zip(self.levels[ell], self._node_list(parent), strict=True))
+            for ell, parent in enumerate(self.parent_index)
+        ]
+
+    @cached_property
+    def default_parent_hops(self) -> list[dict[Node, float]]:
+        """``default_parent_hops[ℓ][w]`` is
+        ``dist(w, default_parents[ℓ][w])`` (a view of :attr:`parent_hop`,
+        built on first read)."""
+        return [
+            dict(zip(self.levels[ell], hop.tolist(), strict=True))
+            for ell, hop in enumerate(self.parent_hop)
+        ]
 
     def level_of_set(self, level: int) -> frozenset[Node]:
         """``V_level`` as a frozen set."""
@@ -86,10 +128,10 @@ class LevelStructure:
 CHUNK = 512
 
 
-def _threshold_pairs(
+def ball_pairs(
     net: SensorNetwork, index: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs of members closer than ``threshold``: the edges of ``E_ℓ``.
+    """Pairs of members closer than ``threshold``, solved as balls.
 
     ``index`` holds the members' network indices, in increasing order.
     Returns member positions ``(row, col)`` in row-major order, self
@@ -110,6 +152,21 @@ def _threshold_pairs(
         cols.append(col[pair])
         dists.append(dist[pair])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+
+
+def _threshold_pairs(
+    net: SensorNetwork, index: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``E_ℓ``, as :func:`ball_pairs` returns them.
+
+    When the members are every node and no path of two edges is shorter
+    than ``threshold`` (it is at most twice the lightest edge), the
+    pairs are the single edges lighter than it, at their weights, and
+    the CSR holds them row-major already.
+    """
+    if len(index) == net.n and threshold <= 2.0 * net.lightest_edge:
+        return net.edges_below(threshold)
+    return ball_pairs(net, index, threshold)
 
 
 def _nearest_uppers(
@@ -152,7 +209,8 @@ def build_levels(
 
     Each level costs one ball of radius ``2^(ℓ+1)`` per member: the
     pairs of ``V_ℓ`` closer than that feed the MIS, and then give every
-    member its default parent and hop.
+    member its default parent and hop. Level 0's pairs are read off the
+    CSR instead wherever no path of two edges is shorter than 2.
 
     ``mis_algorithm`` selects the per-level MIS: ``"luby"`` (the paper's
     [24], randomized by ``seed``) or ``"deterministic"`` (the
@@ -161,10 +219,10 @@ def build_levels(
     """
     if mis_algorithm not in ("luby", "deterministic"):
         raise ValueError(f"unknown MIS algorithm {mis_algorithm!r}")
-    levels: list[list[Node]] = [list(net.nodes)]
     index = np.arange(net.n)  # network index of each member of the top level
-    parents: list[dict[Node, Node]] = []
-    hops: list[dict[Node, float]] = []
+    level_index = [index]
+    parent_index: list[np.ndarray] = []
+    parent_hop: list[np.ndarray] = []
     rounds: list[int] = [0]
     ell = 0
     # Safety bound: thresholds double each level; once 2^ℓ > D every pair
@@ -175,29 +233,29 @@ def build_levels(
     # edge weights bounds D with no solve, so the build asks the oracle
     # for balls alone.
     max_levels = int(np.ceil(np.log2(max(net.total_weight, 1.0)))) + 3
-    while len(levels[-1]) > 1:
+    while len(index) > 1:
         ell += 1
         if ell > max_levels:
             raise RuntimeError("level construction failed to converge")
-        members = levels[-1]
         rows, cols, dists = _threshold_pairs(net, index, threshold=float(2**ell))
         with PERF.timer("hierarchy.mis"):
             if mis_algorithm == "luby":
                 upper, r = luby_mis_pairs(index, rows, cols, seed=seed + ell)
             else:
-                upper, r = deterministic_mis_pairs(len(members), rows, cols)
+                upper, r = deterministic_mis_pairs(len(index), rows, cols)
         with PERF.timer("hierarchy.parents"):
             parent, hop = _nearest_uppers(upper, rows, cols, dists)
-            parents.append(dict(zip(members, [members[j] for j in parent.tolist()], strict=True)))
-            hops.append(dict(zip(members, hop.tolist(), strict=True)))
-        levels.append(list(compress(members, upper.tolist())))
+            parent_index.append(index[parent])
+            parent_hop.append(hop)
         index = index[upper]
+        level_index.append(index)
         rounds.append(r)
     # Post-build invariant (paper §2.2): the top level is exactly {r}.
-    assert len(levels[-1]) == 1, "level construction must end at a single root"
+    assert len(level_index[-1]) == 1, "level construction must end at a single root"
     return LevelStructure(
-        levels=levels,
-        default_parents=parents,
-        default_parent_hops=hops,
+        nodes=net.nodes,
+        level_index=level_index,
+        parent_index=parent_index,
+        parent_hop=parent_hop,
         mis_rounds=rounds,
     )

@@ -187,9 +187,6 @@ class Hierarchy(BaseHierarchy):
         self.special_parent_gap = special_parent_gap
         self.use_parent_sets = use_parent_sets
 
-        # default parents and hops come off the level pass's own solve
-        self._default_parent = level_structure.default_parents
-        self._default_parent_hop = level_structure.default_parent_hops
         # parent sets are solved one level at a time, on first read
         self._parent_sets: list[dict[Node, tuple[Node, ...]] | None]
         self._parent_sets = [None] * level_structure.h
@@ -201,23 +198,23 @@ class Hierarchy(BaseHierarchy):
         """Parent sets of every ``w ∈ V_level``, solved on first read.
 
         One chunked ball query of ``V_level`` against ``V_{level+1}`` at
-        the parent-set radius, over node indices translated once per
-        level. The default parent always belongs, which matters for
-        radius factors below 1 (it can lie past the radius, never past
-        ``2^(level+1)``).
+        the parent-set radius, over the level pass's index arrays. The
+        default parent always belongs, which matters for radius factors
+        below 1 (it can lie past the radius, never past ``2^(level+1)``).
         """
         sets = self._parent_sets[level]
         if sets is not None:
             return sets
         net = self.net
-        members = self.levels.levels[level]
-        uppers = self.levels.levels[level + 1]
+        ls = self.levels
+        members = ls.levels[level]
+        member_idx = ls.level_index[level]
+        upper_idx = ls.level_index[level + 1]
+        uppers = ls.levels[level + 1]
         radius = self.parent_set_radius_factor * (2.0 ** (level + 1))
-        parent = self._default_parent[level]
-        member_idx = np.fromiter(map(net.index_of, members), np.int64, len(members))
-        columns = net.ball_columns(np.fromiter(map(net.index_of, uppers), np.int64, len(uppers)))
+        columns = net.ball_columns(upper_idx)
         # each member's default parent as a position in ``uppers``
-        home = columns[[net.index_of(parent[w]) for w in members]]
+        home = columns[ls.parent_index[level]]
         sets = {}
         for start in range(0, len(members), CHUNK):
             chunk = members[start : start + CHUNK]
@@ -260,7 +257,7 @@ class Hierarchy(BaseHierarchy):
 
     def default_parent(self, level: int, w: Node) -> Node:
         """Default parent (in ``V_{level+1}``) of ``w ∈ V_level``."""
-        return self._default_parent[level][w]
+        return self.levels.default_parents[level][w]
 
     def default_parent_hop(self, level: int, w: Node) -> float:
         """``dist(w, default_parent(level, w))``, kept from construction.
@@ -269,7 +266,7 @@ class Hierarchy(BaseHierarchy):
         exact under every distance backend, so this is the oracle's
         distance at no further oracle cost.
         """
-        return self._default_parent_hop[level][w]
+        return self.levels.default_parent_hops[level][w]
 
     def parent_set(self, level: int, w: Node) -> tuple[Node, ...]:
         """Parent set of ``w ∈ V_level`` in ``V_{level+1}``, ID-ordered."""
@@ -278,8 +275,9 @@ class Hierarchy(BaseHierarchy):
     def home(self, x: Node, level: int) -> Node:
         """``home^level(x)``: the recursive default parent of sensor ``x``."""
         cur = x
+        parents = self.levels.default_parents
         for ell in range(level):
-            cur = self._default_parent[ell][cur]
+            cur = parents[ell][cur]
         return cur
 
     def parent_set_of(self, x: Node, level: int) -> tuple[Node, ...]:
@@ -294,7 +292,7 @@ class Hierarchy(BaseHierarchy):
             return (x,)
         anchor = self.home(x, level - 1)
         if not self.use_parent_sets:
-            return (self._default_parent[level - 1][anchor],)
+            return (self.levels.default_parents[level - 1][anchor],)
         return self._parent_sets_at(level - 1)[anchor]
 
     # ------------------------------------------------------------------
@@ -304,14 +302,11 @@ class Hierarchy(BaseHierarchy):
         Used by the load metrics: a sensor acting at many levels carries
         detection-list bookkeeping for each role.
         """
-        roles: dict[Node, int] = {v: 0 for v in self.net.nodes}
-        for members in self.levels.levels:
-            for v in members:
-                roles[v] += 1
-        return roles
+        counts = np.bincount(np.concatenate(self.levels.level_index), minlength=self.net.n)
+        return dict(zip(self.net.nodes, counts.tolist(), strict=True))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = [len(lv) for lv in self.levels.levels]
+        sizes = [len(lv) for lv in self.levels.level_index]
         return f"Hierarchy(h={self.h}, level_sizes={sizes})"
 
 

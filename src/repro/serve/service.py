@@ -27,6 +27,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Hashable, Union
 
+from repro.core.batch import engine_tables
 from repro.core.costs import CostLedger, close_to
 from repro.core.mot import MOTConfig
 from repro.graphs.network import SensorNetwork
@@ -206,6 +207,9 @@ class TrackingService:
             parent_set_radius_factor=self.mot_config.parent_set_radius_factor,
             special_parent_gap=self.mot_config.special_parent_gap,
         )
+        # the engines' static tables, built once: in-process shards find
+        # them cached, forked workers inherit them with the hierarchy
+        engine_tables(self.hierarchy, self.mot_config)
         num_shards = self.config.num_shards
         #: object → shard routing; shard ids double as list indices
         self.ring = HashRing(range(num_shards))

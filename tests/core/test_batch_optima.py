@@ -19,7 +19,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchMOTEngine, OpBatch, _tables_for
+from repro.core.batch import BatchMOTEngine, OpBatch, engine_tables
 from repro.core.costs import CostLedger
 from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network, random_geometric_network
@@ -35,7 +35,7 @@ from tests.graphs.test_balls import GRAPHS
 def test_sdl_hop_is_the_hosts_distance(name, gap):
     net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
     hs = build_hierarchy(net, seed=2, special_parent_gap=gap)
-    t = _tables_for(hs, MOTConfig(special_parent_gap=gap))
+    t = engine_tables(hs, MOTConfig(special_parent_gap=gap))
     # the host's row: ``lazy`` may answer a pair off the other end's
     # cached row, which can differ in the last bit
     ref = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="full")
@@ -52,7 +52,7 @@ def test_sdl_hop_is_the_hosts_distance(name, gap):
 def test_sdl_hop_needs_no_dense_query():
     net = SensorNetwork(GRAPHS["geometric"], normalize=False, distance_backend="full")
     hs = build_hierarchy(net, seed=2, special_parent_gap=1)
-    assert _tables_for(hs, MOTConfig(special_parent_gap=1)).sdl_hop.any()
+    assert engine_tables(hs, MOTConfig(special_parent_gap=1)).sdl_hop.any()
     stats = net.oracle_stats
     assert stats["matrix_materialized"] is False and stats["rows_computed"] == 0
 

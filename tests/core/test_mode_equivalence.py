@@ -68,7 +68,7 @@ class TestPipelineEquivalence:
         tf = MOTTracker.build(full, seed=seed)
         tl = MOTTracker.build(lazy, seed=seed)
         assert tf.hs.levels.levels == tl.hs.levels.levels
-        assert tf.hs._default_parent == tl.hs._default_parent
+        assert tf.hs.levels.default_parents == tl.hs.levels.default_parents
         assert tf.hs._parent_sets == tl.hs._parent_sets
 
     def test_mot_costs_identical(self):

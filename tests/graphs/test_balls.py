@@ -162,3 +162,46 @@ def test_both_sides_of_the_dense_budget_equal_pruned_dijkstra(name, budget, monk
         assert np.array_equal(col, [position[j] for j in want_node[keep].tolist()])
         assert np.array_equal(dist, want_dist[keep])
     assert calls == ([len(sources)] * 6 if budget == 0 else [])
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_wide_chunks_take_their_route_from_the_first_ball(name, monkeypatch):
+    """A chunk wider than the dense budget goes to scipy in budget-sized
+    sub-chunks when its first source's ball holds ``n / DENSE_BALL_SHARE``
+    nodes or more, and to the frontier solver (the first source aside)
+    when it holds fewer: the same entries either way."""
+    frontier = backends._frontier_balls
+    calls = []
+    monkeypatch.setattr(
+        backends, "_frontier_balls", lambda *args: calls.append(args[1].size) or frontier(*args)
+    )
+    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
+    monkeypatch.setattr(backends, "DENSE_BALL_ENTRIES", 3 * net.n)  # three rows a call
+    rng = np.random.default_rng(5)
+    sources = [net.node_at(int(i)) for i in rng.choice(net.n, size=10, replace=False)]
+    routes = set()
+    for limit in _limits(net):
+        first = net.balls(sources[:1], limit)[0].size
+        calls.clear()
+        got = net.balls(sources, limit)
+        assert all(np.array_equal(a, b) for a, b in zip(got, _reference(net, sources, limit), strict=True))
+        small = first * backends.DENSE_BALL_SHARE < net.n
+        assert calls == ([len(sources) - 1] if small else [])
+        routes.add(small)
+    assert routes == {True, False}
+
+
+def test_lazy_distance_reads_the_first_endpoints_side():
+    """``distance(u, v)`` under ``lazy`` is read off ``u``'s side, as
+    ``full`` reads ``u``'s row, whatever rows of ``v`` are cached: on this
+    network Dijkstra's sums from the two ends differ in the last bit
+    (``d(57, 59)`` among them)."""
+    full = SensorNetwork(GRAPHS["geometric"], normalize=False, distance_backend="full")
+    lazy = SensorNetwork(GRAPHS["geometric"], normalize=False, distance_backend="lazy")
+    lazy.distances_from(59)
+    assert lazy.distance(57, 59) == full.distance(57, 59)
+    cached = list(range(0, 150, 10))
+    lazy.distances_to_many(cached)
+    for u in range(1, 150, 7):
+        for v in cached:
+            assert lazy.distance(u, v) == full.distance(u, v)

@@ -358,6 +358,41 @@ class TestOneShardFrontEnd:
         assert ran == {s["pid"] for s in health["shards"]}
         assert os.getpid() not in ran
 
+    def test_workers_inherit_the_engine_tables(self, monkeypatch, tmp_path):
+        """The service builds the engine tables before it forks, so a
+        worker's engine finds them cached: a table build in a child
+        leaves a marker file."""
+        import repro.core.batch as batch_module
+        import repro.serve.worker as worker_module
+
+        original = worker_module.worker_main
+
+        def wrapped(sock, spec, *args, **kwargs):
+            build = batch_module._Tables.__init__
+
+            def marked(self, *a, **k):
+                (tmp_path / f"built-{os.getpid()}").write_text("")
+                build(self, *a, **k)
+
+            batch_module._Tables.__init__ = marked  # in the child only
+            (tmp_path / f"ran-{os.getpid()}").write_text("")
+            return original(sock, spec, *args, **kwargs)
+
+        monkeypatch.setattr(worker_module, "worker_main", wrapped)
+
+        async def scenario():
+            service = TrackingService(NET, ServiceConfig(workers=2), seed=1, clock=WallClock())
+            await service.start()
+            await service.submit(PublishRequest("o", NET.node_at(3)))
+            health = await service.healthcheck()
+            await service.stop()
+            return health
+
+        health = run(scenario())
+        assert health["ok"]
+        assert len(list(tmp_path.glob("ran-*"))) == 2
+        assert list(tmp_path.glob("built-*")) == []
+
     def test_stopped_worker_exits_cleanly(self):
         """``stop()`` joins the worker after its final frame, never kills it."""
 
