@@ -127,7 +127,7 @@ def _insert_sorted(
 DENSE_BALL_ENTRIES = 1 << 19
 
 #: a chunk wider than :data:`DENSE_BALL_ENTRIES` goes to scipy in
-#: sub-chunks when its first source's ball holds at least
+#: sub-chunks when its middle source's ball holds at least
 #: ``n / DENSE_BALL_SHARE`` nodes. A pruned scipy solve costs O(n) per
 #: source to start and scan, the frontier solver a few numpy passes per
 #: ball entry and round; on 64×64 to 256×256 grids the two cross near
@@ -238,11 +238,11 @@ class SsspEngine:
 
         A chunk whose dense rows fit in :data:`DENSE_BALL_ENTRIES` is
         one pruned scipy solve, scanned row-major. A wider one is solved
-        by chunks that fit when its first source's ball holds at least
-        ``n / DENSE_BALL_SHARE`` nodes, and by :func:`_frontier_balls`,
-        whose memory is O(entries), otherwise. Every route gives scipy's
-        pruned distances bit for bit, so the route never shows in the
-        result.
+        by chunks that fit when the ball of its middle source, solved
+        first as a probe, holds at least ``n / DENSE_BALL_SHARE`` nodes,
+        and by :func:`_frontier_balls`, whose memory is O(entries),
+        otherwise. Every route gives scipy's pruned distances bit for
+        bit, so the route never shows in the result.
         """
         src = np.asarray(indices, dtype=np.int64).reshape(-1)
         self.limited_sssp += src.size
@@ -251,19 +251,14 @@ class SsspEngine:
         with PERF.timer("oracle.balls"):
             if src.size <= step:
                 return self._dense_balls(src, limit)
-            if step == 0:  # not even one dense row fits
-                return self._frontier(src, limit)
-            first = self._dense_balls(src[:1], limit)
-            if first[0].size * DENSE_BALL_SHARE >= self.n:
-                parts = [first] + [
-                    self._dense_balls(src[lo : lo + step], limit, lo)
-                    for lo in range(1, src.size, step)
-                ]
-            else:
-                pos, node, dist = self._frontier(src[1:], limit)
-                parts = [first, (pos + 1, node, dist)]
-            pos, node, dist = (np.concatenate(col) for col in zip(*parts, strict=True))
-            return pos, node, dist
+            mid = src.size // 2
+            if step and self._dense_balls(src[mid : mid + 1], limit)[0].size * DENSE_BALL_SHARE >= self.n:
+                parts = [self._dense_balls(src[lo : lo + step], limit, lo) for lo in range(0, src.size, step)]
+                pos, node, dist = (np.concatenate(col) for col in zip(*parts, strict=True))
+                return pos, node, dist
+            if self._degree is None:
+                self._degree = np.diff(self.csr.indptr).astype(np.int64)
+            return _frontier_balls(self.csr, src, limit, self._degree)
 
     def _dense_balls(
         self, src: np.ndarray, limit: float, offset: int = 0
@@ -274,11 +269,6 @@ class SsspEngine:
         flat = np.flatnonzero(block <= limit)
         pos, node = np.divmod(flat, block.shape[1])
         return pos + offset, node, block.ravel()[flat]
-
-    def _frontier(self, src: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._degree is None:
-            self._degree = np.diff(self.csr.indptr).astype(np.int64)
-        return _frontier_balls(self.csr, src, limit, self._degree)
 
     def full_matrix(self) -> np.ndarray:
         """The dense all-pairs matrix (one timed solve, not row-counted)."""

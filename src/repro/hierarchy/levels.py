@@ -136,18 +136,22 @@ def ball_pairs(
     ``index`` holds the members' network indices, in increasing order.
     Returns member positions ``(row, col)`` in row-major order, self
     pairs excluded, and their distances. Each chunk of sources is one
-    :meth:`~repro.graphs.network.SensorNetwork.index_balls` query of
-    radius ``threshold`` against the members, whose entries come
-    row-major; the members' column map is built once per level.
+    :meth:`~repro.graphs.network.SensorNetwork.index_balls` query
+    against the members, whose entries come row-major; the members'
+    column map is built once per level. The query's radius is the float
+    just below ``threshold``: balls are inclusive, so that keeps exactly
+    the nodes closer than ``threshold``, and a node's distance depends
+    only on nodes closer still, so pruning the rest changes none.
     """
     columns = None if len(index) == net.n else net.ball_columns(index)
+    radius = float(np.nextafter(threshold, 0.0))
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     dists: list[np.ndarray] = []
     for start in range(0, len(index), CHUNK):
-        src, col, dist = net.index_balls(index[start : start + CHUNK], threshold, columns)
+        src, col, dist = net.index_balls(index[start : start + CHUNK], radius, columns)
         row = src + start
-        pair = np.flatnonzero((dist < threshold) & (row != col))
+        pair = np.flatnonzero(row != col)
         rows.append(row[pair])
         cols.append(col[pair])
         dists.append(dist[pair])

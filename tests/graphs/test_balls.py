@@ -165,11 +165,11 @@ def test_both_sides_of_the_dense_budget_equal_pruned_dijkstra(name, budget, monk
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_wide_chunks_take_their_route_from_the_first_ball(name, monkeypatch):
+def test_wide_chunks_take_their_route_from_the_middle_ball(name, monkeypatch):
     """A chunk wider than the dense budget goes to scipy in budget-sized
-    sub-chunks when its first source's ball holds ``n / DENSE_BALL_SHARE``
-    nodes or more, and to the frontier solver (the first source aside)
-    when it holds fewer: the same entries either way."""
+    sub-chunks when its middle source's ball holds ``n / DENSE_BALL_SHARE``
+    nodes or more, and to the frontier solver when it holds fewer: the
+    same entries either way."""
     frontier = backends._frontier_balls
     calls = []
     monkeypatch.setattr(
@@ -181,12 +181,12 @@ def test_wide_chunks_take_their_route_from_the_first_ball(name, monkeypatch):
     sources = [net.node_at(int(i)) for i in rng.choice(net.n, size=10, replace=False)]
     routes = set()
     for limit in _limits(net):
-        first = net.balls(sources[:1], limit)[0].size
+        middle = net.balls(sources[5:6], limit)[0].size
         calls.clear()
         got = net.balls(sources, limit)
         assert all(np.array_equal(a, b) for a, b in zip(got, _reference(net, sources, limit), strict=True))
-        small = first * backends.DENSE_BALL_SHARE < net.n
-        assert calls == ([len(sources) - 1] if small else [])
+        small = middle * backends.DENSE_BALL_SHARE < net.n
+        assert calls == ([len(sources)] if small else [])
         routes.add(small)
     assert routes == {True, False}
 
