@@ -327,8 +327,10 @@ def build_hierarchy(
     structure of Algorithm 1's presentation — the configuration the
     paper's own experiments run; ``True`` enables the §3.1 full
     parent-set traversal used by the meeting-level proofs. Either way
-    the build queries one radius-limited ball per level member; parent
-    sets are solved per level on first read (a tracker's first publish).
+    the build queries one radius-limited ball per level member from
+    level 1 up (level 0's pairs come off the CSR where the lightest edge
+    weighs at least 1); parent sets are solved per level on first read
+    (a tracker's first publish).
 
     Works under either distance backend of ``net``: construction only
     issues radius-limited ball queries (see the exactness contract in
