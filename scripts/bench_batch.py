@@ -13,7 +13,7 @@ the ``execute_one_by_one`` order) through
 over the same network, hierarchy seed and op stream, and reports both
 ops/s figures plus the speedup. With ``--audit`` (default on) the
 engine's op log is then replayed through a fresh sequential tracker
-(:func:`~repro.core.batch.audit_batch_core`), so the artifact carries
+(:func:`~repro.core.batch.audit_replay`), so the artifact carries
 its own scalar-equivalence proof: a fast-but-wrong kernel fails the
 script, not just the separate audit job.
 
@@ -60,7 +60,7 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_batch.json")
     args = parser.parse_args()
 
-    from repro.core.batch import BatchMOTEngine, OpBatch, audit_batch_core
+    from repro.core.batch import BatchMOTEngine, OpBatch, audit_replay
     from repro.core.mot import MOTConfig, MOTTracker
     from repro.graphs.generators import grid_network
     from repro.sim.workload import make_workload
@@ -147,7 +147,7 @@ def main() -> int:
 
     audit_ok = True
     if args.audit:
-        audit = audit_batch_core(engine)
+        audit = audit_replay(engine.hs, engine.config, [engine])
         audit_ok = audit.ok
         report["audit"] = audit.as_dict()
 

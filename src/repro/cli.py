@@ -5,13 +5,10 @@ Commands:
 - ``figure NAME [--scale S] [--csv PATH]`` — regenerate one paper
   figure (fig4 … fig15), print its table, optionally export CSV;
 - ``list`` — list the available figures with their descriptions;
-- ``compare [--side N] [--objects M] …`` — the quick §8-style
-  head-to-head on one grid workload (same engine as
-  ``examples/baseline_comparison.py``);
 - ``perf [--side N] [--distance-backend B] [--out PATH]`` — run one
   MOT workload with instrumentation on and emit the JSON perf report
   (oracle hit/miss pressure, per-operation timers, ledger summary);
-- ``audit-backend [--side N] [--geometric-nodes N]`` — check the
+- ``audit backend [--side N] [--geometric-nodes N]`` — check the
   distance-backend contract on small graphs: ``full`` and ``lazy`` must
   agree bit-for-bit with a dense reference solve, ``lazy``'s solved
   ``balls`` must equal the reference's entries, and both must report
@@ -19,6 +16,10 @@ Commands:
   overlay, a ``full`` build and its batch tables must leave the matrix
   unmaterialized, and the batch engine's SDL hops must equal the
   reference's (see :mod:`repro.graphs.audit`);
+- ``audit batch [--scenario NAME …] [--chunk N]`` — chunk every
+  scenario pack's op stream through the columnar batch engine and
+  replay it against the sequential reference MOT
+  (:func:`repro.core.batch.audit_replay`);
 - ``chaos [--loss P] [--jitter J] [--crashes K] …`` — run one workload
   through the concurrent simulator under an injected fault plan
   (message loss, delay jitter, node crashes) and emit the JSON chaos
@@ -46,8 +47,6 @@ Commands:
   :mod:`repro.scenarios` and ``docs/EVAL.md``);
 - ``serve-demo [--seed N]`` — a guided tour of the service layer
   (sharding, a coalesced query, an ``Overloaded`` rejection);
-- ``demo [--seed N]`` — a 30-second guided tour (the quickstart on one
-  object);
 - ``lint [PATHS…] [--format json|sarif]`` — run the project's per-file
   AST lint rules (RPL001–RPL007, see :mod:`repro.staticcheck`) over
   source trees;
@@ -65,12 +64,16 @@ Exit codes (uniform across subcommands):
 
 - ``0`` — success: the command ran and every gated check passed;
 - ``1`` — a check failed: lint findings (``lint``/``check``), a failed
-  consistency audit (``chaos``, ``serve-bench``, ``audit-backend``,
-  ``eval``), diverging traces (``trace diff``), a baseline regression
+  consistency audit (``chaos``, ``serve-bench``, ``audit``, ``eval``),
+  diverging traces (``trace diff``), a baseline regression
   (``eval --check``);
 - ``2`` — usage error: unknown subcommand/flag (argparse) or an
   invalid argument value caught by the command itself (e.g. an unknown
   figure name).
+
+The guided tour of the tracker and the head-to-head against the
+baselines are ``examples/quickstart.py`` and
+``examples/baseline_comparison.py``.
 """
 
 from __future__ import annotations
@@ -96,6 +99,23 @@ def _version() -> str:
         return repro.__version__
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out`` (making its directory), or print it."""
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
+    else:
+        print(text, end="")
+
+
+def _usage_error(verb: str, message: str) -> int:
+    """Report an invalid argument value of ``verb``; the usage exit code."""
+    print(f"repro {verb}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.export import cost_sweep_to_csv, loads_to_csv, write_csv
     from repro.experiments.figures import run_figure
@@ -104,8 +124,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     try:
         result = run_figure(args.name, scale=scale)
     except ValueError as exc:
-        print(f"repro figure: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("figure", str(exc))
     print(result)
     if args.csv:
         if result.cost_result is not None:
@@ -124,31 +143,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(FIGURES, key=lambda s: int(s[3:])):
         doc = (FIGURES[name].__doc__ or "").strip().split("\n")[0]
         print(f"{name:>6}  {doc}")
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import execute_one_by_one, make_tracker
-    from repro.graphs.generators import grid_network
-    from repro.metrics.load import LoadStats
-    from repro.sim.workload import make_workload
-
-    net = grid_network(args.side, args.side)
-    wl = make_workload(net, num_objects=args.objects, moves_per_object=args.moves,
-                       num_queries=args.queries, seed=args.seed)
-    print(f"grid {args.side}x{args.side} ({net.n} sensors), "
-          f"{args.objects} objects x {args.moves} moves, {args.queries} queries\n")
-    header = (f"{'algorithm':>16} | {'maint ratio':>11} | {'query ratio':>11} | "
-              f"{'max load':>8} | {'load>10':>7}")
-    print(header)
-    print("-" * len(header))
-    for name in ("MOT", "MOT-balanced", "STUN", "DAT", "Z-DAT", "Z-DAT+shortcuts"):
-        tracker = make_tracker(name, net, wl.traffic, seed=args.seed)
-        ledger = execute_one_by_one(tracker, wl)
-        stats = LoadStats.from_loads(tracker.load_per_node())
-        print(f"{name:>16} | {ledger.maintenance_cost_ratio:>11.2f} | "
-              f"{ledger.query_cost_ratio:>11.2f} | {stats.max_load:>8} | "
-              f"{stats.above_threshold:>7}")
     return 0
 
 
@@ -171,14 +165,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     tracker = make_tracker("MOT", net, wl.traffic, seed=args.seed)
     ledger = execute_one_by_one(tracker, wl)
     if args.prometheus:
-        text = PERF.render_prometheus()
-        if args.out:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text)
-            print(f"wrote {out}")
-        else:
-            print(text, end="")
+        _emit(PERF.render_prometheus(), args.out)
         return 0
     report = {
         "run": {
@@ -199,14 +186,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         },
         **PERF.report(),
     }
-    text = json.dumps(report, indent=1)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"wrote {out}")
-    else:
-        print(text)
+    _emit(json.dumps(report, indent=1) + "\n", args.out)
     return 0
 
 
@@ -215,21 +195,17 @@ def _cmd_audit_backend(args: argparse.Namespace) -> int:
 
     from repro.graphs.audit import run_backend_audit
 
+    for flag, value in (("--side", args.side), ("--geometric-nodes", args.geometric_nodes)):
+        if value < 2:
+            return _usage_error("audit backend", f"{flag} must be >= 2, got {value}")
     report = run_backend_audit(
         side=args.side,
         geometric_nodes=args.geometric_nodes,
         seed=args.seed,
     )
-    text = json.dumps(report, indent=1)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"wrote {out}")
-    else:
-        print(text)
+    _emit(json.dumps(report, indent=1) + "\n", args.out)
     if not report["ok"]:
-        print(f"audit-backend: {report['failed']} check(s) failed", file=sys.stderr)
+        print(f"audit backend: {report['failed']} check(s) failed", file=sys.stderr)
     return 0 if report["ok"] else 1
 
 
@@ -253,14 +229,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         fault_seed=args.fault_seed,
     )
     report = run_chaos(exp)
-    text = json.dumps(report.as_dict(), indent=1)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"wrote {out}")
-    else:
-        print(text)
+    _emit(json.dumps(report.as_dict(), indent=1) + "\n", args.out)
     return 0 if report.consistency.ok else 1
 
 
@@ -294,17 +263,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             distance_backend=args.distance_backend,
         )
     except ValueError as exc:
-        print(f"repro serve-bench: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("serve-bench", str(exc))
     report = run_serve_bench(cfg)
-    text = json.dumps(report, indent=1)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"wrote {out}")
-    else:
-        print(text)
+    _emit(json.dumps(report, indent=1) + "\n", args.out)
     return 0 if report["audit"]["ok"] else 1
 
 
@@ -347,17 +308,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 get_scenario(name)  # unknown names are usage errors, not crashes
         report = run_suite(cfg, names=names)
     except ValueError as exc:
-        print(f"repro eval: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("eval", str(exc))
 
-    text = canonical_json(report)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"wrote {out}")
-    else:
-        print(text)
+    _emit(canonical_json(report) + "\n", args.out)
 
     if args.write_baseline:
         path = Path(args.write_baseline)
@@ -380,9 +333,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         try:
             baseline = json.loads(base_path.read_text())
         except (OSError, ValueError) as exc:
-            print(f"repro eval: cannot read baseline {base_path}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return _usage_error("eval", f"cannot read baseline {base_path}: {exc}")
         if baseline.get("version") != report["version"]:
             print(f"repro eval: baseline schema version "
                   f"{baseline.get('version')} != {report['version']} — "
@@ -408,21 +359,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_audit_batch(args: argparse.Namespace) -> int:
     """Scenario packs → columnar engine → scalar-equivalence audit.
 
-    The batch analogue of the serve audit: every scenario workload is
-    chunked through :class:`~repro.core.batch.BatchMOTEngine.apply_ops`
-    and the engine's op log is replayed through a sequential
-    :class:`~repro.core.mot.MOTTracker` — proxies and epochs must match
-    exactly, costs and ledgers up to float tolerance. Exit 1 on any
+    Every scenario workload is chunked through
+    :class:`~repro.core.batch.BatchMOTEngine.apply_ops` and the engine
+    is audited by :func:`~repro.core.batch.audit_replay`. Exit 1 on any
     mismatch.
     """
     import json
 
-    from repro.core.batch import BatchMOTEngine, OpBatch, audit_batch_core
+    from repro.core.batch import BatchMOTEngine, OpBatch, audit_replay
     from repro.graphs.generators import grid_network
     from repro.scenarios import all_scenarios, get_scenario
 
-    names = args.scenario or list(all_scenarios())
-    specs = [get_scenario(n) for n in names]
+    if args.chunk < 1:
+        return _usage_error("audit batch", f"--chunk must be >= 1, got {args.chunk}")
+    try:
+        specs = [get_scenario(n) for n in args.scenario or all_scenarios()]
+    except ValueError as exc:
+        return _usage_error("audit batch", str(exc))
     report: dict = {"suite": args.suite, "seed": args.seed, "scenarios": {}}
     ok = True
     for spec in specs:
@@ -436,7 +389,7 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
         failures = 0
         for i in range(0, len(ops), args.chunk):
             failures += len(engine.apply_ops(OpBatch.of(ops[i : i + args.chunk])).errors)
-        audit = audit_batch_core(engine)
+        audit = audit_replay(engine.hs, engine.config, [engine])
         ok = ok and audit.ok and failures == 0
         report["scenarios"][spec.name] = {
             "ops": len(ops),
@@ -445,17 +398,14 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
             "audit": audit.as_dict(),
         }
         status = "ok" if audit.ok and failures == 0 else "MISMATCH"
-        print(f"audit-batch {spec.name:>22}: {status} "
+        print(f"audit batch {spec.name:>22}: {status} "
               f"({len(ops)} ops, {audit.moves_replayed} moves replayed, "
               f"{audit.queries_checked} queries checked)")
     report["ok"] = ok
     if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {out_path}")
+        _emit(json.dumps(report, indent=1, sort_keys=True) + "\n", args.out)
     if not ok:
-        print("repro audit-batch: scalar-equivalence audit failed", file=sys.stderr)
+        print("repro audit batch: scalar-equivalence audit failed", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -513,27 +463,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    import random
-
-    from repro import MOTTracker, build_hierarchy, grid_network
-
-    net = grid_network(8, 8)
-    tracker = MOTTracker(build_hierarchy(net, seed=1))
-    tracker.publish("tiger", proxy=0)
-    rnd = random.Random(args.seed)
-    cur = 0
-    for _ in range(10):
-        cur = rnd.choice(net.neighbors(cur))
-        tracker.move("tiger", cur)
-    res = tracker.query("tiger", source=63)
-    print(f"tracked 'tiger' over 10 moves on an 8x8 grid")
-    print(f"query from the far corner found it at sensor {res.proxy} "
-          f"(cost {res.cost:.0f}, optimal {res.optimal_cost:.0f})")
-    print(f"maintenance cost ratio: {tracker.ledger.maintenance_cost_ratio:.2f}")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
@@ -548,8 +477,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return 0
         result = diff_traces(args.a, args.b, ignore_timing=args.ignore_timing)
     except (OSError, ValueError) as exc:
-        print(f"repro trace: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("trace", str(exc))
     print(json.dumps(result, indent=1))
     return 0 if result["identical"] else 1
 
@@ -568,8 +496,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         return run_check(args.paths or ["src"], fmt=fmt, cache=args.cache)
     except FileNotFoundError as exc:
-        print(f"repro check: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error("check", str(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -595,14 +522,6 @@ def main(argv: list[str] | None = None) -> int:
     p_list = sub.add_parser("list", help="list the available figures")
     p_list.set_defaults(fn=_cmd_list)
 
-    p_cmp = sub.add_parser("compare", help="MOT vs baselines on one workload")
-    p_cmp.add_argument("--side", type=int, default=16)
-    p_cmp.add_argument("--objects", type=int, default=25)
-    p_cmp.add_argument("--moves", type=int, default=300)
-    p_cmp.add_argument("--queries", type=int, default=300)
-    p_cmp.add_argument("--seed", type=int, default=1)
-    p_cmp.set_defaults(fn=_cmd_compare)
-
     p_perf = sub.add_parser("perf", help="run one MOT workload, emit JSON perf report")
     p_perf.add_argument("--side", type=int, default=16)
     p_perf.add_argument("--objects", type=int, default=10)
@@ -617,8 +536,10 @@ def main(argv: list[str] | None = None) -> int:
     p_perf.add_argument("--out", help="write the report here instead of stdout")
     p_perf.set_defaults(fn=_cmd_perf)
 
-    p_ab = sub.add_parser(
-        "audit-backend",
+    p_au = sub.add_parser("audit", help="run a scalar-equivalence or backend audit")
+    au_sub = p_au.add_subparsers(dest="audit_cmd", required=True)
+    p_ab = au_sub.add_parser(
+        "backend",
         help="check distance-backend exactness on small graphs",
     )
     p_ab.add_argument("--side", type=int, default=6, help="grid side of the audit graph")
@@ -627,6 +548,22 @@ def main(argv: list[str] | None = None) -> int:
     p_ab.add_argument("--seed", type=int, default=1)
     p_ab.add_argument("--out", help="write the JSON report here instead of stdout")
     p_ab.set_defaults(fn=_cmd_audit_backend)
+    p_ab2 = au_sub.add_parser(
+        "batch",
+        help="replay every scenario pack through the columnar batch engine "
+             "and audit it against the sequential MOT reference",
+    )
+    p_ab2.add_argument("--scenario", action="append", metavar="NAME",
+                       help="audit only this scenario (repeatable; default: all)")
+    p_ab2.add_argument("--suite", choices=("smoke", "full"), default="smoke",
+                       help="scale ladder rung to audit at")
+    p_ab2.add_argument("--seed", type=int, default=7,
+                       help="workload + hierarchy seed")
+    p_ab2.add_argument("--chunk", type=int, default=256,
+                       help="ops per engine apply_ops() call")
+    p_ab2.add_argument("--out", help="also write the JSON report here "
+                                     "(stdout gets one status line per scenario)")
+    p_ab2.set_defaults(fn=_cmd_audit_batch)
 
     p_chaos = sub.add_parser(
         "chaos", help="run one concurrent workload under fault injection, emit JSON report"
@@ -745,31 +682,10 @@ def main(argv: list[str] | None = None) -> int:
     p_ev.add_argument("--out", help="write the report here instead of stdout")
     p_ev.set_defaults(fn=_cmd_eval)
 
-    p_ab2 = sub.add_parser(
-        "audit-batch",
-        help="replay every scenario pack through the columnar batch engine "
-             "and audit it against the sequential MOT reference",
-    )
-    p_ab2.add_argument("--scenario", action="append", metavar="NAME",
-                       help="audit only this scenario (repeatable; default: all)")
-    p_ab2.add_argument("--suite", choices=("smoke", "full"), default="smoke",
-                       help="scale ladder rung to audit at")
-    p_ab2.add_argument("--seed", type=int, default=7,
-                       help="workload + hierarchy seed")
-    p_ab2.add_argument("--chunk", type=int, default=256,
-                       help="ops per engine apply_ops() call")
-    p_ab2.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_ab2.set_defaults(fn=_cmd_audit_batch)
-
     p_sd = sub.add_parser("serve-demo", help="guided tour of the service layer")
     p_sd.add_argument("--seed", type=int, default=0,
                       help="seed of the service's hierarchy build")
     p_sd.set_defaults(fn=_cmd_serve_demo)
-
-    p_demo = sub.add_parser("demo", help="30-second guided tour")
-    p_demo.add_argument("--seed", type=int, default=0,
-                        help="seed of the demo's random walk")
-    p_demo.set_defaults(fn=_cmd_demo)
 
     p_lint = sub.add_parser("lint", help="run the per-file RPL lint rules")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",

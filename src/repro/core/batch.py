@@ -85,11 +85,12 @@ Contracts:
   capacity-doubling column buffers; :attr:`BatchMOTEngine.oplog` and
   :attr:`BatchMOTEngine.query_log` are read-only views built on read.
 
-:func:`audit_batch_core` is the equivalence gate: it replays an engine's
-op log through a fresh sequential :class:`MOTTracker` and asserts
-identical proxies and epochs, per-query answers, and ``close_to``
-ledgers — the same pattern :func:`repro.serve.audit.audit_service` uses
-for the serve layer, gated in CI by ``repro audit-batch``.
+:func:`audit_replay` is the equivalence gate of every surface: it
+replays the op logs of engines, service shards or snapshots through one
+fresh sequential :class:`MOTTracker` and checks epochs and per-query
+answers exactly, costs and the merged ledger ``close_to``;
+:func:`repro.serve.audit.audit_service` runs it on a service's shards,
+and CI gates it through ``repro audit batch``.
 """
 
 from __future__ import annotations
@@ -110,12 +111,12 @@ from repro.hierarchy.structure import BaseHierarchy, build_hierarchy
 Node = Hashable
 
 __all__ = [
+    "AuditReport",
     "BatchMOTEngine",
     "BatchQueryRecord",
     "BatchResult",
-    "BatchAuditReport",
     "OpBatch",
-    "audit_batch_core",
+    "audit_replay",
     "engine_tables",
 ]
 
@@ -974,8 +975,8 @@ class BatchMOTEngine:
 # the equivalence audit
 # ----------------------------------------------------------------------
 @dataclass
-class BatchAuditReport:
-    """Outcome of one batch-vs-scalar equivalence audit."""
+class AuditReport:
+    """Outcome of one scalar-equivalence replay audit."""
 
     objects_checked: int = 0
     moves_replayed: int = 0
@@ -984,6 +985,7 @@ class BatchAuditReport:
     epoch_mismatches: int = 0
     cost_mismatches: int = 0
     ledger_mismatches: list[str] = field(default_factory=list)
+    #: first few mismatches, for the JSON report (capped)
     examples: list[dict] = field(default_factory=list)
 
     MAX_EXAMPLES = 10
@@ -1000,7 +1002,7 @@ class BatchAuditReport:
 
     @property
     def ok(self) -> bool:
-        """Whether the batch engine matched the sequential reference."""
+        """Whether the audited state matched the sequential reference."""
         return self.mismatches == 0
 
     def record(self, kind: str, detail: dict) -> None:
@@ -1047,113 +1049,104 @@ _LEDGER_INT_FIELDS = (
 )
 
 
-def audit_batch_core(engine: BatchMOTEngine) -> BatchAuditReport:
-    """Replay an engine's op log through a sequential MOT and compare.
+def audit_replay(
+    hierarchy: BaseHierarchy, config: MOTConfig, states: Iterable
+) -> AuditReport:
+    """Replay every state's op log through one sequential MOT and compare.
 
-    Checks, per object: final proxy (exact) and epoch (exact); per
-    answered query: proxy exact and cost ``close_to`` (coalesced records
-    against their executed twin, which the reference re-runs); per
-    ledger field: counts exact, cost sums ``close_to`` — the batch
-    engine reduces deltas per kernel call, so sums may differ from the
-    scalar's per-op accumulation by float ordering only.
+    A state is anything with the surface
+    :func:`~repro.serve.snapshot.capture_snapshot` reads (``oplog``,
+    ``query_log``, ``epochs``, ``ledger``): a :class:`BatchMOTEngine`,
+    a service shard or a snapshot. An operation touches only its own
+    object's spine (paper §3), so one reference over the shared
+    hierarchy, replaying each object's applied ops in order, must
+    reproduce every state's answers and, summed, their ledgers.
+
+    Checks: per object, the final epoch (exact); per answered query,
+    the proxy (exact) and the cost (``close_to``); the states' merged
+    ledger against the reference's, counts exact and cost sums
+    ``close_to`` (states reduce deltas per call and per shard, so sums
+    differ from a per-op accumulation by float grouping only). A query
+    logged at an epoch the replay never reaches is a proxy mismatch.
     """
-    report = BatchAuditReport()
-    ref = MOTTracker(engine.hs, engine.config)
-    by_obj_epoch: dict[tuple[str, int], list[BatchQueryRecord]] = {}
-    for rec in engine.query_log:
-        by_obj_epoch.setdefault((rec.obj, rec.epoch), []).append(rec)
-
-    replayed: set[tuple[str, int]] = set()
-    for obj, ops in engine.oplog.items():
-        report.objects_checked += 1
-        epoch = -1
-        for op, node in ops:
-            if op == "publish":
-                ref.publish(obj, node)
-                epoch = 0
-            else:
-                res = ref.move(obj, node)
-                if res.new_proxy != res.old_proxy:
-                    epoch += 1
-                report.moves_replayed += 1
-            if (obj, epoch) not in replayed:
-                replayed.add((obj, epoch))
-                _check_epoch_queries(ref, by_obj_epoch.get((obj, epoch), ()), report)
-        ref_proxy = ref.proxy_of(obj)
-        if engine.proxy_of(obj) != ref_proxy:
-            report.record(
-                "proxy",
-                {"obj": obj, "got": repr(engine.proxy_of(obj)), "expected": repr(ref_proxy)},
-            )
-        if engine.epoch_of(obj) != epoch:
-            report.record(
-                "epoch",
-                {"obj": obj, "got": engine.epoch_of(obj), "expected": epoch},
-            )
-    # query records for never-reached epochs are engine bugs
-    for key, recs in by_obj_epoch.items():
-        if key not in replayed:
-            for rec in recs:
-                report.queries_checked += 1
-                report.record(
-                    "proxy",
-                    {"obj": rec.obj, "epoch": rec.epoch, "expected": "<no such epoch>"},
-                )
+    report = AuditReport()
+    ref = MOTTracker(hierarchy, config)
+    ledger = CostLedger()
+    for state in states:
+        by_obj_epoch: dict[tuple[str, int], list[BatchQueryRecord]] = {}
+        for rec in state.query_log:
+            by_obj_epoch.setdefault((rec.obj, rec.epoch), []).append(rec)
+        epochs = state.epochs
+        # epochs reached during the replay; built as it goes, because a
+        # no-op move does not advance the epoch
+        replayed: set[tuple[str, int]] = set()
+        for obj, ops in state.oplog.items():
+            report.objects_checked += 1
+            epoch = 0
+            for op, node in ops:
+                if op == "publish":
+                    ref.publish(obj, node)
+                    epoch = 0
+                else:
+                    res = ref.move(obj, node)
+                    if res.new_proxy != res.old_proxy:
+                        epoch += 1
+                    report.moves_replayed += 1
+                if (obj, epoch) not in replayed:
+                    replayed.add((obj, epoch))
+                    _check_queries(ref, by_obj_epoch.get((obj, epoch), ()), report)
+            if epochs.get(obj) != epoch:
+                report.record("epoch", {"obj": obj, "got": epochs.get(obj), "expected": epoch})
+        for key, recs in by_obj_epoch.items():
+            if key not in replayed:
+                for rec in recs:
+                    report.queries_checked += 1
+                    _record_query(report, "proxy", rec, "<no such epoch>")
+        ledger.merge(state.ledger)
 
     for name in _LEDGER_INT_FIELDS:
-        got, want = getattr(engine.ledger, name), getattr(ref.ledger, name)
+        got, want = getattr(ledger, name), getattr(ref.ledger, name)
         if got != want:
             report.ledger_mismatches.append(f"{name}: {got} != {want}")
     for name in _LEDGER_FLOAT_FIELDS:
-        got, want = getattr(engine.ledger, name), getattr(ref.ledger, name)
+        got, want = getattr(ledger, name), getattr(ref.ledger, name)
         if not close_to(got, want):
             report.ledger_mismatches.append(f"{name}: {got!r} !~ {want!r}")
     return report
 
 
-def _check_epoch_queries(
-    ref: MOTTracker, recs: Iterable[BatchQueryRecord], report: BatchAuditReport
+def _check_queries(
+    ref: MOTTracker, recs: Iterable[BatchQueryRecord], report: AuditReport
 ) -> None:
-    executed: dict[tuple[str, Node], tuple[Node, float]] = {}
+    """Check one ``(object, epoch)`` group of answered queries.
+
+    Only executed records run on the reference, because only they reach
+    a ledger. A coalesced record must carry its executed twin's cost
+    from the same source: coalescing keys on ``(object, epoch,
+    source)``, so a record answered from another source's twin shows.
+    """
+    executed: dict[Node, float] = {}
     for rec in recs:
         report.queries_checked += 1
-        expected_proxy = ref.proxy_of(rec.obj)
-        if rec.proxy != expected_proxy:
-            report.record(
-                "proxy",
-                {
-                    "obj": rec.obj,
-                    "epoch": rec.epoch,
-                    "source": repr(rec.source),
-                    "got": repr(rec.proxy),
-                    "expected": repr(expected_proxy),
-                },
-            )
-            continue
         if rec.coalesced:
-            twin = executed.get((rec.obj, rec.source))
-            if twin is None or not close_to(rec.cost, twin[1]):
-                report.record(
-                    "cost",
-                    {
-                        "obj": rec.obj,
-                        "epoch": rec.epoch,
-                        "source": repr(rec.source),
-                        "got": repr(rec.cost),
-                        "expected": repr(twin[1] if twin else "<no executed twin>"),
-                    },
-                )
-            continue
-        res = ref.query(rec.obj, rec.source)
-        executed[(rec.obj, rec.source)] = (res.proxy, res.cost)
-        if not close_to(rec.cost, res.cost):
-            report.record(
-                "cost",
-                {
-                    "obj": rec.obj,
-                    "epoch": rec.epoch,
-                    "source": repr(rec.source),
-                    "got": repr(rec.cost),
-                    "expected": repr(res.cost),
-                },
-            )
+            cost = executed.get(rec.source)
+        else:
+            cost = executed[rec.source] = ref.query(rec.obj, rec.source).cost
+        proxy = ref.proxy_of(rec.obj)
+        if rec.proxy != proxy:
+            _record_query(report, "proxy", rec, proxy)
+        elif cost is None or not close_to(rec.cost, cost):
+            _record_query(report, "cost", rec, "<no executed twin>" if cost is None else cost)
+
+
+def _record_query(report: AuditReport, kind: str, rec: BatchQueryRecord, expected) -> None:
+    report.record(
+        kind,
+        {
+            "obj": rec.obj,
+            "epoch": rec.epoch,
+            "source": repr(rec.source),
+            "got": repr(rec.proxy if kind == "proxy" else rec.cost),
+            "expected": repr(expected),
+        },
+    )

@@ -1,4 +1,4 @@
-"""The ``repro audit-backend`` gate: the exact-distance contract.
+"""The ``repro audit backend`` gate: the exact-distance contract.
 
 Same pattern as the serve consistency audit and the trace determinism
 gate: an executable contract, run on small graphs

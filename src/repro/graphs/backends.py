@@ -33,8 +33,8 @@ Exactness contract (what each consumer layer may assume):
   first read), the batch engine's SDL-hop table, ``k_neighborhood``
   and the adjacent-pair fast path only issue limited queries, so the
   overlay is identical under both backends and a ``full`` network
-  brought up for serving never computes its matrix (``repro
-  audit-backend`` checks both).
+  brought up for serving never computes its matrix (``repro audit
+  backend`` checks both).
 - **Dense queries** (rows, blocks, pairs, the diameter) are where the
   backends differ: ``full`` computes its all-pairs matrix on the first
   one and reads every later one off it; ``lazy`` solves the rows it
@@ -51,7 +51,7 @@ Exactness contract (what each consumer layer may assume):
   queries; the level pass sizes its safety cap from the sum of the
   edge weights instead, which needs no solve.
 
-``python -m repro audit-backend`` (:mod:`repro.graphs.audit`) checks
+``python -m repro audit backend`` (:mod:`repro.graphs.audit`) checks
 this contract on small graphs; ``scripts/bench_backend.py`` measures the
 100k-node ``lazy`` build/query/memory profile.
 """

@@ -63,8 +63,6 @@ class EvalConfig:
     clock: str = "virtual"  # "virtual" (deterministic) or "wall"
     rate: float = 500.0  # serve-section offered load, ops/s
     distance_backend: str = "auto"
-    batch_size: int = 16
-    queue_capacity: int = 64
 
     def __post_init__(self) -> None:
         if self.clock not in ("virtual", "wall"):
@@ -122,8 +120,6 @@ def _serve_section(net: SensorNetwork, workload: Workload, cfg: EvalConfig) -> d
         workers=cfg.workers,
         rate=cfg.rate,
         seed=cfg.seed,
-        batch_size=cfg.batch_size,
-        queue_capacity=cfg.queue_capacity,
         clock=cfg.clock,
         distance_backend=cfg.distance_backend,
         metrics_snapshot_interval_s=None,

@@ -25,8 +25,9 @@ request-serving system, the ROADMAP's "serves heavy traffic" substrate:
 - :mod:`repro.serve.client` — the async :class:`ServiceClient` API;
 - :mod:`repro.serve.loadgen` — seeded open-loop arrival replay of
   :mod:`repro.sim.workload` traces at a target ops/s;
-- :mod:`repro.serve.audit` — every answer replayed against a
-  sequential reference MOT;
+- :mod:`repro.serve.audit` — every shard's answers, epochs and ledger
+  replayed against one sequential reference MOT
+  (:func:`repro.core.batch.audit_replay`);
 - :mod:`repro.serve.bench` — the ``python -m repro serve-bench``
   driver (JSON latency/throughput/audit report).
 
@@ -48,7 +49,7 @@ Minimal use::
     asyncio.run(main())
 """
 
-from repro.serve.audit import AuditReport, audit_service
+from repro.serve.audit import audit_service
 from repro.serve.bench import ServeBenchConfig, run_serve_bench
 from repro.serve.client import ServiceClient
 from repro.serve.clock import VirtualClock, WallClock
@@ -75,7 +76,6 @@ from repro.serve.snapshot import (
 from repro.serve.worker import ShardWorker, WorkerSpec
 
 __all__ = [
-    "AuditReport",
     "audit_service",
     "ServeBenchConfig",
     "run_serve_bench",

@@ -1,142 +1,26 @@
 """Consistency audit: the service's answers vs a sequential reference.
 
-Correctness claim being checked: hash-partitioning objects across
-shards and batching/coalescing their operations must not change any
-answer. Because a MOT operation on an object touches only that
-object's DL/SDL/spine state, a query's ``(proxy, cost)`` depends only
-on that object's applied operation prefix and the (shared, read-only)
-hierarchy — so a **single** reference :class:`MOTTracker` over the same
-hierarchy, replaying every shard's per-object op log in order, must
-reproduce every logged answer exactly: proxies identically, costs up
-to float tolerance (:func:`repro.core.costs.close_to`).
-
-Every answered query — coalesced or directly executed — is re-run
-from its recorded source and audited on proxy **and** cost. Coalescing
-keys on ``(object, epoch, source)``, so a coalesced record's cost is
-its executed twin's cost *from the same source* and must match the
-reference like any other answer. (The audit once skipped the cost
-check for coalesced records; that skip masked a coalescing bug where
-answers were shared across different sources.)
+Hash-partitioning objects across shards and batching or coalescing
+their operations must not change any answer. :func:`audit_service`
+replays every shard's op log through one reference
+:class:`~repro.core.mot.MOTTracker` with
+:func:`~repro.core.batch.audit_replay`, the scalar-equivalence audit of
+every surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.costs import close_to
-from repro.core.mot import MOTTracker
+from repro.core.batch import AuditReport, audit_replay
 from repro.serve.service import TrackingService
-from repro.serve.shard import QueryRecord
 
-__all__ = ["AuditReport", "audit_service"]
-
-
-@dataclass
-class AuditReport:
-    """Outcome of one consistency audit."""
-
-    objects_checked: int = 0
-    moves_replayed: int = 0
-    queries_checked: int = 0
-    proxy_mismatches: int = 0
-    cost_mismatches: int = 0
-    #: first few mismatches, for the JSON report (capped)
-    examples: list[dict] = field(default_factory=list)
-
-    MAX_EXAMPLES = 10
-
-    @property
-    def mismatches(self) -> int:
-        """Total mismatches of either kind."""
-        return self.proxy_mismatches + self.cost_mismatches
-
-    @property
-    def ok(self) -> bool:
-        """Whether the service matched the sequential reference exactly."""
-        return self.mismatches == 0
-
-    def record_mismatch(self, kind: str, rec: QueryRecord, expected) -> None:
-        """Count one mismatch and keep an example if there is room."""
-        if kind == "proxy":
-            self.proxy_mismatches += 1
-        else:
-            self.cost_mismatches += 1
-        if len(self.examples) < self.MAX_EXAMPLES:
-            self.examples.append(
-                {
-                    "kind": kind,
-                    "obj": rec.obj,
-                    "epoch": rec.epoch,
-                    "source": repr(rec.source),
-                    "got": repr(rec.proxy if kind == "proxy" else rec.cost),
-                    "expected": repr(expected),
-                }
-            )
-
-    def as_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "ok": self.ok,
-            "objects_checked": self.objects_checked,
-            "moves_replayed": self.moves_replayed,
-            "queries_checked": self.queries_checked,
-            "proxy_mismatches": self.proxy_mismatches,
-            "cost_mismatches": self.cost_mismatches,
-            "examples": list(self.examples),
-        }
+__all__ = ["audit_service"]
 
 
 def audit_service(service: TrackingService) -> AuditReport:
     """Replay every shard's op log into one reference MOT and compare.
 
     Per-object operation order is exactly the shard's applied order
-    (shard queues are FIFO); operations of different objects are
-    independent, so the reference replays object by object.
+    (shard queues are FIFO); a shard that runs in a worker process is
+    read after ``stop()``, from the state its final frame carried home.
     """
-    report = AuditReport()
-    ref = MOTTracker(service.hierarchy, service.mot_config)
-    for shard in service.shards:
-        # group that shard's answered queries by (object, epoch),
-        # preserving execution order within a group
-        by_obj_epoch: dict[tuple[str, int], list[QueryRecord]] = {}
-        for rec in shard.query_log:
-            by_obj_epoch.setdefault((rec.obj, rec.epoch), []).append(rec)
-        # epochs reached during the replay; built as we go because a
-        # no-op move does not advance the epoch (the shard's rule too),
-        # so the reachable set is not derivable from move counts alone
-        replayed: set[tuple[str, int]] = set()
-        for obj, ops in shard.oplog.items():
-            report.objects_checked += 1
-            epoch = 0
-            for op, node in ops:
-                if op == "publish":
-                    ref.publish(obj, node)
-                    epoch = 0
-                else:
-                    res = ref.move(obj, node)
-                    if res.new_proxy != res.old_proxy:
-                        epoch += 1
-                    report.moves_replayed += 1
-                if (obj, epoch) not in replayed:
-                    replayed.add((obj, epoch))
-                    _check_queries(ref, by_obj_epoch.get((obj, epoch), ()), report)
-        # queries the shard answered for never-applied epochs would be a
-        # bug in the shard itself; surface them as proxy mismatches
-        for key, recs in by_obj_epoch.items():
-            if key not in replayed:
-                for rec in recs:
-                    report.queries_checked += 1
-                    report.record_mismatch("proxy", rec, "<no such epoch>")
-    return report
-
-
-def _check_queries(ref: MOTTracker, recs, report: AuditReport) -> None:
-    for rec in recs:
-        report.queries_checked += 1
-        expected_proxy = ref.proxy_of(rec.obj)
-        if rec.proxy != expected_proxy:
-            report.record_mismatch("proxy", rec, expected_proxy)
-            continue
-        res = ref.query(rec.obj, rec.source)
-        if not close_to(rec.cost, res.cost):
-            report.record_mismatch("cost", rec, res.cost)
+    return audit_replay(service.hierarchy, service.mot_config, service.shards)

@@ -23,10 +23,13 @@ points per shard, per-shard load concentrates around ``1/n`` with
 relative spread ``O(1/√r)``; the default of 128 keeps a 4-shard ring
 within a few percent of even.
 
-Lookups are memoized: the service routes every submitted op, and a hit
-in the memo skips the SHA-256. The memo is a bounded LRU
-(:data:`ROUTE_MEMO_SIZE` keys) because clients choose the object
-names, and :meth:`HashRing.add` / :meth:`HashRing.remove` clear it.
+A ring's membership is fixed when it is built, so the memo never goes
+stale and one ring per fleet size can be shared: every service of a
+size and :func:`~repro.serve.service.shard_index` route through the
+same ring. Lookups are memoized because the service routes every
+submitted op, and a hit in the memo skips the SHA-256. The memo is a
+bounded LRU (:data:`ROUTE_MEMO_SIZE` keys) because clients choose the
+object names.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def ring_hash(data: str) -> int:
 
 
 class HashRing:
-    """Consistent-hash ring over integer shard ids."""
+    """Consistent-hash ring over a fixed set of integer shard ids."""
 
     def __init__(
         self, shard_ids: Iterable[int] = (), replicas: int = DEFAULT_REPLICAS
@@ -60,37 +63,18 @@ class HashRing:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         self.replicas = replicas
-        #: sorted (point, shard_id) pairs — the lookup table
-        self._points: list[tuple[int, int]] = []
-        self._shards: set[int] = set()
-        #: key → shard memo of :meth:`_locate` (cleared on membership change)
-        self._route = functools.lru_cache(maxsize=ROUTE_MEMO_SIZE)(self._locate)
-        for sid in shard_ids:
-            self.add(sid)
-
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
-    def add(self, shard_id: int) -> None:
-        """Insert ``shard_id``'s virtual nodes; idempotent-hostile on purpose."""
-        if shard_id in self._shards:
-            raise ValueError(f"shard {shard_id} already on the ring")
-        self._shards.add(shard_id)
-        self._points.extend(
-            (ring_hash(f"shard:{shard_id}#{r}"), shard_id)
-            for r in range(self.replicas)
+        shards = sorted(shard_ids)
+        for a, b in zip(shards, shards[1:]):
+            if a == b:
+                raise ValueError(f"shard {a} already on the ring")
+        self._shards = tuple(shards)
+        #: sorted (point, shard_id) pairs — the lookup table; ties break
+        #: on the pair's second element: smaller shard id wins
+        self._points = sorted(
+            (ring_hash(f"shard:{sid}#{r}"), sid) for sid in shards for r in range(replicas)
         )
-        # ties break on the pair's second element: smaller shard id wins
-        self._points.sort()
-        self._route.cache_clear()
-
-    def remove(self, shard_id: int) -> None:
-        """Drop every virtual node of ``shard_id`` from the ring."""
-        if shard_id not in self._shards:
-            raise KeyError(f"shard {shard_id} not on the ring")
-        self._shards.discard(shard_id)
-        self._points = [p for p in self._points if p[1] != shard_id]
-        self._route.cache_clear()
+        #: key → shard memo of :meth:`_locate`
+        self._route = functools.lru_cache(maxsize=ROUTE_MEMO_SIZE)(self._locate)
 
     # ------------------------------------------------------------------
     # routing
@@ -115,8 +99,8 @@ class HashRing:
     # ------------------------------------------------------------------
     @property
     def shards(self) -> tuple[int, ...]:
-        """Current shard ids, ascending."""
-        return tuple(sorted(self._shards))
+        """The ring's shard ids, ascending."""
+        return self._shards
 
     def __len__(self) -> int:
         return len(self._shards)
@@ -125,7 +109,7 @@ class HashRing:
         return shard_id in self._shards
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.shards)
+        return iter(self._shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"HashRing(shards={self.shards}, replicas={self.replicas})"

@@ -44,10 +44,17 @@ Node = Hashable
 
 __all__ = ["ServiceConfig", "TokenBucket", "TrackingService", "shard_index"]
 
-#: shared rings for the module-level ``shard_index`` helper — one ring
-#: per fleet size, identical to the ring a TrackingService of that size
-#: routes with, so helper and service always agree on placement
+#: one ring per fleet size, built on first use: every TrackingService of
+#: that size and the module-level ``shard_index`` helper route through
+#: it, so helper and service always agree on placement
 _DEFAULT_RINGS: dict[int, HashRing] = {}
+
+
+def _ring(shards: int) -> HashRing:
+    ring = _DEFAULT_RINGS.get(shards)
+    if ring is None:
+        ring = _DEFAULT_RINGS[shards] = HashRing(range(shards))
+    return ring
 
 
 def shard_index(obj: str, shards: int) -> int:
@@ -56,10 +63,7 @@ def shard_index(obj: str, shards: int) -> int:
     Hash-seed independent (SHA-256 ring points) and identical to
     :meth:`TrackingService.shard_of`'s routing for the same fleet size.
     """
-    ring = _DEFAULT_RINGS.get(shards)
-    if ring is None:
-        ring = _DEFAULT_RINGS[shards] = HashRing(range(shards))
-    return ring.shard_for(obj)
+    return _ring(shards).shard_for(obj)
 
 
 @dataclass(frozen=True)
@@ -211,8 +215,9 @@ class TrackingService:
         # them cached, forked workers inherit them with the hierarchy
         engine_tables(self.hierarchy, self.mot_config)
         num_shards = self.config.num_shards
-        #: object → shard routing; shard ids double as list indices
-        self.ring = HashRing(range(num_shards))
+        #: object → shard routing, shared by every service of this size;
+        #: shard ids double as list indices
+        self.ring = _ring(num_shards)
         self.shards = [
             TrackerShard(
                 WorkerSpec(i, self.hierarchy, self.mot_config),

@@ -690,7 +690,7 @@ class LedgerConservationChecker(FlowChecker):
 class BackendProtocolChecker(FlowChecker):
     """RPL104 — registered backends must implement ``DistanceBackend``.
 
-    The static complement of the ``repro audit-backend`` runtime gate:
+    The static complement of the ``repro audit backend`` runtime gate:
     every factory handed to ``register_backend`` (and every entry of the
     built-in ``_FACTORIES`` table, annotated or not) is resolved to its
     backend class,

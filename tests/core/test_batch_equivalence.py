@@ -29,7 +29,7 @@ from typing import Hashable, NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import BatchMOTEngine, OpBatch, audit_batch_core
+from repro.core.batch import BatchMOTEngine, OpBatch, audit_replay
 from repro.core.costs import close_to
 from repro.core.mot import MOTConfig, MOTTracker
 from repro.graphs.generators import grid_network, random_geometric_network
@@ -94,6 +94,11 @@ def _apply(engine: BatchMOTEngine, ops) -> list[Outcome]:
         )
         for i, (kind, _obj, _node) in enumerate(ops)
     ]
+
+
+def _audit(engine: BatchMOTEngine):
+    """The sequential replay audit over one engine."""
+    return audit_replay(engine.hs, engine.config, [engine])
 
 
 def _run_batch(net, cfg, seed, ops, chunks):
@@ -179,7 +184,7 @@ def _check_random_stream(net, ops, chunk_seed):
     engine, outcomes = _run_batch(net, cfg, 3, ops, _chunks_covering(len(ops), rng))
     _assert_equivalent(ops, scalar_results, outcomes)
     _assert_ledgers_match(tracker, engine, ops, outcomes)
-    audit = audit_batch_core(engine)
+    audit = _audit(engine)
     assert audit.ok, audit.as_dict()
 
 
@@ -196,7 +201,7 @@ def _check_long_stream(net, cfg):
     engine, outcomes = _run_batch(net, cfg, 5, ops, _chunks_covering(len(ops), rng))
     _assert_equivalent(ops, scalar_results, outcomes)
     _assert_ledgers_match(tracker, engine, ops, outcomes)
-    audit = audit_batch_core(engine)
+    audit = _audit(engine)
     assert audit.ok, audit.as_dict()
 
 
@@ -237,7 +242,7 @@ class TestScenarioPacks:
         for i in range(0, len(ops), 256):
             for out in _apply(engine, ops[i : i + 256]):
                 assert out.error is None, (name, out.error)
-        audit = audit_batch_core(engine)
+        audit = _audit(engine)
         assert audit.ok, (name, audit.as_dict())
         assert audit.objects_checked == len(workload.starts)
 
@@ -357,7 +362,7 @@ class TestEdgeCases:
             assert any(o.coalesced for o in outcomes)
             assert engine.ledger.noop_moves > 0
             assert all(engine.proxy_of(obj) == tracker.proxy_of(obj) for obj in objs)
-            assert audit_batch_core(engine).ok
+            assert _audit(engine).ok
 
 
 class TestTables:
@@ -380,7 +385,7 @@ class TestTables:
         ops += [("move", f"o{i}", net.node_at(143 - 5 * i)) for i in range(10)]
         ops += [("query", f"o{i}", net.node_at(11 * i)) for i in range(10)]
         assert not engine.apply_ops(OpBatch.of(ops)).errors
-        assert audit_batch_core(engine).ok
+        assert _audit(engine).ok
 
     def test_epochs_accessor_matches_epoch_of(self):
         engine = BatchMOTEngine.build(NET, MOTConfig(), seed=2)

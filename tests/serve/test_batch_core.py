@@ -12,16 +12,14 @@ continues on the same path.
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import asyncio
 
-from repro.core.batch import BatchMOTEngine, OpBatch, audit_batch_core
+from repro.core.batch import BatchMOTEngine, OpBatch, audit_replay
 from repro.core.costs import CostLedger, close_to
 from repro.core.mot import MOTConfig, MOTTracker
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
-from repro.serve.audit import audit_service
 from repro.serve.protocol import MoveRequest, PublishRequest, QueryRequest, kind_of
 from repro.serve.clock import VirtualClock
 from repro.serve.metrics import ServiceMetrics
@@ -136,9 +134,8 @@ def _assert_same(reqs, got, want) -> None:
 
 
 def _audit(core: ShardWorker):
-    """The service's sequential replay audit over one core."""
-    fleet = SimpleNamespace(hierarchy=HIER, mot_config=MOTConfig(), shards=[core])
-    return audit_service(fleet)  # type: ignore[arg-type]
+    """The sequential replay audit over one core."""
+    return audit_replay(HIER, MOTConfig(), [core])
 
 
 class TestApplyParity:
@@ -170,7 +167,7 @@ class TestApplyParity:
         assert core.epochs == {
             obj: core.engine.epoch_of(obj) for obj in core.oplog
         }
-        audit = audit_batch_core(core.engine)
+        audit = audit_replay(HIER, MOTConfig(), [core.engine])
         assert audit.ok, audit.as_dict()
 
     def test_errors_carried_in_place(self):

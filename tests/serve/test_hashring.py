@@ -8,8 +8,10 @@ The routing contract the service depends on:
   ``K`` keys (the Karger bound), and every moved key lands on the *new*
   shard — no key ever shuffles between surviving shards;
 - removing a shard relocates only that shard's keys;
-- the lookup memo is bounded (clients choose the keys), is cleared by
-  every membership change, and never changes an answer.
+- the lookup memo is bounded (clients choose the keys) and never
+  changes an answer;
+- membership is fixed at construction, so every service of one fleet
+  size and ``shard_index`` share one ring.
 """
 
 import os
@@ -19,7 +21,7 @@ import sys
 import pytest
 
 from repro.graphs.generators import grid_network
-from repro.serve import ServiceConfig, TrackingService, hashring, shard_index
+from repro.serve import ServiceConfig, TrackingService, hashring, service, shard_index
 from repro.serve.hashring import ROUTE_MEMO_SIZE, HashRing, ring_hash
 
 KEYS = [f"obj-{i}" for i in range(2000)]
@@ -92,25 +94,19 @@ class TestChurn:
         assert all(after.shard_for(k) == n for k in moved)
 
     def test_removing_a_shard_moves_only_its_keys(self):
-        ring = HashRing(range(4))
-        owner = {k: ring.shard_for(k) for k in KEYS}
-        ring.remove(2)
+        full = HashRing(range(4))
+        without_2 = HashRing([0, 1, 3])
         for key in KEYS:
-            if owner[key] == 2:
-                assert ring.shard_for(key) != 2
+            if full.shard_for(key) == 2:
+                assert without_2.shard_for(key) != 2
             else:
-                assert ring.shard_for(key) == owner[key]
+                assert without_2.shard_for(key) == full.shard_for(key)
 
 
 class TestMembership:
-    def test_duplicate_add_raises(self):
-        ring = HashRing([0])
-        with pytest.raises(ValueError, match="already on the ring"):
-            ring.add(0)
-
-    def test_remove_unknown_raises(self):
-        with pytest.raises(KeyError):
-            HashRing([0]).remove(7)
+    def test_duplicate_ids_raise(self):
+        with pytest.raises(ValueError, match="shard 2 already on the ring"):
+            HashRing([2, 0, 2])
 
     def test_empty_ring_lookup_raises(self):
         with pytest.raises(LookupError):
@@ -139,20 +135,6 @@ class TestRoutingMemo:
             ring.shard_for(f"client-chosen-{i}")
         assert self.memo_size(ring) == ROUTE_MEMO_SIZE
 
-    def test_add_and_remove_clear_the_memo(self):
-        ring = HashRing(range(4))
-        owner = {k: ring.shard_for(k) for k in KEYS}
-        assert self.memo_size(ring) == len(KEYS)
-        ring.add(4)
-        assert self.memo_size(ring) == 0
-        grown = {k: ring.shard_for(k) for k in KEYS}
-        five = HashRing(range(5))
-        assert grown == {k: five.shard_for(k) for k in KEYS}
-        assert any(grown[k] == 4 != owner[k] for k in KEYS)  # a stale memo would hide these
-        ring.remove(4)
-        assert self.memo_size(ring) == 0
-        assert {k: ring.shard_for(k) for k in KEYS} == owner
-
     @pytest.mark.parametrize("bound", [ROUTE_MEMO_SIZE, 64])
     def test_memoized_lookups_agree_with_a_fresh_ring(self, monkeypatch, bound):
         # the small bound evicts on almost every lookup of the second pass
@@ -167,7 +149,15 @@ class TestRoutingMemo:
         assert memoized == [fresh.shard_for(key) for key in keys]
 
     def test_shard_index_matches_the_service_routing(self):
-        service = TrackingService(grid_network(3, 3), ServiceConfig(shards=4), seed=1)
+        svc = TrackingService(grid_network(3, 3), ServiceConfig(shards=4), seed=1)
         for _ in range(2):  # a cold pass, then a memoized one
             for key in KEYS[:500]:
-                assert service.shard_of(key).shard_id == shard_index(key, 4)
+                assert svc.shard_of(key).shard_id == shard_index(key, 4)
+
+    def test_services_and_shard_index_share_one_ring_per_size(self):
+        net = grid_network(3, 3)
+        a = TrackingService(net, ServiceConfig(shards=5), seed=1)
+        b = TrackingService(net, ServiceConfig(shards=5), seed=2)
+        shard_index("obj-0", 5)
+        assert a.ring is b.ring is service._DEFAULT_RINGS[5]
+        assert TrackingService(net, ServiceConfig(shards=3), seed=1).ring is not a.ring

@@ -12,20 +12,6 @@ def test_list_prints_all_figures(capsys):
         assert f"fig{i}" in out
 
 
-def test_demo_runs(capsys):
-    assert main(["demo"]) == 0
-    out = capsys.readouterr().out
-    assert "tiger" in out
-    assert "cost ratio" in out
-
-
-def test_compare_small(capsys):
-    assert main(["compare", "--side", "5", "--objects", "4",
-                 "--moves", "30", "--queries", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "MOT" in out and "STUN" in out and "Z-DAT" in out
-
-
 @pytest.mark.slow
 def test_figure_with_csv(tmp_path, capsys):
     csv_path = tmp_path / "out" / "fig8.csv"
@@ -109,13 +95,6 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.startswith("repro ")
-
-
-def test_demo_seed_changes_walk(capsys):
-    assert main(["demo", "--seed", "0"]) == 0
-    first = capsys.readouterr().out
-    assert main(["demo", "--seed", "0"]) == 0
-    assert capsys.readouterr().out == first  # same seed, same tour
 
 
 def test_lint_flags_violation_with_position(tmp_path, capsys):
@@ -263,7 +242,7 @@ def test_serve_demo_runs(capsys):
     assert "rejected" in out
 
 
-AUDIT_BACKEND_SMALL = ["audit-backend", "--side", "4", "--geometric-nodes", "24"]
+AUDIT_BACKEND_SMALL = ["audit", "backend", "--side", "4", "--geometric-nodes", "24"]
 
 
 def test_audit_backend_to_stdout(capsys):
@@ -287,6 +266,39 @@ def test_audit_backend_to_file(tmp_path, capsys):
     assert main(AUDIT_BACKEND_SMALL + ["--out", str(out_path)]) == 0
     assert "wrote" in capsys.readouterr().out
     assert json.loads(out_path.read_text())["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["batch", "--chunk", "-5", "--scenario", "rush-hour"], "--chunk must be >= 1, got -5"),
+        (["batch", "--chunk", "0"], "--chunk must be >= 1, got 0"),
+        (["batch", "--scenario", "no-such-scenario"], "unknown scenario 'no-such-scenario'"),
+        (["backend", "--side", "0"], "--side must be >= 2, got 0"),
+        (["backend", "--side", "1"], "--side must be >= 2, got 1"),
+        (["backend", "--geometric-nodes", "1"], "--geometric-nodes must be >= 2, got 1"),
+    ],
+)
+def test_audit_rejects_bad_arguments_with_exit_two(argv, message, capsys):
+    assert main(["audit", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_audit_batch_to_file(tmp_path, capsys):
+    import json
+
+    out_path = tmp_path / "runs" / "audit_batch.json"
+    assert main(["audit", "batch", "--scenario", "rush-hour", "--chunk", "64",
+                 "--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "rush-hour" in out and "ok" in out and "wrote" in out
+    report = json.loads(out_path.read_text())
+    assert report["ok"] is True and list(report["scenarios"]) == ["rush-hour"]
+    audit = report["scenarios"]["rush-hour"]["audit"]
+    assert audit["ok"] is True and audit["queries_checked"] > 0
+    assert audit["epoch_mismatches"] == 0 and audit["ledger_mismatches"] == []
 
 
 def test_perf_distance_backend_flag(capsys):
