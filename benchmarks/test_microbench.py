@@ -73,7 +73,7 @@ def test_bench_hierarchy_construction(benchmark):
 
 
 def test_bench_hierarchy_construction_2048_boundary(benchmark):
-    """Build at the full/lazy auto-switch boundary (n = LAZY_THRESHOLD).
+    """Build at the row store's capacity boundary (n = LAZY_THRESHOLD).
 
     This is the acceptance microbench for the batched distance layer: a
     2048-node build must be no slower than the per-pair seed code. The

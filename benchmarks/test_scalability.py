@@ -1,6 +1,7 @@
 """Scalability benchmark: MOT beyond the paper's largest network.
 
-The paper stops at 1024 sensors. With the lazy distance oracle the
+The paper stops at 1024 sensors. Past ``SensorNetwork.LAZY_THRESHOLD``
+nodes the row store keeps ``LAZY_CACHE_ROWS`` exact rows, so the
 implementation keeps working at 4096 sensors (64x64) without O(n²)
 memory; this bench times the end-to-end build-track-query pipeline
 there and checks the cost ratios keep their logarithmic shape.
@@ -20,7 +21,7 @@ from repro.hierarchy.structure import build_hierarchy
 def test_mot_on_4096_sensors(benchmark):
     def experiment():
         net = grid_network(64, 64)
-        assert net.distance_mode == "lazy"
+        assert net.oracle_stats["row_cache_capacity"] == net.LAZY_CACHE_ROWS
         hs = build_hierarchy(net, seed=1)
         tracker = MOTTracker(hs)
         rnd = random.Random(0)

@@ -7,9 +7,9 @@ build, and ``peak_traced_mb``: the peak of Python allocations during
 one more build, untimed, under ``tracemalloc`` (the network is made
 before tracing starts). Each case also records:
 
-- ``matrix_materialized``: whether the all-pairs matrix was resident
-  after the builds. A build asks the oracle for balls alone, so it
-  reads ``false`` under ``full`` as well;
+- ``matrix_materialized``: whether the all-pairs matrix was stacked
+  after the builds. A build asks for balls alone, so it reads
+  ``false`` even where every row would fit;
 
 - ``network_best_s`` / ``network_mean_s`` / ``network_times_s``: the
   ``SensorNetwork`` construction from the caller's graph, timed
@@ -17,7 +17,7 @@ before tracing starts). Each case also records:
 - ``phases_s``: mean seconds per repeat of every ``PERF`` timer that
   ran during the timed builds — ``graphs.ingest`` (network
   construction), ``oracle.solve`` (exact rows), ``oracle.balls``
-  (radius-limited balls), ``oracle.full_matrix``, ``hierarchy.mis``
+  (radius-limited balls), ``hierarchy.mis``
   and ``hierarchy.parents`` (default parents);
 - ``tables_best_s`` / ``tables_mean_s`` / ``tables_times_s``: the batch
   engine's static tables (``repro.core.batch.engine_tables``, default
@@ -28,17 +28,17 @@ The cases:
 
 - the 2048-node 64x32 grid of
   ``benchmarks/test_microbench.py::test_bench_hierarchy_construction_2048_boundary``,
-  under ``full`` (``auto`` at 2048 nodes). Its network is shared across
-  repeats; its matrix is never computed, so every repeat solves its
-  balls as the first one does. The top-level fields are this case: the
-  number the tracing layer's zero-overhead-when-disabled claim is
+  the largest network whose row store keeps every row. Its network is
+  shared across repeats; a build solves no row, so every repeat solves
+  its balls as the first one does. The top-level fields are this case:
+  the number the tracing layer's zero-overhead-when-disabled claim is
   audited against (see docs/OBSERVABILITY.md);
-- under ``lazy_4096``, the 64x64 grid on the lazy row oracle, the
-  network of perfbench's ``open-queries-4k``. Every repeat builds a
-  fresh network, so each one pays the whole build: one sparse ball per
-  level member from level 1 up (level 0's pairs are read off the CSR);
-- under ``lazy_65536``, the 256x256 grid, built the same way: the scale
-  ROADMAP item 3 (a bring-up linear in ``n``) is measured at.
+- under ``grid_4096``, the 64x64 grid, the network of perfbench's
+  ``open-queries-4k``. Every repeat builds a fresh network, so each
+  one pays the whole build: one sparse ball per level member from
+  level 1 up (level 0's pairs are read off the CSR);
+- under ``grid_65536``, the 256x256 grid, built the same way: the
+  scale a bring-up linear in ``n`` is measured at.
 
 CI uploads the output as ``BENCH_build.json`` next to the serve-bench
 report, so regressions show up as artifact diffs rather than anecdotes.
@@ -89,7 +89,7 @@ def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, An
     tracemalloc.stop()
     return {
         "nodes": net.n,
-        "distance_backend": net.distance_mode,
+        "row_cache_capacity": net.oracle_stats["row_cache_capacity"],
         "seed": seed,
         "levels": hs.h,
         "level_sizes": [len(hs.level_nodes(ell)) for ell in range(hs.h + 1)],
@@ -107,14 +107,14 @@ def _bench(make_net: Callable[[], Any], repeats: int, seed: int) -> dict[str, An
     }
 
 
-def _network(graph: Any, backend: str, repeats: int) -> dict[str, Any]:
+def _network(graph: Any, repeats: int) -> dict[str, Any]:
     """Time ``repeats`` network constructions from the caller's graph."""
     from repro.graphs.network import SensorNetwork
 
     times: list[float] = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        SensorNetwork(graph, normalize=False, distance_backend=backend)
+        SensorNetwork(graph, normalize=False)
         times.append(time.perf_counter() - t0)
     return {
         "network_best_s": min(times),
@@ -136,19 +136,19 @@ def main() -> None:
 
     net = grid_network(64, 32)
     full = _bench(lambda: net, args.repeats, args.seed)
-    full.update(_network(net.graph, "full", args.repeats))
-    lazy_cases = {}
+    full.update(_network(net.graph, args.repeats))
+    grid_cases = {}
     for side in (64, 256):
         graph = grid_network(side, side).graph
         case = _bench(
-            lambda graph=graph: SensorNetwork(graph, normalize=False, distance_backend="lazy"),
+            lambda graph=graph: SensorNetwork(graph, normalize=False),
             args.repeats,
             args.seed,
         )
-        case.update(_network(graph, "lazy", args.repeats))
+        case.update(_network(graph, args.repeats))
         nodes = side * side
-        lazy_cases[f"lazy_{nodes}"] = {
-            "bench": f"hierarchy_build_{nodes}_lazy",
+        grid_cases[f"grid_{nodes}"] = {
+            "bench": f"hierarchy_build_{nodes}",
             "grid": [side, side],
             **case,
         }
@@ -174,7 +174,7 @@ def main() -> None:
         "tables_best_s": full["tables_best_s"],
         "tables_mean_s": full["tables_mean_s"],
         "tables_times_s": full["tables_times_s"],
-        **lazy_cases,
+        **grid_cases,
     }
     text = json.dumps(report, indent=1)
     with open(args.out, "w", encoding="utf-8") as fh:

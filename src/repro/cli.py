@@ -5,17 +5,15 @@ Commands:
 - ``figure NAME [--scale S] [--csv PATH]`` — regenerate one paper
   figure (fig4 … fig15), print its table, optionally export CSV;
 - ``list`` — list the available figures with their descriptions;
-- ``perf [--side N] [--distance-backend B] [--out PATH]`` — run one
+- ``perf [--side N] [--out PATH]`` — run one
   MOT workload with instrumentation on and emit the JSON perf report
   (oracle hit/miss pressure, per-operation timers, ledger summary);
 - ``audit backend [--side N] [--geometric-nodes N]`` — check the
-  distance-backend contract on small graphs: ``full`` and ``lazy`` must
-  agree bit-for-bit with a dense reference solve, ``lazy``'s solved
-  ``balls`` must equal the reference's entries, and both must report
-  the same k-neighborhoods, a certified diameter bracket and the same
-  overlay, a ``full`` build and its batch tables must leave the matrix
-  unmaterialized, and the batch engine's SDL hops must equal the
-  reference's (see :mod:`repro.graphs.audit`);
+  exact-distance contract on small graphs against a dense reference
+  solve: rows and pairs bit for bit (every row resident, and a row
+  store that evicts), solved ``balls``, k-neighborhoods, the diameter,
+  level 0 off the CSR, a build and its batch tables that solve no row,
+  and the batch engine's SDL hops (see :mod:`repro.graphs.audit`);
 - ``audit batch [--scenario NAME …] [--chunk N]`` — chunk every
   scenario pack's op stream through the columnar batch engine and
   replay it against the sequential reference MOT
@@ -51,10 +49,10 @@ Commands:
   AST lint rules (RPL001–RPL007, see :mod:`repro.staticcheck`) over
   source trees;
 - ``check [PATHS…] [--format json|sarif] [--cache PATH]`` — run the
-  project-wide interprocedural analyses (RPL101–RPL105: seed taint,
-  await-atomicity races, ledger conservation, backend protocol
-  conformance, worker frame-protocol totality; see
-  :mod:`repro.staticcheck.flow`). ``--cache`` persists
+  project-wide interprocedural analyses (RPL101–RPL103 and RPL105:
+  seed taint, await-atomicity races, ledger conservation, worker
+  frame-protocol totality; see :mod:`repro.staticcheck.flow`).
+  ``--cache`` persists
   the parsed index/call graph keyed on a source hash.
 
 ``python -m repro --version`` prints the installed package version
@@ -69,7 +67,10 @@ Exit codes (uniform across subcommands):
   (``eval --check``);
 - ``2`` — usage error: unknown subcommand/flag (argparse) or an
   invalid argument value caught by the command itself (e.g. an unknown
-  figure name).
+  figure name);
+- ``141`` — the reader of stdout went away (``repro trace diff a b |
+  head -3``): the rest of the report is dropped, as a process killed
+  by SIGPIPE would, without a traceback.
 
 The guided tour of the tracker and the head-to-head against the
 baselines are ``examples/quickstart.py`` and
@@ -79,10 +80,9 @@ baselines are ``examples/quickstart.py`` and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-
-from repro.graphs.backends import BACKEND_NAMES
 
 __all__ = ["main"]
 
@@ -151,15 +151,12 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     from repro.experiments.runner import execute_one_by_one, make_tracker
     from repro.graphs.generators import grid_network
-    from repro.graphs.network import SensorNetwork
     from repro.metrics.ratios import per_operation_means
     from repro.perf import PERF
     from repro.sim.workload import make_workload
 
     PERF.reset()
     net = grid_network(args.side, args.side)
-    if args.distance_backend != "auto":
-        net = SensorNetwork(net.graph, normalize=False, distance_backend=args.distance_backend)
     wl = make_workload(net, num_objects=args.objects, moves_per_object=args.moves,
                        num_queries=args.queries, seed=args.seed)
     tracker = make_tracker("MOT", net, wl.traffic, seed=args.seed)
@@ -171,8 +168,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         "run": {
             "grid_side": args.side,
             "sensors": net.n,
-            "distance_mode": net.distance_mode,
-            "distance_backend": net.distance_mode,
             "objects": args.objects,
             "moves_per_object": args.moves,
             "queries": args.queries,
@@ -260,7 +255,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 args.snapshot_interval if args.snapshot_interval > 0 else None
             ),
             trace_path=args.trace,
-            distance_backend=args.distance_backend,
         )
     except ValueError as exc:
         return _usage_error("serve-bench", str(exc))
@@ -300,7 +294,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             workers=args.workers,
             clock=clock,
             rate=args.rate,
-            distance_backend=args.distance_backend,
         )
         names = args.scenario or None
         if names:
@@ -470,16 +463,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         if args.trace_cmd == "summarize":
-            summary = summarize_trace(
-                read_trace(args.path), kind=args.kind, obj=args.obj
-            )
-            print(json.dumps(summary, indent=1))
-            return 0
-        result = diff_traces(args.a, args.b, ignore_timing=args.ignore_timing)
+            result = summarize_trace(read_trace(args.path), kind=args.kind, obj=args.obj)
+        else:
+            result = diff_traces(args.a, args.b, ignore_timing=args.ignore_timing)
     except (OSError, ValueError) as exc:
         return _usage_error("trace", str(exc))
     print(json.dumps(result, indent=1))
-    return 0 if result["identical"] else 1
+    return 0 if args.trace_cmd == "summarize" or result["identical"] else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -528,19 +518,16 @@ def main(argv: list[str] | None = None) -> int:
     p_perf.add_argument("--moves", type=int, default=50)
     p_perf.add_argument("--queries", type=int, default=50)
     p_perf.add_argument("--seed", type=int, default=1)
-    p_perf.add_argument("--distance-backend",
-                        choices=("auto", *BACKEND_NAMES),
-                        default="auto", help="distance backend")
     p_perf.add_argument("--prometheus", action="store_true",
                         help="emit Prometheus text exposition instead of JSON")
     p_perf.add_argument("--out", help="write the report here instead of stdout")
     p_perf.set_defaults(fn=_cmd_perf)
 
-    p_au = sub.add_parser("audit", help="run a scalar-equivalence or backend audit")
+    p_au = sub.add_parser("audit", help="run a scalar-equivalence or exact-distance audit")
     au_sub = p_au.add_subparsers(dest="audit_cmd", required=True)
     p_ab = au_sub.add_parser(
         "backend",
-        help="check distance-backend exactness on small graphs",
+        help="check exact distances against a dense reference on small graphs",
     )
     p_ab.add_argument("--side", type=int, default=6, help="grid side of the audit graph")
     p_ab.add_argument("--geometric-nodes", type=int, default=48,
@@ -620,10 +607,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="metrics snapshot period in service-clock seconds (0 = off)")
     p_sb.add_argument("--trace", default=None, metavar="PATH",
                       help="record a JSONL span trace of the run to PATH")
-    p_sb.add_argument("--distance-backend",
-                      choices=("auto", *BACKEND_NAMES),
-                      default="auto",
-                      help="distance backend of the shared network")
     p_sb.add_argument("--out", help="write the JSON report here instead of stdout")
     p_sb.set_defaults(fn=_cmd_serve_bench)
 
@@ -669,10 +652,6 @@ def main(argv: list[str] | None = None) -> int:
                            "when --workers > 0)")
     p_ev.add_argument("--rate", type=float, default=500.0,
                       help="serve-section offered load in ops/s")
-    p_ev.add_argument("--distance-backend",
-                      choices=("auto", *BACKEND_NAMES),
-                      default="auto",
-                      help="distance backend of the scenario networks")
     p_ev.add_argument("--check", nargs="?", metavar="BASELINE",
                       const="benchmarks/eval_baselines.json", default=None,
                       help="gate the report against this committed baseline "
@@ -697,7 +676,7 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.set_defaults(fn=_cmd_lint)
 
     p_check = sub.add_parser(
-        "check", help="run the interprocedural flow analyses (RPL101-RPL105)"
+        "check", help="run the interprocedural flow analyses (RPL101-RPL103, RPL105)"
     )
     p_check.add_argument("paths", nargs="*", metavar="PATH",
                          help="files or directories (default: src)")
@@ -711,7 +690,15 @@ def main(argv: list[str] | None = None) -> int:
     p_check.set_defaults(fn=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # the reader went away: write nothing more, and exit with the
+        # code a shell reports for a process killed by SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,12 +1,5 @@
-"""Sensor-network graph substrate: model, distance backends, generators, doubling."""
+"""Sensor-network graph substrate: model, exact distances, generators, doubling."""
 
-from repro.graphs.backends import (
-    BACKEND_NAMES,
-    DistanceBackend,
-    FullMatrixBackend,
-    LazyLRUBackend,
-    make_backend,
-)
 from repro.graphs.network import SensorNetwork
 from repro.graphs.generators import (
     grid_network,
@@ -22,11 +15,6 @@ from repro.graphs.doubling import estimate_doubling_dimension
 
 __all__ = [
     "SensorNetwork",
-    "DistanceBackend",
-    "FullMatrixBackend",
-    "LazyLRUBackend",
-    "BACKEND_NAMES",
-    "make_backend",
     "grid_network",
     "ring_network",
     "line_network",

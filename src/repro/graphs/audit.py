@@ -2,33 +2,34 @@
 
 Same pattern as the serve consistency audit and the trace determinism
 gate: an executable contract, run on small graphs
-where a dense reference solve is affordable, wired into CI so a backend
-regression fails a build instead of silently corrupting cost ledgers.
+where a dense reference solve is affordable, wired into CI so a
+distance regression fails a build instead of silently corrupting cost
+ledgers. The reference is one all-pairs scipy solve over a CSR built
+from the network's graph, outside the row store.
 
-Checks per graph (a grid and a random geometric network by default):
+Checks per graph (a grid and a random geometric network by default),
+each against the dense reference:
 
-- **exact parity** — the ``full`` and ``lazy`` backends answer every
-  pair *bit-for-bit* equal to an independent dense reference Dijkstra
-  (``np.array_equal``, no tolerance: both run the same scipy solver
-  over the same CSR, so even the float noise must match the seed
-  oracle), and only ``full`` materializes the matrix;
-- **solved balls** — ``lazy`` answers ``balls`` with exactly the
-  reference's entries within the limit (exact ``==``, none past it);
-- **k-neighborhood agreement** — both backends report the same ball
-  membership (the boundary-node tolerance fix applies uniformly);
-- **diameter bracket** — ``diameter_bounds`` contains the true
-  diameter under both backends;
-- **overlay parity** — ``build_hierarchy`` gives equal levels, default
-  parents and hops (the level pass's index arrays, exact ``==``) under
-  ``full`` and ``lazy``;
+- **exact rows and pairs** — rows, node pairs and the batch engine's
+  index pairs (the ledger read) equal the reference *bit for bit*
+  (``np.array_equal``, no tolerance: the same scipy solver runs over
+  the same CSR, so even the float noise must match), both with every
+  row resident and with a row store small enough to evict
+  (``rows_bit_for_bit``);
+- **solved balls** — ``balls`` answers with exactly the reference's
+  entries within the limit (exact ``==``, none past it);
+- **k-neighborhoods** — ``k_neighborhood`` reports the reference's
+  nodes within the radius, boundary nodes kept by the cost tolerance;
+- **diameter bracket** — ``diameter_bounds`` is the true diameter with
+  every row resident, and contains it when the store evicts;
 - **E₀ off the CSR** — the single edges lighter than 2 read off the CSR
   equal the pairs closer than 2 solved as balls (exact ``==``), and a
   build solves no level-0 ball; a copy with every weight halved (its
   lightest edge below 1, unnormalized) solves all of them
   (``level0_pairs_exact``);
-- **a build without the matrix** — a fresh ``full`` network's overlay
-  and batch-engine tables leave the matrix unmaterialized and compute
-  no exact row (``build_matrix_free``);
+- **a build without rows** — a fresh network's overlay and batch-engine
+  tables compute no exact row and leave the matrix unstacked
+  (``build_matrix_free``);
 - **exact SDL hops** — the batch engine's SDL-hop table holds each
   special parent's host-to-child distance exactly as the dense
   reference's row of the host has it (``sdl_hop_exact``, exact ``==``).
@@ -43,27 +44,29 @@ from typing import Sequence
 
 import networkx as nx
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from repro.core.batch import BatchMOTEngine
-from repro.graphs.backends import BACKEND_NAMES
+from repro.graphs.backends import _ball_cutoff
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
 from repro.hierarchy.levels import ball_pairs, build_levels
 from repro.hierarchy.structure import build_hierarchy
-
-#: levels, default parents and hops of one overlay, as index arrays
-Overlay = tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]
 
 __all__ = ["run_backend_audit"]
 
 #: bracket slack: float noise only, far below any real distance gap
 _EPS = 1e-9
 
+#: row-store capacity of the evicting network each graph is also audited on
+_EVICTING_ROWS = 4
+
 
 def _reference_matrix(net: SensorNetwork) -> np.ndarray:
-    """An independent dense solve (the seed oracle's full mode)."""
-    ref = SensorNetwork(net.graph, normalize=False, distance_backend="full")
-    return np.asarray(ref.distance_matrix)
+    """An independent dense solve: one all-pairs scipy call over a CSR
+    built from the network's graph."""
+    csr = nx.to_scipy_sparse_array(net.graph, nodelist=list(net.nodes), format="csr")
+    return dijkstra(csr, directed=False)
 
 
 def _sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
@@ -71,20 +74,6 @@ def _sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
     return [
         (int(rng.integers(n)), int(rng.integers(n))) for _ in range(count)
     ] + [(0, 0), (0, n - 1)]
-
-
-def _overlay(net: SensorNetwork, seed: int) -> Overlay:
-    """Levels, default parents and hops of ``net``'s default overlay, as
-    the level pass's index arrays."""
-    ls = build_hierarchy(net, seed=seed).levels
-    return ls.level_index, ls.parent_index, ls.parent_hop
-
-
-def _same_overlay(a: Overlay, b: Overlay) -> bool:
-    return all(
-        len(x) == len(y) and all(np.array_equal(p, q) for p, q in zip(x, y, strict=True))
-        for x, y in zip(a, b, strict=True)
-    )
 
 
 def _level0_checks(graph: nx.Graph, seed: int) -> tuple[bool, str]:
@@ -116,46 +105,39 @@ def _audit_one_graph(label: str, base: SensorNetwork, seed: int) -> list[dict[st
     ref = _reference_matrix(base)
     pairs = _sample_pairs(ref.shape[0], 64, seed)
     sources = sorted({i for i, _ in pairs})
+    want = np.array([ref[i, j] for i, j in pairs])
 
     def record(name: str, ok: bool, detail: str) -> None:
         checks.append(
             {"graph": label, "check": name, "ok": bool(ok), "detail": detail}
         )
 
-    nets = {
-        name: SensorNetwork(base.graph, normalize=False, distance_backend=name)
-        for name in BACKEND_NAMES
-    }
+    net = SensorNetwork(base.graph, normalize=False)
+    lru = SensorNetwork(base.graph, normalize=False, lazy_cache_rows=_EVICTING_ROWS)
 
-    # -- both backends must agree bit-for-bit with the reference -------
-    for name, net in nets.items():
-        block = np.asarray(net.distances_to_many([net.node_at(i) for i in sources]))
-        exact_rows = bool(np.array_equal(block, ref[sources]))
-        got = net.pair_distances(
-            [(net.node_at(i), net.node_at(j)) for i, j in pairs]
+    # -- rows, node pairs and index pairs are the reference's bits -----
+    exact = True
+    for each in (net, lru):
+        block = each.distances_to_many([each.node_at(i) for i in sources])
+        got = each.pair_distances([(each.node_at(i), each.node_at(j)) for i, j in pairs])
+        index = each.pair_index_distances(np.array(pairs, dtype=np.int64))
+        exact = exact and all(
+            np.array_equal(a, b) for a, b in ((block, ref[sources]), (got, want), (index, want))
         )
-        want = np.array([ref[i, j] for i, j in pairs])
-        exact_pairs = bool(np.array_equal(np.asarray(got), want))
-        record(
-            f"{name}_bit_for_bit",
-            exact_rows and exact_pairs,
-            f"{len(sources)} rows and {len(pairs)} pairs vs dense reference",
-        )
-        mat_flag = bool(net.oracle_stats["matrix_materialized"])
-        record(
-            f"{name}_matrix_flag",
-            mat_flag == (name == "full"),
-            f"matrix_materialized={mat_flag}",
-        )
+    record(
+        "rows_bit_for_bit",
+        exact and lru.oracle_stats["row_cache_evictions"] > 0,
+        f"{len(sources)} rows, {len(pairs)} node pairs and index pairs vs dense reference, "
+        f"every row resident and a {_EVICTING_ROWS}-row store",
+    )
 
-    # -- lazy's solved balls are the reference's entries ---------------
-    lazy = nets["lazy"]
+    # -- solved balls are the reference's entries ----------------------
     limit = float(np.median(ref[ref > 0])) if np.any(ref > 0) else 1.0
-    src, node, dist = lazy.balls([lazy.node_at(i) for i in sources], limit)
+    src, node, dist = net.balls([net.node_at(i) for i in sources], limit)
     # the dense reference's entries within the limit, in the same order
     want_src, want_node = np.nonzero(ref[sources] <= limit)
     record(
-        "lazy_balls_exact",
+        "balls_exact",
         bool(
             np.array_equal(src, want_src)
             and np.array_equal(node, want_node)
@@ -164,47 +146,37 @@ def _audit_one_graph(label: str, base: SensorNetwork, seed: int) -> list[dict[st
         f"balls at limit={limit:.3g} equal the dense reference's entries",
     )
 
-    # -- k-neighborhood and diameter agreement across backends ---------
-    probe = base.node_at(0)
+    # -- k-neighborhood and diameter against the reference -------------
     radius = max(2.0, limit / 2.0)
-    balls = [net.k_neighborhood(probe, radius) for net in nets.values()]
-    true_d = float(ref.max())
-    diam_ok = True
-    for net in nets.values():
-        lo, hi = net.diameter_bounds
-        diam_ok = diam_ok and (lo <= true_d + _EPS <= hi + _EPS)
+    ball = net.k_neighborhood(base.node_at(0), radius)
+    within = [base.node_at(i) for i in np.flatnonzero(ref[0] <= _ball_cutoff(radius))]
     record(
-        "k_neighborhood_agreement",
-        all(ball == balls[0] for ball in balls),
-        f"ball(node 0, {radius:.3g}) identical under {', '.join(BACKEND_NAMES)}",
+        "k_neighborhood_exact",
+        ball == within,
+        f"ball(node 0, {radius:.3g}) holds the reference's {len(within)} nodes",
     )
+    true_d = float(ref.max())
+    lo, hi = lru.diameter_bounds
     record(
         "diameter_bracket",
-        diam_ok,
-        f"diameter_bounds contains D={true_d:.6g} under every backend",
-    )
-
-    # -- the overlay is identical whichever backend answers ------------
-    overlays = {name: _overlay(net, seed) for name, net in nets.items()}
-    reference = overlays["full"]
-    record(
-        "overlay_parity",
-        all(_same_overlay(overlay, reference) for overlay in overlays.values()),
-        f"levels, default parents and hops of {len(reference[0])} levels "
-        f"identical under {', '.join(overlays)}",
+        net.diameter_bounds == (true_d, true_d) and lo <= true_d + _EPS <= hi + _EPS,
+        f"D={true_d:.6g} exact with every row resident, inside "
+        f"[{lo:.6g}, {hi:.6g}] with {_EVICTING_ROWS} rows",
     )
     record("level0_pairs_exact", *_level0_checks(base.graph, seed))
 
-    # -- a full build and its tables leave the matrix alone ------------
-    fresh = SensorNetwork(base.graph, normalize=False, distance_backend="full")
+    # -- a build and its tables solve no row ---------------------------
+    fresh = SensorNetwork(base.graph, normalize=False)
     hs = build_hierarchy(fresh, seed=seed, special_parent_gap=1)
     tables = BatchMOTEngine(hs).tables
     stats = fresh.oracle_stats
     record(
         "build_matrix_free",
-        stats["matrix_materialized"] is False and stats["rows_computed"] == 0,
-        f"full build and batch tables: matrix_materialized="
-        f"{stats['matrix_materialized']}, rows_computed={stats['rows_computed']}",
+        stats["matrix_materialized"] is False
+        and stats["rows_computed"] == 0
+        and stats["row_cache_size"] == 0,
+        f"build and batch tables: rows_computed={stats['rows_computed']}, "
+        f"row_cache_size={stats['row_cache_size']}",
     )
 
     # -- each SDL hop is its host's exact distance ---------------------

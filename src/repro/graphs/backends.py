@@ -1,65 +1,55 @@
-"""Pluggable exact distance backends (the ``DistanceBackend`` protocol).
+"""Exact distances: the Dijkstra solver and the row store.
 
-Every distance answer in this package flows through one of the backends
-defined here. :class:`repro.graphs.network.SensorNetwork` owns node
-identity (sorting, index maps, weight normalization) and delegates all
-shortest-path work to a backend operating purely on integer node
-indices. The protocol is deliberately small: ``distances_from``,
-``distances_to_many``, ``pair_distances``, ``k_neighborhood``,
-``diameter_bounds`` and ``stats``, plus the radius-limited ``balls`` and
-the single-pair helpers the trackers consume:
+Every distance answer in this package comes from here.
+:class:`repro.graphs.network.SensorNetwork` owns node identity (sorting,
+index maps, weight normalization) and asks in integer node indices:
 
-- :class:`FullMatrixBackend` (``"full"``) — one all-pairs Dijkstra on
-  the first dense query; O(n²) memory, O(1) exact lookups after it.
-  The seed oracle's full mode.
-- :class:`LazyLRUBackend` (``"lazy"``) — exact single-source rows on
-  demand in a bounded LRU; O(cache · n) memory, never the matrix. The
-  seed oracle's lazy mode.
+- :class:`SsspEngine` solves over the network's CSR: exact
+  single-source rows (scipy's Dijkstra) and radius-limited ``balls``;
+- :class:`RowStore` keeps the exact rows it has solved in an LRU. Every
+  dense answer (a row, a block, a pair, the matrix, the diameter) is
+  read off a row; the misses of one batch are solved in one call.
 
 Exactness contract (what each consumer layer may assume):
 
-- **Every answer is exact.** Both backends run the same scipy solver
-  over the same CSR, so every unlimited answer is bit-for-bit equal to
-  a dense reference solve; the cost ratios (paper §2.1, §4.1) divide
-  by these distances.
+- **Every answer is exact.** Rows, blocks and pairs come from one scipy
+  solver over one CSR, so each is bit-for-bit equal to the same entry
+  of a dense all-pairs solve; the cost ratios (paper §2.1, §4.1) divide
+  by these distances. A pair ``(i, j)`` is read off ``i``'s side only:
+  Dijkstra's sums from the two ends can differ in the last bit.
 - **Radius-limited queries** have one entry point, ``balls(sources,
   limit)``: every node within ``limit`` of each source, as sparse
-  ``(source position, node index, distance)`` entries. Both backends
-  run :meth:`SsspEngine.balls` — scipy's pruned solve for a chunk whose
+  ``(source position, node index, distance)`` entries, from
+  :meth:`SsspEngine.balls` — scipy's pruned solve for a chunk whose
   dense rows fit in :data:`DENSE_BALL_ENTRIES`, a sparse frontier
-  solver equal to it bit for bit otherwise — and neither consults its
-  row cache or its matrix. Hierarchy construction (``build_levels``,
-  which also picks the default parents, and the parent sets solved on
-  first read), the batch engine's SDL-hop table, ``k_neighborhood``
-  and the adjacent-pair fast path only issue limited queries, so the
-  overlay is identical under both backends and a ``full`` network
-  brought up for serving never computes its matrix (``repro audit
-  backend`` checks both).
-- **Dense queries** (rows, blocks, pairs, the diameter) are where the
-  backends differ: ``full`` computes its all-pairs matrix on the first
-  one and reads every later one off it; ``lazy`` solves the rows it
-  needs into its bounded LRU. Pair batches are read off each source's
-  exact row, distinct sources solved in chunks whose rows fit in
-  :data:`DENSE_BALL_ENTRIES`. The one dense query that never computes
-  ``full``'s matrix is an index pair batch (``pair_index_distances``,
-  the batch engine's ledger read): until the matrix is resident it
-  solves the chunks' rows and keeps none, so a forked worker that
-  reads its ledger holds one chunk of rows, not a private matrix.
-- **Diameter bounds are always certified.** ``diameter_bounds()``
-  returns ``(lo, hi)`` with ``lo ≤ D ≤ hi``: ``(D, D)`` off the matrix,
-  an iterated double sweep and twice it off rows. Both are dense
-  queries; the level pass sizes its safety cap from the sum of the
-  edge weights instead, which needs no solve.
+  solver equal to it bit for bit otherwise. Balls never read or fill
+  the row store. Hierarchy construction (``build_levels``, which also
+  picks the default parents, and the parent sets solved on first
+  read), the batch engine's SDL-hop table, ``k_neighborhood`` and the
+  adjacent-pair fast path only issue balls, so a network brought up
+  for serving solves no row (``repro audit backend`` checks it).
+- **Rows are kept up to a capacity.** By default every row fits up to
+  ``SensorNetwork.LAZY_THRESHOLD`` nodes: nothing is evicted, the first
+  kept miss solves every row in one call (the all-pairs matrix), and
+  the diameter is exact. Past it the store keeps
+  ``SensorNetwork.LAZY_CACHE_ROWS`` rows, solving each batch's misses,
+  the matrix is refused and the diameter is a certified double-sweep
+  bracket. Pair batches are read off each source's row, distinct
+  sources solved in chunks whose rows fit in
+  :data:`DENSE_BALL_ENTRIES`; the batch engine's ledger read
+  (``pair_index_distances``) keeps none of the rows it solves, so a
+  forked worker that reads its ledger holds one chunk of rows.
 
 ``python -m repro audit backend`` (:mod:`repro.graphs.audit`) checks
-this contract on small graphs; ``scripts/bench_backend.py`` measures the
-100k-node ``lazy`` build/query/memory profile.
+this contract against a dense reference on small graphs;
+``scripts/bench_backend.py`` measures the 100k-node build/query/memory
+profile.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -67,14 +57,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.perf import PERF
 
-__all__ = [
-    "DistanceBackend",
-    "SsspEngine",
-    "FullMatrixBackend",
-    "LazyLRUBackend",
-    "BACKEND_NAMES",
-    "make_backend",
-]
+__all__ = ["SsspEngine", "RowStore", "DENSE_BALL_ENTRIES"]
 
 
 def _ball_cutoff(k: float) -> float:
@@ -195,8 +178,8 @@ def _frontier_balls(
 class SsspEngine:
     """Instrumented Dijkstra solver: exact rows and sparse balls.
 
-    Wraps the CSR adjacency every backend shares and counts exact row
-    solves vs radius-limited ones — the numbers
+    Wraps the network's CSR adjacency and counts exact row solves vs
+    radius-limited ones — the numbers
     ``SensorNetwork.oracle_stats`` reports as ``rows_computed`` /
     ``limited_sssp``. The CSR stores both directions of every edge, so
     every scipy call passes ``directed=True``: ``directed=False`` would
@@ -270,11 +253,6 @@ class SsspEngine:
         pos, node = np.divmod(flat, block.shape[1])
         return pos + offset, node, block.ravel()[flat]
 
-    def full_matrix(self) -> np.ndarray:
-        """The dense all-pairs matrix (one timed solve, not row-counted)."""
-        with PERF.timer("oracle.full_matrix"):
-            return dijkstra(self.csr, directed=True)
-
     def edge_weight(self, i: int, j: int) -> float | None:
         """Weight of edge ``(i, j)``, or ``None`` when not adjacent."""
         m = self.csr
@@ -286,31 +264,38 @@ class SsspEngine:
         return float(m.data[lo + int(pos[0])])
 
 
+class RowStore:
+    """Exact single-source rows, solved on demand and kept in an LRU.
 
-class _RowLRU:
-    """Bounded LRU of single-source distance rows, keyed by source index.
-
-    A plain :class:`collections.OrderedDict` with move-to-end on hit and
-    eviction of the least-recently-used row past ``capacity``. Counters
-    are kept here so ``SensorNetwork.oracle_stats`` can report cache
-    pressure without touching the global perf registry.
+    A lookup that misses is solved by :meth:`SsspEngine.solve` (the
+    misses of one batch in one call) and kept; past ``capacity`` rows
+    the least recently used one is evicted. Once all ``n`` rows fit,
+    nothing is ever evicted, and a miss that is kept solves every row
+    the store lacks in the same call (:meth:`matrix`): a scipy call
+    costs about 50 µs before its first row, more than a row of a
+    network this small, and a reader that keeps rows here goes on to
+    read most of them. The counters are the ones
+    ``SensorNetwork.oracle_stats`` reports.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_rows")
+    __slots__ = (
+        "engine", "capacity", "hits", "misses", "evictions", "batched_calls", "_rows", "_matrix",
+    )
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, engine: SsspEngine, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("row cache capacity must be >= 1")
+        self.engine = engine
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.batched_calls = 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._rows)
+        self._matrix: np.ndarray | None = None
 
     def get(self, i: int) -> np.ndarray | None:
+        """Row ``i`` if resident (a hit), else ``None`` (a miss)."""
         row = self._rows.get(i)
         if row is None:
             self.misses += 1
@@ -319,339 +304,144 @@ class _RowLRU:
         self.hits += 1
         return row
 
-    def put(self, i: int, row: np.ndarray) -> None:
-        if i in self._rows:
-            self._rows.move_to_end(i)
-            self._rows[i] = row
-            return
+    def _keep(self, i: int, row: np.ndarray) -> None:
         self._rows[i] = row
         if len(self._rows) > self.capacity:
             self._rows.popitem(last=False)
             self.evictions += 1
 
+    def _solve(self, sources: list[int], keep: bool) -> list[np.ndarray]:
+        """The rows of ``sources``, none resident, solved in one call and
+        kept unless ``keep`` is false; a kept miss in a store that keeps
+        every row solves them all (:meth:`matrix`)."""
+        if keep and self.capacity >= self.engine.n:
+            self.matrix()
+            return [self._rows[i] for i in sources]
+        solved = list(np.atleast_2d(self.engine.solve(np.asarray(sources))))
+        if keep:
+            for i, row in zip(sources, solved, strict=True):
+                self._keep(i, row)
+        return solved
 
-@runtime_checkable
-class DistanceBackend(Protocol):
-    """What the distance layer guarantees to every consumer.
-
-    Implementations answer in terms of **integer node indices** (the
-    deterministic order ``SensorNetwork`` assigns); the network class
-    translates node identifiers at its boundary. Every answer is exact
-    (see the module docstring's contract).
-    """
-
-    @property
-    def name(self) -> str:
-        """Registry name of this backend (``"full"``, ``"lazy"``, …)."""
-        ...
-
-    @property
-    def supports_matrix(self) -> bool:
-        """Whether :meth:`matrix` can return the all-pairs matrix."""
-        ...
-
-    def distances_from(self, i: int) -> np.ndarray:
-        """Distances from source index ``i`` to every node."""
-        ...
-
-    def distances_to_many(
-        self, src_idx: Sequence[int], tgt_idx: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Batched ``(len(src), len(tgt))`` distance block (``None`` = all)."""
-        ...
-
-    def balls(
-        self, src_idx: Sequence[int], limit: float, columns: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(source position, column, distance)`` of every node within
-        ``limit`` of each source, sorted by source position, then column:
-        the node index, or ``columns[node]`` when given (an n-wide map,
-        increasing over the nodes it keeps; ``-1`` drops a node)."""
-        ...
-
-    def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        """``[d(i, j) for i, j in pairs]``: :meth:`pair_index_distances`
-        of the pairs, a dense query."""
-        ...
-
-    def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
-        """``d(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` index array,
-        read off ``i``'s exact row; ``full`` solves only the sources'
-        rows while its matrix is not resident."""
-        ...
-
-    def pair_distance(self, i: int, j: int) -> float:
-        """Single-pair distance with the cheap fast paths."""
-        ...
-
-    def k_neighborhood(self, i: int, k: float) -> np.ndarray:
-        """Sorted indices of every node within distance ``k`` of ``i``."""
-        ...
-
-    def diameter_bounds(self) -> tuple[float, float]:
-        """Certified ``(lower, upper)`` bracket on the true diameter."""
-        ...
-
-    def matrix(self) -> np.ndarray:
-        """All-pairs matrix; raises ``RuntimeError`` when unsupported."""
-        ...
-
-    def matrix_if_materialized(self) -> np.ndarray | None:
-        """The matrix if already resident, else ``None`` (never computes)."""
-        ...
-
-    def stats(self) -> dict[str, int | float | str | bool]:
-        """Counters describing oracle pressure (cache, solves, batches)."""
-        ...
-
-
-class _BackendBase:
-    """Shared machinery: the row LRU, batched counters, the ball solver.
-
-    Subclasses provide :meth:`distances_from` /
-    :meth:`distances_to_many` / :meth:`pair_distance` /
-    :meth:`diameter_bounds`; everything derivable (pair batching,
-    balls, k-neighborhoods, stats) lives here.
-    """
-
-    name = "base"
-    supports_matrix = False
-
-    def __init__(self, engine: SsspEngine, n: int, cache_rows: int) -> None:
-        self._engine = engine
-        self._n = n
-        self._rows = _RowLRU(cache_rows)
-        self._batched_calls = 0
-
-    # -- required of subclasses ---------------------------------------
-    def distances_from(self, i: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def distances_to_many(
-        self, src_idx: Sequence[int], tgt_idx: Sequence[int] | None = None
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def pair_distance(self, i: int, j: int) -> float:
-        raise NotImplementedError
-
-    def diameter_bounds(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def matrix(self) -> np.ndarray:
-        raise RuntimeError(
-            f"the {self.name!r} distance backend does not materialize the "
-            "all-pairs matrix"
-        )
-
-    def matrix_if_materialized(self) -> np.ndarray | None:
-        return None
-
-    # -- shared implementations ---------------------------------------
-    def _count_batched(self) -> None:
-        self._batched_calls += 1
-        PERF.incr("oracle.batched_calls")
-
-    def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        return self.pair_index_distances(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
-
-    def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
-        """``d(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` index array.
-
-        Each distance is read off the exact row of ``i``. The distinct
-        sources are solved in chunks whose rows fit in
-        :data:`DENSE_BALL_ENTRIES`, so a batch of any size holds one
-        chunk of rows at a time; they go in order of first appearance,
-        the order a row cache sees them in.
-        """
-        if len(pairs) == 0:
-            return np.empty(0)
-        src = pairs[:, 0]
-        _, first, at = np.unique(src, return_index=True, return_inverse=True)
-        at = np.argsort(np.argsort(first))[at]  # each pair's source rank
-        sources = src[np.sort(first)]
-        by_rank = np.argsort(at, kind="stable")
-        ranks = at[by_rank]
-        step = max(1, DENSE_BALL_ENTRIES // self._n)
-        out = np.empty(len(pairs))
-        for lo in range(0, len(sources), step):
-            rows = self._source_rows(sources[lo : lo + step])
-            sel = by_rank[np.searchsorted(ranks, lo) : np.searchsorted(ranks, lo + step)]
-            out[sel] = rows[at[sel] - lo, pairs[sel, 1]]
-        return out
-
-    def _source_rows(self, sources: np.ndarray) -> np.ndarray:
-        """The exact rows of one chunk of a pair batch's sources."""
-        return self.distances_to_many(sources.tolist())
-
-    def balls(
-        self, src_idx: Sequence[int], limit: float, columns: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        src, node, dist = self._engine.balls(src_idx, limit)
-        if columns is None:
-            return src, node, dist
-        col = columns[node]
-        keep = np.flatnonzero(col >= 0)
-        return src[keep], col[keep], dist[keep]
-
-    def k_neighborhood(self, i: int, k: float) -> np.ndarray:
-        """Exact ball; boundary nodes kept by the cost tolerance."""
-        return self.balls([i], _ball_cutoff(k))[1]
-
-    def stats(self) -> dict[str, int | float | str | bool]:
-        return {
-            "row_cache_capacity": self._rows.capacity,
-            "row_cache_size": len(self._rows),
-            "row_cache_hits": self._rows.hits,
-            "row_cache_misses": self._rows.misses,
-            "row_cache_evictions": self._rows.evictions,
-            "rows_computed": self._engine.rows_computed,
-            "limited_sssp": self._engine.limited_sssp,
-            "batched_calls": self._batched_calls,
-            "matrix_materialized": self.matrix_if_materialized() is not None,
-        }
-
-
-class FullMatrixBackend(_BackendBase):
-    """The seed oracle's full mode: one all-pairs solve on the first dense
-    query, exact O(1) lookups after it; balls are solved, never read off
-    the matrix, so an overlay build leaves it unmaterialized."""
-
-    name = "full"
-    supports_matrix = True
-
-    def __init__(self, engine: SsspEngine, n: int, cache_rows: int) -> None:
-        super().__init__(engine, n, cache_rows)
-        self._dist: np.ndarray | None = None
-
-    def _ensure(self) -> np.ndarray:
-        if self._dist is None:
-            self._dist = self._engine.full_matrix()
-        return self._dist
-
-    def matrix(self) -> np.ndarray:
-        return self._ensure()
-
-    def matrix_if_materialized(self) -> np.ndarray | None:
-        return self._dist
-
-    def distances_from(self, i: int) -> np.ndarray:
-        return self._ensure()[i]
-
-    def distances_to_many(
-        self, src_idx: Sequence[int], tgt_idx: Sequence[int] | None = None
-    ) -> np.ndarray:
-        self._count_batched()
-        M = self._ensure()
-        if tgt_idx is None:
-            return M[list(src_idx)]
-        # one fancy-indexed copy of exactly the requested block — an
-        # intermediate M[src_idx] would copy all n columns first
-        return M[np.asarray(src_idx, dtype=np.intp)[:, None], np.asarray(tgt_idx, dtype=np.intp)]
-
-    def pair_distance(self, i: int, j: int) -> float:
-        return float(self._ensure()[i, j])
-
-    def pair_distances(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        if len(pairs):
-            self._ensure()  # a dense query: the matrix is computed here
-        return super().pair_distances(pairs)
-
-    def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
-        # while no matrix is resident, the batch engine's ledger read
-        # solves only its sources' rows: a forked worker builds no
-        # private copy of the matrix to resolve its optima
-        if self._dist is None or len(pairs) == 0:
-            return super().pair_index_distances(pairs)
-        self._count_batched()
-        return self._dist[pairs[:, 0], pairs[:, 1]]
-
-    def _source_rows(self, sources: np.ndarray) -> np.ndarray:
-        self._count_batched()
-        return self._engine.solve(sources)
-
-    def diameter_bounds(self) -> tuple[float, float]:
-        d = float(self._ensure().max())
-        return d, d
-
-
-class LazyLRUBackend(_BackendBase):
-    """The seed oracle's lazy mode: exact rows on demand in a bounded LRU."""
-
-    name = "lazy"
-    supports_matrix = False
-
-    def distances_from(self, i: int) -> np.ndarray:
-        row = self._rows.get(i)
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i``, solved and kept on a miss."""
+        row = self.get(i)
         if row is None:
-            row = self._engine.solve(i)
-            self._rows.put(i, row)
+            row = self._solve([i], keep=True)[0]
         return row
 
-    def distances_to_many(
-        self, src_idx: Sequence[int], tgt_idx: Sequence[int] | None = None
-    ) -> np.ndarray:
-        self._count_batched()
-        rows: dict[int, np.ndarray] = {}
+    def _lookup(self, sources: Sequence[int], keep: bool) -> dict[int, np.ndarray]:
+        """The rows of ``sources``, by source. Each distinct source is
+        looked up once, so a repeated miss counts once; the misses are
+        solved in one call, and kept unless ``keep`` is false."""
+        self.batched_calls += 1
+        PERF.incr("oracle.batched_calls")
+        resident = self._rows
+        found: dict[int, np.ndarray] = {}
         missing: list[int] = []
-        # dedupe *before* the cache probe: a duplicated uncached source
-        # must count one miss, not one per occurrence
-        for i in dict.fromkeys(src_idx):
-            cached = self._rows.get(i)
-            if cached is not None:
-                rows[i] = cached
-            else:
+        for i in dict.fromkeys(sources):
+            row = resident.get(i)
+            if row is None:
                 missing.append(i)
-        block = np.empty((0, self._n))
+            else:
+                resident.move_to_end(i)
+                found[i] = row
+        self.hits += len(found)
+        self.misses += len(missing)
         if missing:
-            block = np.atleast_2d(self._engine.solve(np.asarray(missing)))
-            for k, i in enumerate(missing):
-                self._rows.put(i, block[k])
-                rows[i] = block[k]
-        if len(missing) < len(src_idx):
-            # a cached or repeated source: restack in source order (with
-            # distinct uncached sources the solver's block is the answer)
-            block = np.vstack([rows[i] for i in src_idx])
-        # ``take`` keeps the selection row-major; ``block[:, cols]`` would
-        # return a column-major copy, several times slower to build and scan
-        return block if tgt_idx is None else np.take(block, list(tgt_idx), axis=1)
+            found.update(zip(missing, self._solve(missing, keep), strict=True))
+        return found
 
-    def _adjacent_distance(self, i: int, j: int, w: float) -> float:
-        """``d(i, j)`` of neighbours joined by an edge of weight ``w``.
+    def rows(self, sources: Sequence[int]) -> np.ndarray:
+        """The ``(len(sources), n)`` block of the rows of ``sources``, kept."""
+        if not sources:
+            return np.empty((0, self.engine.n))
+        found = self._lookup(sources, keep=True)
+        return np.vstack([found[i] for i in sources])
 
-        ``j`` lies within ``w`` of ``i``, so the ball of that radius
-        holds it: an exact answer from a small ball, not a full row.
-        """
-        _, nodes, dists = self.balls([i], w)
-        return float(dists[np.searchsorted(nodes, j)])
-
-    def pair_distance(self, i: int, j: int) -> float:
-        """``d(i, j)`` off ``i``'s side only: its cached row, its ball at
-        the connecting edge's weight, or its row. ``j``'s row is never
-        read: Dijkstra's sums from the two ends can differ in the last
-        bit, and ``full`` reads ``i``'s row."""
+    def pair(self, i: int, j: int) -> float:
+        """``d(i, j)`` off ``i``'s side only: its resident row, or its row
+        solved and kept. A store that evicts answers neighbours off
+        ``i``'s ball at the connecting edge's weight instead (it holds
+        ``j``: an exact answer from a small ball, and no row evicted for
+        a throwaway pair)."""
         if i == j:
             return 0.0
-        row = self._rows.get(i)
-        if row is not None:
-            return float(row[j])
-        w = self._engine.edge_weight(i, j)
-        if w is not None:
-            return self._adjacent_distance(i, j, w)
-        return float(self.distances_from(i)[j])
+        row = self.get(i)
+        if row is None:
+            w = self.engine.edge_weight(i, j) if self.capacity < self.engine.n else None
+            if w is not None:
+                _, nodes, dists = self.engine.balls([i], w)
+                return float(dists[np.searchsorted(nodes, j)])
+            row = self._solve([i], keep=True)[0]
+        return float(row[j])
+
+    def pairs(self, src: list[int], tgt: list[int], keep: bool = True) -> np.ndarray:
+        """``d(i, j)`` for each pair ``(src[p], tgt[p])``.
+
+        Each distance is read off the exact row of ``i``. The distinct
+        sources go in order of first appearance, in chunks whose rows
+        fit in :data:`DENSE_BALL_ENTRIES`, so a batch of any size holds
+        one chunk of rows at a time (with ``keep`` false, none after).
+        The entries are gathered pair by pair: a tracker's batches are a
+        few pairs long, where array calls would cost more than the reads.
+        """
+        sources = list(dict.fromkeys(src))
+        step = max(1, DENSE_BALL_ENTRIES // self.engine.n)
+        if len(sources) <= step:  # every row in one chunk: a tracker's batch
+            found = self._lookup(sources, keep)
+            return np.array([found[i][j] for i, j in zip(src, tgt, strict=True)], dtype=float)
+        chunk_of = {s: k // step for k, s in enumerate(sources)}
+        members: list[list[int]] = [[] for _ in range(0, len(sources), step)]
+        for p, s in enumerate(src):
+            members[chunk_of[s]].append(p)
+        values = [0.0] * len(src)
+        for c, idx in enumerate(members):
+            found = self._lookup(sources[c * step : (c + 1) * step], keep)
+            for p in idx:
+                values[p] = found[src[p]][tgt[p]]
+        return np.array(values)
+
+    def matrix(self) -> np.ndarray:
+        """The all-pairs matrix: every row, the missing ones solved in one
+        call. It is kept, and the resident rows become its rows, so each
+        is held once. Raises ``RuntimeError`` when the rows do not fit."""
+        n = self.engine.n
+        if self.capacity < n:
+            raise RuntimeError(
+                f"distance_matrix needs all {n} rows resident, but the row store "
+                f"keeps {self.capacity} (lazy_cache_rows)"
+            )
+        if self._matrix is None:
+            missing = [i for i in range(n) if i not in self._rows]
+            matrix = np.empty((n, n))
+            if missing:
+                matrix[missing] = self.engine.solve(np.asarray(missing))
+            for i, row in self._rows.items():
+                matrix[i] = row
+            for i in range(n):
+                self._rows[i] = matrix[i]
+            self._matrix = matrix
+        return self._matrix
 
     def diameter_bounds(self) -> tuple[float, float]:
-        """Iterated double sweep: certified ``(estimate, 2·estimate)``.
+        """Certified ``(lower, upper)`` bracket on the diameter ``D``.
 
-        Each hop moves to the farthest node seen; eccentricities are
-        non-decreasing along the walk, so the first non-improving sweep
-        is a fixed point. Every sweep value is a real eccentricity ``e``
-        and ``D ≤ 2e`` by the triangle inequality.
+        ``(D, D)`` off the matrix when every row fits. Otherwise an
+        iterated double sweep: each hop moves to the farthest node seen,
+        and eccentricities are non-decreasing along the walk, so the
+        first non-improving sweep is a fixed point. Every sweep value is
+        a real eccentricity ``e``, and ``D ≤ 2e`` by the triangle
+        inequality.
         """
+        n = self.engine.n
+        if self.capacity >= n:
+            d = float(self.matrix().max())
+            return d, d
         cur = 0
         best = -1.0
-        for _ in range(max(2, int(np.ceil(np.log2(self._n + 1))) + 2)):
-            row = self.distances_from(cur)
+        for _ in range(max(2, int(np.ceil(np.log2(n + 1))) + 2)):
+            row = self.row(cur)
             far_i = int(np.argmax(row))
             ecc = float(row[far_i])
             if ecc <= best:
@@ -660,23 +450,16 @@ class LazyLRUBackend(_BackendBase):
             cur = far_i
         return best, 2.0 * best
 
-
-#: names accepted by :func:`make_backend` / ``SensorNetwork(distance_backend=…)``
-BACKEND_NAMES = ("full", "lazy")
-
-_FACTORIES: dict[str, Callable[..., DistanceBackend]] = {
-    "full": FullMatrixBackend,
-    "lazy": LazyLRUBackend,
-}
-
-
-def make_backend(name: str, engine: SsspEngine, n: int, cache_rows: int) -> DistanceBackend:
-    """Construct the backend registered under ``name``."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FACTORIES))
-        raise ValueError(
-            f"unknown distance backend {name!r} (known: {known})"
-        ) from None
-    return factory(engine, n, cache_rows)
+    def stats(self) -> dict[str, int | bool]:
+        """The store's and the solver's counters."""
+        return {
+            "row_cache_capacity": self.capacity,
+            "row_cache_size": len(self._rows),
+            "row_cache_hits": self.hits,
+            "row_cache_misses": self.misses,
+            "row_cache_evictions": self.evictions,
+            "rows_computed": self.engine.rows_computed,
+            "limited_sssp": self.engine.limited_sssp,
+            "batched_calls": self.batched_calls,
+            "matrix_materialized": self._matrix is not None,
+        }

@@ -4,10 +4,11 @@ A :class:`SensorNetwork` wraps a connected, weighted, undirected
 :class:`networkx.Graph` and exposes the primitives every tracking
 algorithm in this package relies on:
 
-- exact shortest-path distances ``dist_G(u, v)`` answered by a
-  pluggable **distance backend** (:mod:`repro.graphs.backends`):
-  ``"full"`` computes the all-pairs matrix on the first dense query,
-  ``"lazy"`` keeps exact single-source rows in a bounded LRU,
+- exact shortest-path distances ``dist_G(u, v)``, read off exact
+  single-source rows that one **row store**
+  (:class:`repro.graphs.backends.RowStore`) solves on demand and keeps
+  in an LRU: every row up to :attr:`SensorNetwork.LAZY_THRESHOLD`
+  nodes, :attr:`SensorNetwork.LAZY_CACHE_ROWS` rows beyond,
 - batched distance queries (:meth:`SensorNetwork.distances_to_many`,
   :meth:`SensorNetwork.pairwise_submatrix`,
   :meth:`SensorNetwork.pair_distances`,
@@ -17,9 +18,9 @@ algorithm in this package relies on:
   :meth:`SensorNetwork.index_balls` over node indices): every node
   within a radius of each source, as sparse entries — the only query of
   hierarchy construction,
-- the network diameter ``D`` (exact in matrix-backed modes; an iterated
-  double-sweep estimate with a certified 2-approximation upper bound
-  in row-backed modes — see :attr:`SensorNetwork.diameter_bounds`),
+- the network diameter ``D`` (exact while every row fits; beyond, an
+  iterated double-sweep estimate with a certified 2-approximation
+  upper bound — see :attr:`SensorNetwork.diameter_bounds`),
 - ``k``-neighborhoods (all nodes within distance ``k``, boundary nodes
   included up to the :mod:`repro.core.costs` tolerance),
 - deterministic integer indexing of nodes (node identifiers are sorted
@@ -28,11 +29,11 @@ algorithm in this package relies on:
 Radius-limited queries go through :meth:`SensorNetwork.index_balls`
 alone (:meth:`SensorNetwork.balls` is its node-level front): sparse
 ``(source position, node index, distance)`` entries, solved without a
-dense row, a row cache or the matrix under both backends. The dense
-queries take no radius, so no row they return is ever cut off at one.
+dense row and without touching the row store. The dense queries take
+no radius, so no row they return is ever cut off at one.
 
 The network reads the caller's graph in one pass, into arrays: node
-indices, the CSR adjacency every backend shares, the checked and
+indices, the CSR adjacency the solver reads, the checked and
 normalized weights. The networkx copy behind :attr:`SensorNetwork.graph`
 is made on first read; nothing on the distance or overlay path reads it.
 
@@ -53,11 +54,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.graphs.backends import (
-    DistanceBackend,
-    SsspEngine,
-    make_backend,
-)
+from repro.graphs.backends import RowStore, SsspEngine, _ball_cutoff
 from repro.perf import PERF
 
 Node = Hashable
@@ -136,31 +133,25 @@ class SensorNetwork:
         If true (default), rescale all weights so the minimum edge
         weight is exactly 1 (paper §2.1).
     lazy_cache_rows:
-        Capacity of the exact row cache (default
-        :data:`LAZY_CACHE_ROWS`). Memory is ``capacity · n`` floats;
-        unused by the ``full`` backend.
-    distance_backend:
-        Any name in :data:`repro.graphs.backends.BACKEND_NAMES` —
-        ``"full"`` computes the all-pairs matrix on the first dense
-        query (O(n²) memory, fastest repeated queries); ``"lazy"``
-        computes single-source rows on demand and keeps the most
-        recent ones in a bounded LRU
-        (scales to hundreds of thousands of sensors) — or ``"auto"``
-        (default), which picks ``full`` up to :data:`LAZY_THRESHOLD`
-        nodes and ``lazy`` beyond. Components that genuinely need the
-        whole matrix (doubling-dimension estimation, sparse covers)
-        require ``full`` and say so.
+        Capacity of the exact row store, in rows of ``n`` floats. The
+        default keeps every row up to :attr:`LAZY_THRESHOLD` nodes, so
+        nothing is evicted, the first row a dense query keeps solves
+        them all in one call, and :attr:`distance_matrix` and
+        :attr:`diameter` are exact; beyond it :attr:`LAZY_CACHE_ROWS`
+        rows, solved as they are missed, and the matrix is refused. Components that need
+        the whole matrix (doubling-dimension estimation, sparse covers)
+        say so.
 
     Raises
     ------
     ValueError
         If the graph is empty, disconnected, has a non-positive edge
-        weight, or the requested backend is unknown.
+        weight, or ``lazy_cache_rows`` is below 1.
     """
 
-    #: "auto" switches from the precomputed matrix to lazy rows here
+    #: the row store keeps every row up to this many nodes
     LAZY_THRESHOLD = 2048
-    #: default lazy-mode row-cache capacity (rows of n floats each)
+    #: row-store capacity past :attr:`LAZY_THRESHOLD` (rows of n floats each)
     LAZY_CACHE_ROWS = 256
 
     def __init__(
@@ -169,7 +160,6 @@ class SensorNetwork:
         positions: dict[Node, tuple[float, float]] | None = None,
         normalize: bool = True,
         lazy_cache_rows: int | None = None,
-        distance_backend: str = "auto",
     ) -> None:
         if graph.number_of_nodes() == 0:
             raise ValueError("sensor network must have at least one node")
@@ -183,16 +173,11 @@ class SensorNetwork:
         self._graph: nx.Graph | None = None
 
         self._positions = dict(positions) if positions else None
-        name = distance_backend
-        if name == "auto":
-            name = "full" if len(self._nodes) <= self.LAZY_THRESHOLD else "lazy"
+        n = len(self._nodes)
+        if lazy_cache_rows is None:
+            lazy_cache_rows = n if n <= self.LAZY_THRESHOLD else self.LAZY_CACHE_ROWS
         self._engine = SsspEngine(self._csr)
-        self._backend: DistanceBackend = make_backend(
-            name,
-            self._engine,
-            len(self._nodes),
-            self.LAZY_CACHE_ROWS if lazy_cache_rows is None else lazy_cache_rows,
-        )
+        self._rows = RowStore(self._engine, lazy_cache_rows)
         self._diameter_bounds: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------
@@ -323,60 +308,39 @@ class SensorNetwork:
         return self._positions is not None
 
     # ------------------------------------------------------------------
-    # distances (delegated to the backend)
+    # distances (exact rows from the row store, balls from the solver)
     # ------------------------------------------------------------------
-    @property
-    def distance_mode(self) -> str:
-        """Name of the active distance backend (``"full"`` or ``"lazy"``)."""
-        return self._backend.name
-
-    @property
-    def distance_backend(self) -> DistanceBackend:
-        """The active :class:`repro.graphs.backends.DistanceBackend`."""
-        return self._backend
-
-    @property
-    def _dist(self) -> np.ndarray | None:
-        """The materialized all-pairs matrix, if any (tests/introspection)."""
-        return self._backend.matrix_if_materialized()
-
     @property
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distance matrix, indexed like :meth:`node_at`.
 
-        Computed lazily once; O(n^2) memory. Only the ``full`` backend
-        provides it — callers that need the whole matrix (doubling
-        estimation, sparse covers) must construct the network with
-        ``distance_backend="full"``.
+        Stacked once from the row store, its missing rows solved in one
+        call; O(n^2) memory. Refused (``RuntimeError``) when the store
+        cannot keep all ``n`` rows: past :attr:`LAZY_THRESHOLD` nodes by
+        default.
         """
-        if not self._backend.supports_matrix:
-            raise RuntimeError(
-                "distance_matrix is unavailable in lazy distance mode; "
-                'construct the SensorNetwork with distance_backend="full"'
-            )
-        return self._backend.matrix()
+        return self._rows.matrix()
 
     def distance(self, u: Node, v: Node) -> float:
-        """Shortest-path distance ``dist_G(u, v)``.
+        """Shortest-path distance ``dist_G(u, v)``, read off ``u``'s side only.
 
-        Matrix-backed modes read the matrix. Row-backed modes read
-        ``u``'s side only, so both backends return the same bits: a
-        cached row of ``u`` when one exists; for *adjacent* ``u, v``
-        with none, ``v`` off the ball of ``u`` at the connecting edge's
-        weight (exact, touches only a small ball) instead of computing
-        and caching a full row for a throwaway pair.
+        ``u``'s resident row when there is one, else ``u``'s row, solved
+        and kept. A row store that evicts answers *adjacent* ``u, v``
+        off the ball of ``u`` at the connecting edge's weight instead
+        (exact, touches only a small ball, evicts no row for a
+        throwaway pair).
         """
-        return self._backend.pair_distance(self._index[u], self._index[v])
+        return self._rows.pair(self._index[u], self._index[v])
 
     def distances_from(self, u: Node) -> np.ndarray:
         """Vector of shortest-path distances from ``u`` to every node (by index).
 
-        In row-backed modes, rows are computed by single-source
-        Dijkstra on first use and kept in a bounded LRU (capacity
-        ``lazy_cache_rows``), so memory stays ``O(cache · n)`` no matter
-        how many distinct sources a long workload touches.
+        The row is solved by single-source Dijkstra on first use and
+        kept in the row store (capacity ``lazy_cache_rows``), so memory
+        stays ``O(capacity · n)`` however many distinct sources a long
+        workload touches.
         """
-        return self._backend.distances_from(self._index[u])
+        return self._rows.row(self._index[u])
 
     def distances_to_many(
         self, sources: Sequence[Node], targets: Sequence[Node] | None = None
@@ -390,11 +354,15 @@ class SensorNetwork:
         iterating large source sets should chunk to bound the transient
         allocation. Radius-limited questions go to :meth:`balls`.
         """
-        src_idx = [self._index[u] for u in sources]
-        tgt_idx = None if targets is None else [self._index[v] for v in targets]
-        if tgt_idx is not None and len(tgt_idx) == self.n and tgt_idx == self._all_idx:
-            tgt_idx = None  # identity column selection — row copies suffice
-        return self._backend.distances_to_many(src_idx, tgt_idx)
+        block = self._rows.rows([self._index[u] for u in sources])
+        if targets is None:
+            return block
+        tgt_idx = [self._index[v] for v in targets]
+        if tgt_idx == self._all_idx:
+            return block  # identity column selection — the rows suffice
+        # ``take`` keeps the selection row-major; ``block[:, cols]`` would
+        # return a column-major copy, several times slower to build and scan
+        return np.take(block, tgt_idx, axis=1)
 
     def pairwise_submatrix(self, nodes: Sequence[Node]) -> np.ndarray:
         """Distances among a node subset, ``out[a, b] = dist(nodes[a], nodes[b])``."""
@@ -412,10 +380,9 @@ class SensorNetwork:
         node index; with ``targets`` (distinct nodes in network order)
         only their entries are kept and the column is the position in
         ``targets``. Nothing past the limit is stored, so memory follows
-        the balls, not ``len(sources) · n``. Both backends run a sparse
-        Dijkstra that bypasses the row cache and the matrix (one
-        ``limited_sssp`` per source). The node-level front of
-        :meth:`index_balls`.
+        the balls, not ``len(sources) · n``. A sparse Dijkstra that
+        bypasses the row store (one ``limited_sssp`` per source). The
+        node-level front of :meth:`index_balls`.
         """
         src_idx = [self._index[u] for u in sources]
         columns = None
@@ -425,7 +392,7 @@ class SensorNetwork:
                 if np.any(np.diff(tgt_idx) <= 0):
                     raise ValueError("ball targets must be distinct nodes in network order")
                 columns = self.ball_columns(np.asarray(tgt_idx, dtype=np.int64))
-        return self._backend.balls(src_idx, limit, columns)
+        return self.index_balls(src_idx, limit, columns)
 
     def index_balls(
         self, sources: np.ndarray, limit: float, columns: np.ndarray | None = None
@@ -437,7 +404,12 @@ class SensorNetwork:
         (the level pass, the parent sets, the batch engine's SDL-hop
         table) translate their nodes and build the map once.
         """
-        return self._backend.balls(sources, limit, columns)
+        src, node, dist = self._engine.balls(sources, limit)
+        if columns is None:
+            return src, node, dist
+        col = columns[node]
+        keep = np.flatnonzero(col >= 0)
+        return src[keep], col[keep], dist[keep]
 
     def ball_columns(self, targets: np.ndarray) -> np.ndarray:
         """The ``columns`` map of :meth:`index_balls` for ``targets``
@@ -478,27 +450,26 @@ class SensorNetwork:
         element's row (:meth:`pair_index_distances`), so ``k`` pairs
         cost one multi-source solve over the distinct sources instead
         of up to ``k`` independent row computations. Duplicate pairs and
-        repeated endpoints are free. A dense query: ``full`` computes
-        its matrix here.
+        repeated endpoints are free. The solved rows are kept.
         """
         if not pairs:
             return np.empty(0)
-        idx_pairs = [(self._index[u], self._index[v]) for u, v in pairs]
-        return self._backend.pair_distances(idx_pairs)
+        index = self._index
+        return self._rows.pairs([index[u] for u, _ in pairs], [index[v] for _, v in pairs])
 
     def pair_index_distances(self, pairs: np.ndarray) -> np.ndarray:
         """``dist(i, j)`` for each row ``(i, j)`` of a ``(k, 2)`` array of
         node *indices*, read off ``i``'s exact row.
 
         The batch engine resolves its pending optima here when its
-        ledger is read. The distinct sources are solved in chunks whose
-        rows fit in :data:`repro.graphs.backends.DENSE_BALL_ENTRIES`
-        (``lazy`` through its row cache); ``full`` gathers from its
-        matrix when it is resident and never computes it here.
+        ledger is read. Resident rows are read; the other distinct
+        sources are solved in chunks whose rows fit in
+        :data:`repro.graphs.backends.DENSE_BALL_ENTRIES`, and none of
+        them is kept, so a read holds one chunk of rows at a time.
         """
         if len(pairs) == 0:
             return np.empty(0)
-        return self._backend.pair_index_distances(pairs)
+        return self._rows.pairs(pairs[:, 0].tolist(), pairs[:, 1].tolist(), keep=False)
 
     def consecutive_distances(self, seq: Sequence[Node]) -> np.ndarray:
         """``[dist(seq[0], seq[1]), dist(seq[1], seq[2]), ...]`` in one batch.
@@ -531,8 +502,8 @@ class SensorNetwork:
     def diameter(self) -> float:
         """Maximum shortest-path distance over all node pairs (``D``, §2.1).
 
-        Matrix-backed modes are exact. Row-backed modes iterate the
-        double sweep to a fixed point: sweep from the farthest node
+        Exact while the row store keeps every row. Beyond, the double
+        sweep iterated to a fixed point: sweep from the farthest node
         found so far until the eccentricity stops growing (exact on
         trees, empirically exact on grids/disks, never more than a
         factor 2 below ``D`` in general — see :attr:`diameter_bounds`
@@ -544,16 +515,16 @@ class SensorNetwork:
     def diameter_bounds(self) -> tuple[float, float]:
         """Certified ``(lower, upper)`` bracket on the true diameter.
 
-        Matrix-backed modes return ``(D, D)``. Row-backed modes return
-        the iterated double-sweep estimate and twice it: every sweep
-        value is a real eccentricity ``e``, and ``D ≤ 2e`` by the
-        triangle inequality. Anything sizing level counts or search
-        radii off the diameter must use the **upper** bound — the
-        estimate itself can under-shoot (that truncated
+        ``(D, D)`` off :attr:`distance_matrix` while the row store keeps
+        every row. Beyond, the iterated double-sweep estimate and twice
+        it: every sweep value is a real eccentricity ``e``, and
+        ``D ≤ 2e`` by the triangle inequality. Anything sizing level
+        counts or search radii off the diameter must use the **upper**
+        bound — the estimate itself can under-shoot (that truncated
         ``build_levels`` hierarchies before this bracket existed).
         """
         if self._diameter_bounds is None:
-            self._diameter_bounds = self._backend.diameter_bounds()
+            self._diameter_bounds = self._rows.diameter_bounds()
         return self._diameter_bounds
 
     def shortest_path(self, u: Node, v: Node) -> list[Node]:
@@ -567,31 +538,26 @@ class SensorNetwork:
         tolerance, so a node at *exactly* distance ``k`` whose value
         picked up float noise during weight normalization is never
         dropped (the ``dists <= k`` comparison this replaced could).
-        It reads :meth:`balls` at radius ``k`` (plus the tolerance): in
-        row-backed modes a sparse solve that only explores the ball it
-        reports, which on big networks is far cheaper than a full row.
+        It reads :meth:`balls` at radius ``k`` (plus the tolerance): a
+        sparse solve that only explores the ball it reports, which on
+        big networks is far cheaper than a full row.
         """
-        hits = self._backend.k_neighborhood(self._index[node], k)
+        hits = self._engine.balls([self._index[node]], _ball_cutoff(k))[1]
         return [self._nodes[i] for i in hits]
 
     @property
-    def oracle_stats(self) -> dict[str, int | str | float | bool]:
+    def oracle_stats(self) -> dict[str, int | bool]:
         """Counters describing distance-oracle pressure on this network.
 
-        ``row_cache_*`` report the exact-row LRU (hits/misses include
-        every row lookup, batched or not — duplicate sources in one
-        batched call count once); ``rows_computed`` counts exact
-        single-source Dijkstra solves, ``limited_sssp`` the sources of
-        sparse :meth:`balls` solves, ``batched_calls`` invocations of
-        the batched dense API; ``matrix_materialized`` whether the
-        all-pairs matrix is resident.
+        ``row_cache_*`` report the row store (hits/misses include every
+        row lookup, batched or not — duplicate sources in one batched
+        call count once); ``rows_computed`` counts exact single-source
+        Dijkstra solves, ``limited_sssp`` the sources of sparse
+        :meth:`balls` solves, ``batched_calls`` the batched row lookups;
+        ``matrix_materialized`` whether :attr:`distance_matrix` has been
+        stacked.
         """
-        stats: dict[str, int | str | float | bool] = {
-            "mode": self._backend.name,
-            "n": self.n,
-        }
-        stats.update(self._backend.stats())
-        return stats
+        return {"n": self.n, **self._rows.stats()}
 
     def closest(self, node: Node, candidates: Iterable[Node]) -> Node:
         """Candidate closest to ``node``; ties broken by node index (paper:

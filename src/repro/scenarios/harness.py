@@ -35,7 +35,6 @@ from repro.experiments.runner import (
     make_concurrent_tracker,
     make_tracker,
 )
-from repro.graphs.backends import BACKEND_NAMES
 from repro.graphs.generators import grid_network
 from repro.graphs.network import SensorNetwork
 from repro.metrics.load import LoadStats
@@ -62,7 +61,6 @@ class EvalConfig:
     workers: int = 0
     clock: str = "virtual"  # "virtual" (deterministic) or "wall"
     rate: float = 500.0  # serve-section offered load, ops/s
-    distance_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.clock not in ("virtual", "wall"):
@@ -73,19 +71,10 @@ class EvalConfig:
             raise ValueError('workers > 0 requires clock="wall"')
         if self.rate <= 0:
             raise ValueError("rate must be positive")
-        if self.distance_backend not in ("auto", *BACKEND_NAMES):
-            raise ValueError(f"unknown distance_backend {self.distance_backend!r}")
 
     def as_dict(self) -> dict:
         """JSON-ready view (the report's ``suite`` header)."""
         return asdict(self)
-
-
-def _build_network(side: int, backend: str) -> SensorNetwork:
-    net = grid_network(side, side)
-    if backend != "auto":
-        net = SensorNetwork(net.graph, normalize=False, distance_backend=backend)
-    return net
 
 
 def _sequential_section(net: SensorNetwork, workload: Workload, seed: int) -> dict:
@@ -121,7 +110,6 @@ def _serve_section(net: SensorNetwork, workload: Workload, cfg: EvalConfig) -> d
         rate=cfg.rate,
         seed=cfg.seed,
         clock=cfg.clock,
-        distance_backend=cfg.distance_backend,
         metrics_snapshot_interval_s=None,
     )
     report = drive_workload(net, workload, bench)
@@ -191,7 +179,7 @@ def run_scenario(spec: ScenarioSpec, cfg: "EvalConfig | None" = None) -> dict:
     """
     cfg = cfg or EvalConfig()
     scale = spec.scale(cfg.scale)
-    net = _build_network(scale.side, cfg.distance_backend)
+    net = grid_network(scale.side, scale.side)
     workload = spec.generate(net, scale, cfg.seed)
     report = {
         "scenario": {

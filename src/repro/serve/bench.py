@@ -37,9 +37,7 @@ import math
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 
-from repro.graphs.backends import BACKEND_NAMES
 from repro.graphs.generators import grid_network
-from repro.graphs.network import SensorNetwork
 from repro.obs.export import JsonlTraceWriter
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import tracing
@@ -75,10 +73,6 @@ class ServeBenchConfig:
     service_time_base_s: float = 1e-3
     clock: str = "virtual"  # "virtual" (deterministic) or "wall"
     mobility: str = "random_walk"
-    #: distance backend of the shared SensorNetwork ("auto" keeps the
-    #: generator's choice: "full" up to SensorNetwork.LAZY_THRESHOLD
-    #: nodes, "lazy" beyond)
-    distance_backend: str = "auto"
     metrics_snapshot_interval_s: float | None = 0.5  # service-clock seconds
     trace_path: str | None = None  # JSONL span trace (None = tracing off)
 
@@ -93,8 +87,6 @@ class ServeBenchConfig:
             raise ValueError("workers must be >= 0 (0 = in-process shards)")
         if self.workers > 0 and self.clock != "wall":
             raise ValueError('workers > 0 requires clock="wall"')
-        if self.distance_backend not in ("auto", *BACKEND_NAMES):
-            raise ValueError(f"unknown distance_backend {self.distance_backend!r}")
 
     @property
     def grid_side(self) -> int:
@@ -143,10 +135,6 @@ def run_serve_bench(cfg: ServeBenchConfig | None = None) -> dict:
     cfg = cfg or ServeBenchConfig()
     side = cfg.grid_side
     net = grid_network(side, side)
-    if cfg.distance_backend != "auto":
-        net = SensorNetwork(
-            net.graph, normalize=False, distance_backend=cfg.distance_backend
-        )
     workload = make_workload(
         net,
         num_objects=cfg.num_objects,
@@ -200,8 +188,6 @@ def drive_workload(net, workload, cfg: ServeBenchConfig) -> dict:
         "network": {
             "nodes": net.n,
             "grid_side": cfg.grid_side,
-            "distance_mode": net.distance_mode,
-            "distance_backend": net.distance_mode,
         },
         "loadgen": {
             "offered_rate_ops_s": cfg.rate,

@@ -48,10 +48,9 @@ stale ones cannot accumulate. The CLI entry point is
 ``python -m repro lint [paths…] [--format json|sarif]``; see
 :mod:`repro.staticcheck.runner` for the library interface.
 
-The **interprocedural** families RPL101–RPL105 (seed taint across call
-boundaries, await-atomicity races, ledger conservation along CFG paths,
-``DistanceBackend`` protocol conformance, worker frame-protocol
-totality) live in
+The **interprocedural** families RPL101–RPL103 and RPL105 (seed taint
+across call boundaries, await-atomicity races, ledger conservation along
+CFG paths, worker frame-protocol totality) live in
 :mod:`repro.staticcheck.flow` behind the separate ``repro check`` verb —
 they need the whole source tree at once, not one file at a time.
 """

@@ -13,7 +13,8 @@ time, this package sees the whole source tree at once:
   graph **with exception edges** and runs forward worklist dataflow
   over it;
 - :mod:`~repro.staticcheck.flow.flowrules` implements the
-  interprocedural rule families RPL101–RPL105 on top of all three;
+  interprocedural rule families RPL101–RPL103 and RPL105 on top of
+  all three;
 - :mod:`~repro.staticcheck.flow.engine` is the ``repro check`` driver:
   index → call graph → rules → suppression filtering → report, with an
   optional on-disk cache of the parsed index keyed on a source hash.
@@ -27,8 +28,6 @@ RPL102    await-atomicity: ``self.*`` state read before an ``await``
           and written after it without a re-read (asyncio race)
 RPL103    ledger conservation: a distance-oracle cost must flow into
           exactly one ledger/perf sink on every CFG path
-RPL104    protocol conformance: the backend classes in
-          ``_FACTORIES`` must implement ``DistanceBackend``
 RPL105    worker protocol totality: the ``repro.serve.worker`` handler
           table must mirror the transport's frame-kind tables
 ========  ==============================================================

@@ -1,4 +1,4 @@
-"""The interprocedural rule families RPL101–RPL105.
+"""The interprocedural rule families RPL101–RPL103 and RPL105.
 
 Each checker consumes the whole :class:`ProjectIndex` (and the call
 graph) instead of one file, so findings can name facts a per-line rule
@@ -685,182 +685,6 @@ class LedgerConservationChecker(FlowChecker):
 
 
 # ======================================================================
-# RPL104 — DistanceBackend protocol conformance
-# ======================================================================
-class BackendProtocolChecker(FlowChecker):
-    """RPL104 — registered backends must implement ``DistanceBackend``.
-
-    The static complement of the ``repro audit backend`` runtime gate:
-    every factory handed to ``register_backend`` (and every entry of the
-    built-in ``_FACTORIES`` table, annotated or not) is resolved to its
-    backend class,
-    whose indexed MRO must provide each protocol member — the three
-    properties and every method, with a compatible signature (same
-    required positionals in the same order; extra parameters must be
-    defaulted; ``*args``/``**kwargs`` absorb anything). A backend that
-    passes here can still fail the runtime audit on *semantics* — this
-    rule removes the class of failures where a backend is missing
-    surface entirely and only explodes on the first exotic call path.
-    """
-
-    rule_id = "RPL104"
-    summary = "registered backend missing part of the DistanceBackend surface"
-
-    _PROTOCOL = "DistanceBackend"
-
-    def check_project(self, index: ProjectIndex, graph: CallGraph) -> None:
-        protocols = sorted(
-            q for q in index.classes if q.rsplit(".", 1)[-1] == self._PROTOCOL
-        )
-        if not protocols:
-            return
-        protocol = index.classes[protocols[0]]
-        required = self._protocol_members(protocol)
-        for mod_name in sorted(index.modules):
-            mod = index.modules[mod_name]
-            for site, factory in self._registration_sites(index, mod):
-                cls = self._resolve_backend_class(index, mod_name, factory)
-                if cls is not None:
-                    self._check_conformance(mod.path, site, cls, required, index)
-
-    # -- what the protocol demands -------------------------------------
-    @staticmethod
-    def _protocol_members(
-        protocol: ClassInfo,
-    ) -> dict[str, FunctionInfo | None]:
-        """member name → FunctionInfo for methods, None for properties."""
-        out: dict[str, FunctionInfo | None] = {}
-        for name, fi in protocol.methods.items():
-            if name.startswith("_"):
-                continue
-            is_prop = any(
-                dotted_name(d) == "property" for d in fi.node.decorator_list
-            )
-            out[name] = None if is_prop else fi
-        return out
-
-    # -- where backends get registered ---------------------------------
-    def _registration_sites(self, index: ProjectIndex, mod):
-        sites: list[tuple[ast.AST, ast.expr]] = []
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Call):
-                resolved = index.resolve(mod.name, dotted_name(node.func))
-                if (
-                    resolved is not None
-                    and resolved.rsplit(".", 1)[-1] == "register_backend"
-                    and len(node.args) >= 2
-                ):
-                    sites.append((node, node.args[1]))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(
-                node.value, ast.Dict
-            ):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                if any(isinstance(t, ast.Name) and t.id == "_FACTORIES" for t in targets):
-                    for value in node.value.values:
-                        sites.append((value, value))
-        return sites
-
-    def _resolve_backend_class(
-        self, index: ProjectIndex, module: str, factory: ast.expr
-    ) -> ClassInfo | None:
-        if isinstance(factory, (ast.Name, ast.Attribute)):
-            target = index.resolve(module, dotted_name(factory))
-            if target is None:
-                return None
-            if target in index.classes:
-                return index.classes[target]
-            fn = index.functions.get(target)
-            if fn is not None:
-                return self._class_from_returns(index, fn)
-            return None
-        if isinstance(factory, ast.Lambda) and isinstance(factory.body, ast.Call):
-            return index.resolve_class(module, dotted_name(factory.body.func))
-        return None
-
-    @staticmethod
-    def _class_from_returns(index: ProjectIndex, fn: FunctionInfo) -> ClassInfo | None:
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
-                cls = index.resolve_class(fn.module, dotted_name(node.value.func))
-                if cls is not None:
-                    return cls
-        return None
-
-    # -- conformance ----------------------------------------------------
-    def _check_conformance(
-        self,
-        path: str,
-        site: ast.AST,
-        cls: ClassInfo,
-        required: dict[str, FunctionInfo | None],
-        index: ProjectIndex,
-    ) -> None:
-        mro = index.method_resolution_order(cls)
-        for name in sorted(required):
-            proto_fn = required[name]
-            impl = next((c.methods[name] for c in mro if name in c.methods), None)
-            if proto_fn is None:  # property: attribute or property suffices
-                has_attr = impl is not None or any(
-                    name in c.fields or name in c.class_attrs for c in mro
-                )
-                if not has_attr:
-                    self.report(
-                        path, site,
-                        f"backend {cls.name!r} lacks DistanceBackend property "
-                        f"{name!r}",
-                    )
-                continue
-            if impl is None:
-                self.report(
-                    path, site,
-                    f"backend {cls.name!r} lacks DistanceBackend method "
-                    f"{name!r} — the runtime audit would only catch this on "
-                    "the first call",
-                )
-                continue
-            problem = self._signature_mismatch(proto_fn, impl)
-            if problem:
-                self.report(
-                    path, site,
-                    f"backend {cls.name!r} method {name!r} is not callable as "
-                    f"DistanceBackend.{name}: {problem}",
-                )
-
-    @staticmethod
-    def _signature_mismatch(proto: FunctionInfo, impl: FunctionInfo) -> str | None:
-        pa, ia = proto.node.args, impl.node.args
-        if ia.vararg is not None or ia.kwarg is not None:
-            return None  # *args/**kwargs absorb any protocol call
-        def positionals(a):
-            names = [p.arg for p in (*a.posonlyargs, *a.args)]
-            return names[1:] if names and names[0] in ("self", "cls") else names
-        proto_pos, impl_pos = positionals(pa), positionals(ia)
-        if impl_pos[: len(proto_pos)] != proto_pos:
-            return (
-                f"positional parameters ({', '.join(impl_pos)}) do not match "
-                f"the protocol's ({', '.join(proto_pos)})"
-            )
-        extra = impl_pos[len(proto_pos):]
-        n_required = len(impl_pos) - len(ia.defaults)
-        if extra and len(proto_pos) < n_required:
-            return (
-                f"adds required parameter(s) {', '.join(impl_pos[len(proto_pos):n_required])} "
-                "beyond the protocol signature"
-            )
-        proto_required = len(proto_pos) - len(pa.defaults)
-        if n_required > proto_required:
-            return (
-                f"requires {n_required} positional argument(s) where the "
-                f"protocol guarantees only {proto_required}"
-            )
-        impl_kwonly = {p.arg for p in ia.kwonlyargs}
-        for kw in pa.kwonlyargs:
-            if kw.arg not in impl_kwonly and kw.arg not in impl_pos:
-                return f"missing keyword parameter {kw.arg!r}"
-        return None
-
-
-# ======================================================================
 # RPL105 — worker frame-protocol totality
 # ======================================================================
 class WorkerProtocolChecker(FlowChecker):
@@ -998,7 +822,6 @@ FLOW_CHECKERS: tuple[type[FlowChecker], ...] = (
     SeedTaintChecker,
     AwaitAtomicityChecker,
     LedgerConservationChecker,
-    BackendProtocolChecker,
     WorkerProtocolChecker,
 )
 

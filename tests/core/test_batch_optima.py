@@ -23,22 +23,22 @@ from repro.core.batch import BatchMOTEngine, OpBatch, engine_tables
 from repro.core.costs import CostLedger
 from repro.core.mot import MOTConfig
 from repro.graphs.generators import grid_network, random_geometric_network
-from repro.graphs.network import SensorNetwork
 from repro.hierarchy.structure import build_hierarchy
 from repro.serve.snapshot import capture_snapshot, restore_snapshot
 from repro.serve.worker import ShardWorker, WorkerSpec
+from tests.graphs.regimes import ROW_STORES, network
 from tests.graphs.test_balls import GRAPHS
 
 
 @pytest.mark.parametrize("gap", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_sdl_hop_is_the_hosts_distance(name, gap):
-    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
+    net = network(GRAPHS[name], "lazy")
     hs = build_hierarchy(net, seed=2, special_parent_gap=gap)
     t = engine_tables(hs, MOTConfig(special_parent_gap=gap))
-    # the host's row: ``lazy`` may answer a pair off the other end's
-    # cached row, which can differ in the last bit
-    ref = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="full")
+    # the host's side, as the SDL hop reads it: Dijkstra's sums from the
+    # two ends can differ in the last bit
+    ref = network(GRAPHS[name], "full")
     checked = 0
     for ell in range(1, hs.h - gap):
         for w in hs.level_nodes(ell):
@@ -50,7 +50,7 @@ def test_sdl_hop_is_the_hosts_distance(name, gap):
 
 
 def test_sdl_hop_needs_no_dense_query():
-    net = SensorNetwork(GRAPHS["geometric"], normalize=False, distance_backend="full")
+    net = network(GRAPHS["geometric"], "full")
     hs = build_hierarchy(net, seed=2, special_parent_gap=1)
     assert engine_tables(hs, MOTConfig(special_parent_gap=1)).sdl_hop.any()
     stats = net.oracle_stats
@@ -138,12 +138,12 @@ def _apply(engine, ops, chunk):
         assert not engine.apply_ops(OpBatch.of(ops[i : i + chunk])).errors
 
 
-@pytest.mark.parametrize("backend", ["full", "lazy"])
+@pytest.mark.parametrize("rows", ROW_STORES)
 @pytest.mark.parametrize("chunk", [1, 7, 256])
 @pytest.mark.parametrize("net_name", sorted(NETS))
-def test_ledger_equals_eager_accounting(net_name, chunk, backend, monkeypatch):
-    net = SensorNetwork(NETS[net_name], normalize=False, distance_backend=backend)
-    dist = SensorNetwork(NETS[net_name], normalize=False, distance_backend="full").distance_matrix
+def test_ledger_equals_eager_accounting(net_name, chunk, rows, monkeypatch):
+    net = network(NETS[net_name], rows)
+    dist = network(NETS[net_name], "full").distance_matrix
     calls = _Calls(monkeypatch)
     engine = BatchMOTEngine.build(net, MOTConfig(), seed=3)
     ops = _ops(list(net.nodes), seed=chunk)
@@ -156,8 +156,8 @@ def test_ledger_equals_eager_accounting(net_name, chunk, backend, monkeypatch):
 
 
 def test_snapshot_restore_and_the_final_frame(monkeypatch):
-    net = SensorNetwork(NETS["rgg"], normalize=False, distance_backend="lazy")
-    dist = SensorNetwork(NETS["rgg"], normalize=False, distance_backend="full").distance_matrix
+    net = network(NETS["rgg"], "lazy")
+    dist = network(NETS["rgg"], "full").distance_matrix
     calls = _Calls(monkeypatch)
     hs = build_hierarchy(net, seed=3)
     spec = WorkerSpec(0, hs, MOTConfig())
@@ -181,7 +181,7 @@ def test_snapshot_restore_and_the_final_frame(monkeypatch):
 
 
 def test_ledger_assignment_drops_what_is_pending():
-    net = SensorNetwork(NETS["grid"], normalize=False, distance_backend="full")
+    net = network(NETS["grid"], "full")
     engine = BatchMOTEngine.build(net, MOTConfig(), seed=3)
     _apply(engine, _ops(list(net.nodes), seed=5, count=200), 16)
     assert engine._n_calls > 0

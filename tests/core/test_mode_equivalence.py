@@ -1,9 +1,10 @@
-"""Full vs lazy distance backends must be observationally identical.
+"""A row store that keeps every row and one that evicts must be
+observationally identical.
 
-The lazy oracle answers every query with exact Dijkstra distances, so
-switching modes may change *when* work happens but never *what* any
-caller sees: distances, level sets, parent tables, and MOT ledger
-totals must agree bit-for-bit for the same seed.  A second group pins
+Both answer every query with exact Dijkstra distances, so the capacity
+may change *when* work happens but never *what* any caller sees:
+distances, level sets, parent tables, and MOT ledger totals must agree
+bit-for-bit for the same seed.  A second group pins
 the DL/SDL bookkeeping invariant — after long random move sequences
 the ``_dl`` keys are exactly the union of live spines (no orphans).
 """
@@ -17,13 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.mot import MOTTracker
 from repro.graphs.generators import grid_network, random_geometric_network
-from repro.graphs.network import SensorNetwork
 from repro.hierarchy.levels import build_levels
+from tests.graphs.regimes import ROW_STORES, network
 
 
 def _both_modes(base):
-    full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
-    lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
+    full = network(base.graph, "full")
+    lazy = network(base.graph, "lazy")
     return full, lazy
 
 
@@ -117,10 +118,10 @@ class TestSpineBookkeepingInvariant:
                 spine = set(tr.spine(obj))
                 assert children <= spine
 
-    @pytest.mark.parametrize("mode", ["full", "lazy"])
+    @pytest.mark.parametrize("mode", ROW_STORES)
     def test_no_orphans_after_long_random_walk(self, mode):
         base = grid_network(8, 8)
-        net = SensorNetwork(base.graph, normalize=False, distance_backend=mode)
+        net = network(base.graph, mode)
         tr = MOTTracker.build(net, seed=9)
         rng = random.Random(mode)  # distinct but reproducible walks
         for i in range(4):

@@ -1,12 +1,10 @@
 """The sparse ball solver behind every radius-limited query.
 
-``SensorNetwork.balls`` on a row-backed backend runs
-``SsspEngine.balls``; its entries must be exactly the finite entries of
-scipy's pruned Dijkstra (bit for bit, the same row-major order, nothing
-past the limit), one ``limited_sssp`` per source, and the row cache
-must stay untouched, on both sides of ``DENSE_BALL_ENTRIES``. The
-``full`` backend solves the same entries and leaves its matrix
-unmaterialized.
+``SensorNetwork.balls`` runs ``SsspEngine.balls``; its entries must be
+exactly the finite entries of scipy's pruned Dijkstra (bit for bit, the
+same row-major order, nothing past the limit), one ``limited_sssp`` per
+source, and the row store must stay untouched, on both sides of
+``DENSE_BALL_ENTRIES`` and whatever the store's capacity.
 """
 
 import networkx as nx
@@ -18,6 +16,7 @@ from repro.graphs import backends
 from repro.graphs.backends import DENSE_BALL_ENTRIES
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
+from tests.graphs.regimes import ROW_STORES, network
 
 
 def _weighted(graph: nx.Graph, seed: int, lo: float, hi: float) -> nx.Graph:
@@ -64,13 +63,13 @@ def _reference(net: SensorNetwork, sources: list, limit: float) -> tuple:
 def _limits(net: SensorNetwork) -> list[float]:
     """Below the lightest edge, mid-range, and past the diameter."""
     weights = [d["weight"] for _, _, d in net.graph.edges(data=True)]
-    ref = net.distances_from(net.node_at(0))  # lazy: one exact row, diameter-sized
+    ref = net.distances_from(net.node_at(0))  # one exact row, diameter-sized
     return [0.5 * min(weights), float(np.median(ref)), 2.0 * net.diameter_bounds[1]]
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_entries_equal_pruned_dijkstra_bit_for_bit(name):
-    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
+    net = SensorNetwork(GRAPHS[name], normalize=False)
     rng = np.random.default_rng(7)
     sources = [net.node_at(int(i)) for i in rng.choice(net.n, size=12, replace=False)]
     sources += sources[:2]  # a repeated source is answered once per position
@@ -91,9 +90,9 @@ def test_entries_equal_pruned_dijkstra_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_full_solves_the_same_entries_without_its_matrix(name):
-    lazy = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
+    lazy = network(GRAPHS[name], "lazy")
     sources = list(lazy.nodes)[::7]
-    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="full")
+    net = network(GRAPHS[name], "full")
     for limit in _limits(lazy):
         got = net.balls(sources, limit)
         want = lazy.balls(sources, limit)
@@ -104,9 +103,9 @@ def test_full_solves_the_same_entries_without_its_matrix(name):
     assert stats["rows_computed"] == 0
 
 
-@pytest.mark.parametrize("mode", ["lazy", "full"])
-def test_targets_keep_their_entries_as_positions(mode):
-    net = SensorNetwork(GRAPHS["geometric"], normalize=False, distance_backend=mode)
+@pytest.mark.parametrize("rows", ROW_STORES)
+def test_targets_keep_their_entries_as_positions(rows):
+    net = network(GRAPHS["geometric"], rows)
     sources = list(net.nodes)[::5]
     targets = list(net.nodes)[1::3]
     limit = _limits(net)[1]
@@ -122,14 +121,14 @@ def test_targets_keep_their_entries_as_positions(mode):
 
 
 def test_targets_out_of_network_order_are_rejected():
-    net = SensorNetwork(GRAPHS["ring"], normalize=False, distance_backend="lazy")
+    net = SensorNetwork(GRAPHS["ring"], normalize=False)
     for targets in ([3, 1], [2, 2]):
         with pytest.raises(ValueError, match="network order"):
             net.balls([0], 5.0, targets)
 
 
 def test_no_sources_no_entries():
-    net = SensorNetwork(GRAPHS["ring"], normalize=False, distance_backend="lazy")
+    net = SensorNetwork(GRAPHS["ring"], normalize=False)
     assert all(col.size == 0 for col in net.balls([], 3.0))
     assert net.oracle_stats["limited_sssp"] == 0
 
@@ -146,7 +145,7 @@ def test_both_sides_of_the_dense_budget_equal_pruned_dijkstra(name, budget, monk
     monkeypatch.setattr(
         backends, "_frontier_balls", lambda *args: calls.append(args[1].size) or frontier(*args)
     )
-    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
+    net = SensorNetwork(GRAPHS[name], normalize=False)
     rng = np.random.default_rng(11)
     sources = [net.node_at(int(i)) for i in rng.choice(net.n, size=9, replace=False)]
     sources += sources[:1]
@@ -175,7 +174,7 @@ def test_wide_chunks_take_their_route_from_the_middle_ball(name, monkeypatch):
     monkeypatch.setattr(
         backends, "_frontier_balls", lambda *args: calls.append(args[1].size) or frontier(*args)
     )
-    net = SensorNetwork(GRAPHS[name], normalize=False, distance_backend="lazy")
+    net = SensorNetwork(GRAPHS[name], normalize=False)
     monkeypatch.setattr(backends, "DENSE_BALL_ENTRIES", 3 * net.n)  # three rows a call
     rng = np.random.default_rng(5)
     sources = [net.node_at(int(i)) for i in rng.choice(net.n, size=10, replace=False)]
@@ -192,16 +191,18 @@ def test_wide_chunks_take_their_route_from_the_middle_ball(name, monkeypatch):
 
 
 def test_lazy_distance_reads_the_first_endpoints_side():
-    """``distance(u, v)`` under ``lazy`` is read off ``u``'s side, as
-    ``full`` reads ``u``'s row, whatever rows of ``v`` are cached: on this
-    network Dijkstra's sums from the two ends differ in the last bit
-    (``d(57, 59)`` among them)."""
-    full = SensorNetwork(GRAPHS["geometric"], normalize=False, distance_backend="full")
-    lazy = SensorNetwork(GRAPHS["geometric"], normalize=False, distance_backend="lazy")
-    lazy.distances_from(59)
-    assert lazy.distance(57, 59) == full.distance(57, 59)
-    cached = list(range(0, 150, 10))
-    lazy.distances_to_many(cached)
-    for u in range(1, 150, 7):
-        for v in cached:
-            assert lazy.distance(u, v) == full.distance(u, v)
+    """``distance(u, v)`` is read off ``u``'s side, as the dense
+    reference's row of ``u`` has it, whatever rows of ``v`` are resident
+    and whatever the store's capacity: on this network Dijkstra's sums
+    from the two ends differ in the last bit (``d(57, 59)`` among
+    them)."""
+    for rows in ROW_STORES:
+        net = network(GRAPHS["geometric"], rows)
+        ref = dijkstra(net._engine.csr, directed=True)
+        net.distances_from(59)
+        assert net.distance(57, 59) == ref[57, 59]
+        cached = list(range(0, 150, 10))
+        net.distances_to_many(cached)
+        for u in range(1, 150, 7):
+            for v in cached:
+                assert net.distance(u, v) == ref[u, v]

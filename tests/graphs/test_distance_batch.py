@@ -1,16 +1,20 @@
-"""Tests for the batched distance API, the bounded row LRU and the
+"""Tests for the batched distance API, the row store's LRU and the
 iterated double-sweep diameter."""
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
+from tests.graphs.regimes import LRU_ROWS, ROW_STORES, network
 
 
-def _grid_net(side, mode, **kw):
-    base = grid_network(side, side)
-    return SensorNetwork(base.graph, normalize=False, distance_backend=mode, **kw)
+def _grid_net(side, rows, lazy_cache_rows=None):
+    graph = grid_network(side, side).graph
+    if lazy_cache_rows is None:
+        return network(graph, rows)
+    return SensorNetwork(graph, normalize=False, lazy_cache_rows=lazy_cache_rows)
 
 
 class TestBatchedQueries:
@@ -132,28 +136,32 @@ class TestBatchedQueries:
         assert stats["row_cache_hits"] == 1 and stats["row_cache_misses"] == 3
         assert stats["rows_computed"] == 3  # source 7 was not solved again
 
-    @pytest.mark.parametrize("backend", ["lazy", "full"])
+    @pytest.mark.parametrize("rows", ROW_STORES)
     @pytest.mark.parametrize("entries", [36, 36 * 5, 1 << 19], ids=["1-row", "5-rows", "default"])
-    def test_pair_index_distances_read_each_sources_row_in_chunks(self, entries, backend, monkeypatch):
+    def test_pair_index_distances_read_each_sources_row_in_chunks(self, entries, rows, monkeypatch):
         """Every pair is its source's exact row entry, bit for bit, however
-        many rows a chunk of distinct sources may hold; ``full`` solves
-        those rows and leaves its matrix unbuilt, until a node-level pair
-        batch (a dense query) computes it."""
+        many rows a chunk of distinct sources may hold; the ledger read
+        keeps none of the rows it solves, and a node-level pair batch
+        keeps them: every row at once where all fit, an LRU's worth
+        otherwise."""
         from repro.graphs import backends
 
         base = random_geometric_network(36, seed=4)
-        ref = np.asarray(SensorNetwork(base.graph, normalize=False, distance_backend="full").distance_matrix)
-        net = SensorNetwork(base.graph, normalize=False, distance_backend=backend, lazy_cache_rows=4)
+        ref = dijkstra(base._engine.csr, directed=True)
+        net = network(base.graph, rows)
         monkeypatch.setattr(backends, "DENSE_BALL_ENTRIES", entries)
         rng = np.random.default_rng(8)
         pairs = rng.integers(0, 36, size=(300, 2))
+        sources = len(np.unique(pairs[:, 0]))
         assert np.array_equal(net.pair_index_distances(pairs), ref[pairs[:, 0], pairs[:, 1]])
         stats = net.oracle_stats
-        assert stats["rows_computed"] == len(np.unique(pairs[:, 0]))
-        assert stats["matrix_materialized"] is False
+        assert stats["rows_computed"] == sources
+        assert stats["row_cache_size"] == 0
         nodes = [(net.node_at(i), net.node_at(j)) for i, j in pairs.tolist()]
         assert np.array_equal(net.pair_distances(nodes), ref[pairs[:, 0], pairs[:, 1]])
-        assert net.oracle_stats["matrix_materialized"] is (backend == "full")
+        stats = net.oracle_stats
+        assert stats["row_cache_size"] == (36 if rows == "full" else LRU_ROWS)
+        assert stats["matrix_materialized"] is (rows == "full")
 
 
 class TestRowLRU:
@@ -231,8 +239,7 @@ class TestDiameter:
     def test_iterated_sweep_exact_on_geometric(self):
         for seed in (1, 2, 3):
             base = random_geometric_network(60, seed=seed)
-            full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
-            lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
+            full, lazy = (network(base.graph, rows) for rows in ROW_STORES)
             lo, hi = lazy.diameter_bounds
             assert lo <= full.diameter + 1e-9
             assert hi >= full.diameter - 1e-9

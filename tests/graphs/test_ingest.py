@@ -149,7 +149,7 @@ class _CountingGraph(nx.Graph):
 
 def test_graph_is_copied_on_first_read_only():
     graph = _CountingGraph(generators.grid_network(8, 8).graph)
-    net = SensorNetwork(graph, normalize=False, distance_backend="lazy")
+    net = SensorNetwork(graph, normalize=False)
     hs = build_hierarchy(net, seed=3)
     net.distance(0, 63)
     net.k_neighborhood(9, 2.0)

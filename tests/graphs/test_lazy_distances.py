@@ -1,27 +1,24 @@
-"""Tests for the lazy distance-oracle mode (scaling past the paper's 1024)."""
+"""Tests for the row store past its capacity (scaling past the paper's 1024)."""
 
 import pytest
 
 from repro.graphs.generators import grid_network
 from repro.graphs.network import SensorNetwork
+from tests.graphs.regimes import network
 
 
-def _grid_net(side, mode):
-    base = grid_network(side, side)
-    return SensorNetwork(base.graph, normalize=False, distance_backend=mode)
+def _grid_net(side, rows):
+    return network(grid_network(side, side).graph, rows)
 
 
 class TestModes:
-    def test_auto_picks_full_for_small(self):
-        assert _grid_net(4, "auto").distance_mode == "full"
+    def test_small_networks_keep_every_row(self):
+        assert _grid_net(4, "full").oracle_stats["row_cache_capacity"] == 16
 
-    def test_auto_picks_lazy_past_threshold(self, monkeypatch):
+    def test_past_the_threshold_the_store_keeps_lazy_cache_rows(self, monkeypatch):
         monkeypatch.setattr(SensorNetwork, "LAZY_THRESHOLD", 10)
-        assert _grid_net(4, "auto").distance_mode == "lazy"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown distance backend"):
-            _grid_net(3, "psychic")
+        stats = _grid_net(4, "full").oracle_stats
+        assert stats["row_cache_capacity"] == SensorNetwork.LAZY_CACHE_ROWS
 
 
 class TestLazyEquivalence:
@@ -55,7 +52,7 @@ class TestLazyEquivalence:
 
     def test_matrix_unavailable_in_lazy(self, pair):
         _, lazy = pair
-        with pytest.raises(RuntimeError, match="lazy distance mode"):
+        with pytest.raises(RuntimeError, match="needs all 36 rows resident"):
             lazy.distance_matrix
 
 
@@ -75,3 +72,4 @@ class TestTrackerOnLazyNetwork:
             cur = rnd.choice(net.neighbors(cur))
             tracker.move("o", cur)
             assert tracker.query("o", rnd.choice(net.nodes)).proxy == cur
+        assert net.oracle_stats["row_cache_evictions"] > 0

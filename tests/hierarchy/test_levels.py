@@ -6,6 +6,7 @@ import pytest
 
 from repro.graphs.generators import grid_network, line_network, ring_network
 from repro.hierarchy.levels import build_levels
+from tests.graphs.regimes import network
 
 
 class TestShape:
@@ -40,9 +41,9 @@ class TestShape:
 
 
 class TestDiameterTruncationRegression:
-    """The lazy-mode double sweep is a *lower* bound on D; capping
-    ``max_levels`` on it used to truncate hierarchies before a single
-    root existed. ``build_levels`` sizes its safety cap from
+    """The double sweep of an evicting row store is a *lower* bound on
+    D; capping ``max_levels`` on it used to truncate hierarchies before
+    a single root existed. ``build_levels`` sizes its safety cap from
     ``total_weight``, the sum of the edge weights: a certified upper
     bound on D that needs no solve."""
 
@@ -73,19 +74,15 @@ class TestDiameterTruncationRegression:
             build_levels(net, seed=3)
 
     def test_lazy_mode_reaches_single_root(self):
-        from repro.graphs.network import SensorNetwork
-
         base = grid_network(12, 12)
-        lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
+        lazy = network(base.graph, "lazy")
         ls = build_levels(lazy, seed=3)
         assert len(ls.levels[-1]) == 1
 
     def test_lazy_and_full_levels_identical(self):
-        from repro.graphs.network import SensorNetwork
-
         base = grid_network(10, 10)
-        full = SensorNetwork(base.graph, normalize=False, distance_backend="full")
-        lazy = SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
+        full = network(base.graph, "full")
+        lazy = network(base.graph, "lazy")
         assert build_levels(full, seed=7).levels == build_levels(lazy, seed=7).levels
 
 

@@ -5,9 +5,10 @@ counts) and the batch engine's static tables are pure functions of the
 input graph and the seed. Every array here is pinned by its SHA-256
 digest, for two grids, a weighted geometric network and a weighted tree
 read raw (lightest edge below 1, so level 0 is solved as balls) and
-normalized (level 0 read off the CSR), at two seeds and under both
-distance backends: a change to how bring-up computes them that moves a
-single bit, or the order of a single entry, fails here.
+normalized (level 0 read off the CSR), at two seeds and with a row
+store that keeps every row or evicts: a change to how bring-up computes
+them that moves a single bit, or the order of a single entry, fails
+here.
 """
 
 import hashlib
@@ -18,8 +19,8 @@ import pytest
 
 from repro.core.batch import BatchMOTEngine
 from repro.graphs.generators import random_geometric_network
-from repro.graphs.network import SensorNetwork
 from repro.hierarchy.structure import build_hierarchy
+from tests.graphs.regimes import ROW_STORES, network
 
 
 def _grid(side: int) -> nx.Graph:
@@ -51,8 +52,8 @@ def _sha(*parts: object) -> str:
     return h.hexdigest()[:24]
 
 
-def _digests(graph: nx.Graph, normalize: bool, backend: str, seed: int) -> dict[str, str]:
-    net = SensorNetwork(graph, normalize=normalize, distance_backend=backend)
+def _digests(graph: nx.Graph, normalize: bool, rows: str, seed: int) -> dict[str, str]:
+    net = network(graph, rows, normalize=normalize)
     csr = net._engine.csr
     hs = build_hierarchy(net, seed=seed)
     ls = hs.levels
@@ -165,9 +166,9 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["full", "lazy"])
+@pytest.mark.parametrize("rows", ROW_STORES)
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_bring_up_arrays_match_their_digests(name, seed, backend):
+def test_bring_up_arrays_match_their_digests(name, seed, rows):
     graph, normalize = GRAPHS[name]
-    assert _digests(graph, normalize, backend, seed) == DIGESTS[name, seed]
+    assert _digests(graph, normalize, rows, seed) == DIGESTS[name, seed]

@@ -10,6 +10,7 @@ from repro.core.costs import close_to
 from repro.graphs.generators import grid_network, random_geometric_network
 from repro.graphs.network import SensorNetwork
 from repro.hierarchy.structure import HNode, build_hierarchy
+from tests.graphs.regimes import ROW_STORES, network
 
 
 class TestParents:
@@ -65,22 +66,22 @@ class TestDefaultParentHop:
     """The construction solve's default-parent distances, kept for reuse."""
 
     @staticmethod
-    def _hops(base: SensorNetwork, backend: str):
-        net = SensorNetwork(base.graph, normalize=False, distance_backend=backend)
+    def _hops(base: SensorNetwork, rows: str):
+        net = network(base.graph, rows)
         hs = build_hierarchy(net, seed=1)
         keys = [(ell, w) for ell in range(hs.h) for w in hs.level_nodes(ell)]
         kept = np.array([hs.default_parent_hop(ell, w) for ell, w in keys])
         oracle = net.pair_distances([(w, hs.default_parent(ell, w)) for ell, w in keys])
         return kept, oracle
 
-    @pytest.mark.parametrize("backend", ["full", "lazy"])
-    def test_bit_identical_on_unit_grids(self, backend):
-        kept, oracle = self._hops(grid_network(7, 6), backend)
+    @pytest.mark.parametrize("rows", ROW_STORES)
+    def test_bit_identical_on_unit_grids(self, rows):
+        kept, oracle = self._hops(grid_network(7, 6), rows)
         assert kept.size and np.array_equal(kept, oracle)
 
-    @pytest.mark.parametrize("backend", ["full", "lazy"])
-    def test_close_on_a_weighted_graph(self, backend):
-        kept, oracle = self._hops(random_geometric_network(50, seed=3), backend)
+    @pytest.mark.parametrize("rows", ROW_STORES)
+    def test_close_on_a_weighted_graph(self, rows):
+        kept, oracle = self._hops(random_geometric_network(50, seed=3), rows)
         assert kept.size == oracle.size
         assert all(
             close_to(a, b) for a, b in zip(kept.tolist(), oracle.tolist(), strict=True)
@@ -93,7 +94,7 @@ class TestOneSolveBuild:
 
     @staticmethod
     def _lazy(base: SensorNetwork) -> SensorNetwork:
-        return SensorNetwork(base.graph, normalize=False, distance_backend="lazy")
+        return network(base.graph, "lazy")
 
     @staticmethod
     def _reference_parent_sets(hs, ref: np.ndarray) -> dict:
@@ -156,13 +157,13 @@ class TestOneSolveBuild:
         for (ell, w), ps in expect.items():
             assert hs.parent_set(ell, w) == ps
 
-    @pytest.mark.parametrize("backend", ["full", "lazy"])
-    def test_default_parents_break_ties_to_the_lowest_index(self, backend):
+    @pytest.mark.parametrize("rows", ROW_STORES)
+    def test_default_parents_break_ties_to_the_lowest_index(self, rows):
         base = grid_network(12, 12)  # unit grid: equidistant uppers are common
         ref = np.asarray(base.distance_matrix)
         ties = 0
         for seed in (0, 1, 2):
-            net = SensorNetwork(base.graph, normalize=False, distance_backend=backend)
+            net = network(base.graph, rows)
             hs = build_hierarchy(net, seed=seed)
             for ell in range(hs.h):
                 uppers = [net.index_of(u) for u in hs.level_nodes(ell + 1)]

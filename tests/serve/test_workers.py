@@ -160,10 +160,10 @@ class TestHealth:
             assert untouched(net)
             await service.stop()
 
-        net = SensorNetwork(NET.graph, normalize=False, distance_backend="full")
+        net = SensorNetwork(NET.graph, normalize=False)
         run(in_process(net))
 
-        net = SensorNetwork(NET.graph, normalize=False, distance_backend="full")
+        net = SensorNetwork(NET.graph, normalize=False)
         service = TrackingService(net, ServiceConfig(workers=1), seed=1)
         worker = ShardWorker(WorkerSpec(0, service.hierarchy, service.mot_config))
         kind, (_proxy, _cost, _epoch, _coalesced, errors) = worker.handle_batch(OpBatch.of(ops))

@@ -1,4 +1,4 @@
-"""Fixture tests for the interprocedural families RPL101–RPL104.
+"""Fixture tests for the interprocedural families RPL101–RPL103 and RPL105.
 
 Each fixture is a tiny in-memory project handed to
 :func:`repro.staticcheck.flow.check_sources` under synthetic
@@ -414,175 +414,6 @@ class TestRPL103:
                     d = net.distance(u, v)
                     out.append(d)
                 """
-            }
-        )
-        assert found == []
-
-
-# ----------------------------------------------------------------------
-# RPL104 — DistanceBackend protocol conformance
-# ----------------------------------------------------------------------
-_PROTOCOL = """\
-from typing import Protocol
-
-class DistanceBackend(Protocol):
-    @property
-    def name(self) -> str: ...
-
-    def distances_from(self, i): ...
-
-    def pair_distance(self, i, j): ...
-
-    def build_landmarks(self, k=None): ...
-"""
-
-
-class TestRPL104:
-    def test_missing_method_fires_at_the_registration(self):
-        found = check(
-            **{
-                "graphs.backends": _PROTOCOL,
-                "graphs.reg": """\
-                from repro.graphs.backends import DistanceBackend
-
-                class Partial:
-                    name = "partial"
-                    def distances_from(self, i):
-                        return []
-                    def pair_distance(self, i, j):
-                        return 0.0
-
-                def register_backend(name, factory):
-                    pass
-
-                register_backend("partial", Partial)
-                """,
-            }
-        )
-        assert ("RPL104", "src/repro/graphs/reg.py", 13) in found
-
-    def test_conformant_backend_with_inherited_members_is_clean(self):
-        found = check(
-            **{
-                "graphs.backends": _PROTOCOL,
-                "graphs.reg": """\
-                from repro.graphs.backends import DistanceBackend
-
-                class Base:
-                    name = "base"
-                    def distances_from(self, i):
-                        return []
-                    def build_landmarks(self, k=None):
-                        return None
-
-                class Full(Base):
-                    def pair_distance(self, i, j):
-                        return 0.0
-
-                def register_backend(name, factory):
-                    pass
-
-                register_backend("full", Full)
-                """,
-            }
-        )
-        assert found == []
-
-    def test_lambda_factory_is_resolved(self):
-        found = check(
-            **{
-                "graphs.backends": _PROTOCOL,
-                "graphs.reg": """\
-                class Partial:
-                    name = "partial"
-
-                def register_backend(name, factory):
-                    pass
-
-                register_backend("partial", lambda net: Partial(net))
-                """,
-            }
-        )
-        assert rules_of(found) == ["RPL104"] * 3  # three missing methods
-
-    def test_factories_dict_literal_is_a_registration_site(self):
-        extra = textwrap.dedent(
-            """\
-
-            class Partial:
-                name = "partial"
-                def distances_from(self, i):
-                    return []
-                def build_landmarks(self, k=None):
-                    return None
-
-            _FACTORIES = {"partial": Partial}
-            """
-        )
-        found = check(**{"graphs.backends": _PROTOCOL + extra})
-        assert rules_of(found) == ["RPL104"]  # pair_distance missing
-
-    def test_annotated_factories_table_is_a_registration_site(self):
-        extra = textwrap.dedent(
-            """\
-
-            from typing import Callable
-
-            class Partial:
-                name = "partial"
-                def distances_from(self, i):
-                    return []
-                def build_landmarks(self, k=None):
-                    return None
-
-            _FACTORIES: dict[str, Callable[..., DistanceBackend]] = {"partial": Partial}
-            """
-        )
-        found = check(**{"graphs.backends": _PROTOCOL + extra})
-        assert rules_of(found) == ["RPL104"]  # pair_distance missing
-
-    def test_signature_mismatch_fires(self):
-        found = check(
-            **{
-                "graphs.backends": _PROTOCOL,
-                "graphs.reg": """\
-                class Odd:
-                    name = "odd"
-                    def distances_from(self, node_index, must_have):
-                        return []
-                    def pair_distance(self, i, j):
-                        return 0.0
-                    def build_landmarks(self, k=None):
-                        return None
-
-                def register_backend(name, factory):
-                    pass
-
-                register_backend("odd", Odd)
-                """,
-            }
-        )
-        assert rules_of(found) == ["RPL104"]
-
-    def test_kwargs_absorb_the_protocol_signature(self):
-        found = check(
-            **{
-                "graphs.backends": _PROTOCOL,
-                "graphs.reg": """\
-                class Proxy:
-                    name = "proxy"
-                    def distances_from(self, *args, **kwargs):
-                        return []
-                    def pair_distance(self, *args, **kwargs):
-                        return 0.0
-                    def build_landmarks(self, *args, **kwargs):
-                        return None
-
-                def register_backend(name, factory):
-                    pass
-
-                register_backend("proxy", Proxy)
-                """,
             }
         )
         assert found == []

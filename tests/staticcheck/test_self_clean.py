@@ -60,7 +60,7 @@ def test_run_check_reports_clean_and_deterministically():
 
 
 def test_no_flow_rule_suppressions_in_src():
-    """RPL101–RPL105 must hold organically, with zero directives."""
+    """RPL101–RPL103 and RPL105 must hold organically, with zero directives."""
     directive = re.compile(r"repro-lint:\s*disable=([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)")
     offenders = []
     for path in sorted(SRC.rglob("*.py")):

@@ -27,9 +27,8 @@ def test_perf_report_to_stdout(capsys):
     import json
 
     assert main(["perf", "--side", "6", "--objects", "3", "--moves", "10",
-                 "--queries", "5", "--distance-backend", "lazy"]) == 0
+                 "--queries", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["run"]["distance_mode"] == "lazy"
     # oracle hit/miss pressure and per-operation timers must be present
     assert report["oracle"]["row_cache_hits"] > 0
     assert report["oracle"]["row_cache_misses"] > 0
@@ -253,10 +252,9 @@ def test_audit_backend_to_stdout(capsys):
     assert report["ok"] is True
     assert report["failed"] == 0
     names = {c["check"] for c in report["checks"]}
-    assert {"full_bit_for_bit", "lazy_bit_for_bit", "full_matrix_flag",
-            "lazy_matrix_flag", "lazy_balls_exact", "k_neighborhood_agreement",
-            "diameter_bracket", "overlay_parity", "build_matrix_free",
-            "sdl_hop_exact"} <= names
+    assert names == {"rows_bit_for_bit", "balls_exact", "k_neighborhood_exact",
+                     "diameter_bracket", "level0_pairs_exact", "build_matrix_free",
+                     "sdl_hop_exact"}
 
 
 def test_audit_backend_to_file(tmp_path, capsys):
@@ -301,33 +299,59 @@ def test_audit_batch_to_file(tmp_path, capsys):
     assert audit["epoch_mismatches"] == 0 and audit["ledger_mismatches"] == []
 
 
-def test_perf_distance_backend_flag(capsys):
+def test_perf_reports_the_row_store(capsys):
     import json
 
     assert main(["perf", "--side", "5", "--objects", "2", "--moves", "8",
-                 "--queries", "4", "--distance-backend", "lazy"]) == 0
+                 "--queries", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["run"]["distance_backend"] == "lazy"
-    assert report["oracle"]["mode"] == "lazy"
-    assert report["oracle"]["matrix_materialized"] is False
+    assert set(report["run"]) == {"grid_side", "sensors", "objects", "moves_per_object",
+                                  "queries", "seed"}
+    oracle = report["oracle"]
+    # every row fits, so the first miss solved all 25 in one call
+    assert oracle["n"] == oracle["row_cache_capacity"] == oracle["row_cache_size"] == 25
+    assert oracle["rows_computed"] == 25 and oracle["row_cache_evictions"] == 0
+    assert oracle["matrix_materialized"] is True
 
 
-@pytest.mark.parametrize("verb", ["perf", "serve-bench", "eval"])
-def test_removed_distance_backends_are_rejected(verb, capsys):
-    for name in ("memmap", "landmark"):
-        with pytest.raises(SystemExit) as exc_info:
-            main([verb, "--distance-backend", name])
-        assert exc_info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-
-def test_serve_bench_distance_backend_flag(capsys):
+def test_serve_bench_network_section(capsys):
     import json
 
-    assert main(SERVE_BENCH_SMALL + ["--distance-backend", "lazy"]) == 0
+    assert main(SERVE_BENCH_SMALL) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["audit"]["ok"] is True
-    assert report["network"]["distance_backend"] == "lazy"
+    assert report["network"] == {"nodes": 25, "grid_side": 5}
+
+
+@pytest.mark.parametrize("verb", ["perf", "trace"])
+def test_closed_stdout_exits_quietly(verb, tmp_path, capsys):
+    """A reader that goes away before the report is written (``repro
+    trace diff a b | head -3``) gets the SIGPIPE exit code, with no
+    traceback and no usage error on stderr."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if verb == "perf":
+        argv = ["perf", "--side", "8", "--objects", "4", "--moves", "5", "--queries", "5"]
+    else:
+        trace = tmp_path / "run.jsonl"
+        assert main(SERVE_BENCH_SMALL + ["--trace", str(trace), "--out", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        argv = ["trace", "summarize", str(trace)]
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()  # before the run ends: the report meets a closed pipe
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_eval_list_prints_the_catalog(capsys):
