@@ -29,7 +29,7 @@ every parent set is the singleton default parent, so
 
 Static per-hierarchy tables (built once, shared across engines over the
 same hierarchy; radius-limited balls are the only oracle query they
-issue, so a ``full`` network's matrix stays unmaterialized):
+issue, so building them solves no exact row):
 
 - ``chain[i, ℓ]`` — node index of ``home^ℓ(node i)``;
 - ``chain_hop[i, ℓ]`` — ``dist(chain[i, ℓ], chain[i, ℓ+1])``, read from
@@ -78,7 +78,7 @@ Contracts:
   ``(source, target)`` pairs, costs and message count wait in packed
   buffers (16 bytes per op, 17 per call), and every read of
   :attr:`BatchMOTEngine.ledger` resolves them (one exact row per
-  distinct source, never ``full``'s whole matrix) and records each
+  distinct source, never the whole matrix) and records each
   call's delta in call order — bit-identical to recording it at call
   time. Assigning the ledger (snapshot restore) drops what is pending.
 - The applied-op log and the answered-query log are appended to

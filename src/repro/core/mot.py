@@ -161,7 +161,7 @@ class MOTTracker:
     # ------------------------------------------------------------------
     def _dist(self, a: Node, b: Node) -> float:
         # Every cost the ledger records flows through here, and every
-        # distance backend answers exactly, so the recorded costs are
+        # distance is exact, so the recorded costs are
         # the true message costs. Tracker correctness (spines, DL/SDL
         # pointers) never depends on them: it rides on hierarchy
         # structure, which is built from radius-limited queries.

@@ -198,7 +198,7 @@ def run_backend_audit(
     seed: int = 1,
     graphs: Sequence[str] = ("grid", "geometric"),
 ) -> dict[str, object]:
-    """Run every backend check on small graphs; ``report["ok"]`` gates CI."""
+    """Run every exact-distance check on small graphs; ``report["ok"]`` gates CI."""
     checks: list[dict[str, object]] = []
     if "grid" in graphs:
         checks += _audit_one_graph(f"grid-{side}x{side}", grid_network(side, side), seed)

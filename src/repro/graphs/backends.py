@@ -403,9 +403,10 @@ class RowStore:
         return np.array(values)
 
     def matrix(self) -> np.ndarray:
-        """The all-pairs matrix: every row, the missing ones solved in one
-        call. It is kept, and the resident rows become its rows, so each
-        is held once. Raises ``RuntimeError`` when the rows do not fit."""
+        """The all-pairs matrix: every row, solved in one call and kept,
+        each row held once. While every row fits, rows are kept only
+        through here, so none is resident before it. Raises
+        ``RuntimeError`` when the rows do not fit."""
         n = self.engine.n
         if self.capacity < n:
             raise RuntimeError(
@@ -413,15 +414,8 @@ class RowStore:
                 f"keeps {self.capacity} (lazy_cache_rows)"
             )
         if self._matrix is None:
-            missing = [i for i in range(n) if i not in self._rows]
-            matrix = np.empty((n, n))
-            if missing:
-                matrix[missing] = self.engine.solve(np.asarray(missing))
-            for i, row in self._rows.items():
-                matrix[i] = row
-            for i in range(n):
-                self._rows[i] = matrix[i]
-            self._matrix = matrix
+            self._matrix = self.engine.solve(np.arange(n))
+            self._rows.update(enumerate(self._matrix))
         return self._matrix
 
     def diameter_bounds(self) -> tuple[float, float]:

@@ -19,7 +19,7 @@ The same pass picks every default parent. Maximality puts each node of
 ``V_ℓ`` strictly within ``2^(ℓ+1)`` of ``V_{ℓ+1}``, so the ball of that
 radius each member's ``E_ℓ`` edges come from already holds its closest
 ``V_{ℓ+1}`` node and its distance: from level 1 up, the overlay costs
-one sparse ball per level member, exact under every distance backend.
+one sparse ball per level member, each exact.
 ``E_0`` needs none where no path of two edges is shorter than 2 (the
 lightest edge weighs at least 1, as on every normalized network): it is
 then the single edges lighter than 2, each at its weight, read off the

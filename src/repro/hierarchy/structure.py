@@ -263,8 +263,8 @@ class Hierarchy(BaseHierarchy):
         """``dist(w, default_parent(level, w))``, kept from construction.
 
         The level pass's ball query that picks the default parent is
-        exact under every distance backend, so this is the oracle's
-        distance at no further oracle cost.
+        exact, so this is the oracle's distance at no further oracle
+        cost.
         """
         return self.levels.default_parent_hops[level][w]
 
@@ -332,12 +332,11 @@ def build_hierarchy(
     weighs at least 1); parent sets are solved per level on first read
     (a tracker's first publish).
 
-    Works under either distance backend of ``net``: construction only
-    issues radius-limited ball queries (see the exactness contract in
-    :mod:`repro.graphs.backends`) and caps its level count from the
-    sum of the edge weights, an upper bound on the diameter that needs
-    no solve, so the overlay is identical whichever backend answers and
-    a ``full`` network's matrix stays unmaterialized.
+    Construction only issues radius-limited ball queries (see the
+    exactness contract in :mod:`repro.graphs.backends`) and caps its
+    level count from the sum of the edge weights, an upper bound on
+    the diameter that needs no solve, so the overlay does not depend
+    on the row store's capacity and a build solves no exact row.
     """
     with TRACER.span("build", nodes=net.n, seed=seed) as sp:
         ls = build_levels(net, seed=seed, mis_algorithm=mis_algorithm)

@@ -28,8 +28,8 @@ copy-on-write, so per-worker memory is the MOT state, not the graph.
 They inherit no distance matrix: bring-up builds the overlay from
 balls and the request path asks the oracle nothing. A worker's ledger
 read (the ``snapshot`` and ``stop`` replies) solves only the rows of
-its pending optima's distinct sources, one chunk at a time, so a
-``full`` network's matrix is computed in no worker. Fork also means
+its pending optima's distinct sources, one chunk at a time, and
+keeps none, so no worker builds the matrix. Fork also means
 a worker is always the same code version as its parent — the pickle
 framing never crosses versions.
 

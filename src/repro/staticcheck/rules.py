@@ -71,7 +71,7 @@ class PerPairDistanceChecker(BaseChecker):
     """RPL001 — per-pair ``*.distance(...)`` inside loops and reductions.
 
     One ``distance`` call per iteration is one Dijkstra row per
-    iteration in lazy mode: the exact O(n · Dijkstra) pattern PR 1's
+    iteration once the row store evicts: the exact O(n · Dijkstra) pattern PR 1's
     batched oracle API exists to kill. Comprehensions and generator
     expressions (``sum(net.distance(u, v) for …)``) count as loops.
     """
