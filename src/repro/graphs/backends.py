@@ -304,12 +304,6 @@ class RowStore:
         self.hits += 1
         return row
 
-    def _keep(self, i: int, row: np.ndarray) -> None:
-        self._rows[i] = row
-        if len(self._rows) > self.capacity:
-            self._rows.popitem(last=False)
-            self.evictions += 1
-
     def _solve(self, sources: list[int], keep: bool) -> list[np.ndarray]:
         """The rows of ``sources``, none resident, solved in one call and
         kept unless ``keep`` is false; a kept miss in a store that keeps
@@ -320,7 +314,10 @@ class RowStore:
         solved = list(np.atleast_2d(self.engine.solve(np.asarray(sources))))
         if keep:
             for i, row in zip(sources, solved, strict=True):
-                self._keep(i, row)
+                self._rows[i] = row
+                if len(self._rows) > self.capacity:  # evict the least recently used
+                    self._rows.popitem(last=False)
+                    self.evictions += 1
         return solved
 
     def row(self, i: int) -> np.ndarray:
