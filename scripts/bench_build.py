@@ -40,8 +40,8 @@ The cases:
 - under ``grid_65536``, the 256x256 grid, built the same way: the
   scale a bring-up linear in ``n`` is measured at.
 
-CI uploads the output as ``BENCH_build.json`` next to the serve-bench
-report, so regressions show up as artifact diffs rather than anecdotes.
+CI uploads the output as ``BENCH_build.json`` next to the serve
+report (``BENCH_serve.json``), so regressions show up as artifact diffs rather than anecdotes.
 
 Usage: python scripts/bench_build.py [--repeats 5] [--seed 123] [--out BENCH_build.json]
 """

@@ -23,28 +23,21 @@ Commands:
   (message loss, delay jitter, node crashes) and emit the JSON chaos
   report: delivery/retry statistics, failed operations, final-state
   consistency audit, and the §7 churn bridge;
-- ``serve-bench [--nodes N] [--shards S] [--rate R] …`` — run one
-  load-generated workload through the :mod:`repro.serve` online
-  tracking service (sharded workers, batching, backpressure) and emit
-  the JSON report: latency percentiles, achieved throughput,
-  rejection/coalescing counts, the consistency audit against the
-  sequential reference MOT, Prometheus-rendered metrics and periodic
-  counters snapshots; ``--trace PATH`` additionally records a JSONL
-  span trace of every request (see ``trace``);
+- ``eval [--scenario NAME …] [--suite smoke|full] [--check [BASELINE]]
+  [--write-baseline PATH] [--trace PATH] …`` — run registered scenario
+  packs through the standardized eval harness (sequential reference +
+  the :mod:`repro.serve` tracking service under open-loop load, chaos
+  section for fault-plan scenarios) and emit one canonical EvalReport;
+  the one front door for measured service runs (``--shards``,
+  ``--workers``, ``--clock``, ``--rate``). ``--check`` gates the report
+  against committed per-scenario baselines with tolerance bands,
+  ``--write-baseline`` regenerates them, ``--list`` prints the catalog,
+  ``--trace`` records the serve spans of every scenario to one JSONL
+  file (see :mod:`repro.scenarios` and ``docs/EVAL.md``);
 - ``trace summarize PATH [--kind K] [--obj O]`` / ``trace diff A B
   [--ignore-timing]`` — aggregate a JSONL span trace, or compare two
   traces event-by-event (the determinism check: two same-seed
-  virtual-clock serve-bench traces must be identical);
-- ``eval [--scenario NAME …] [--suite smoke|full] [--check [BASELINE]]
-  [--write-baseline PATH] …`` — run registered scenario packs through
-  the standardized eval harness (sequential reference + serve layer,
-  chaos section for fault-plan scenarios) and emit one canonical
-  EvalReport; ``--check`` gates the report against committed
-  per-scenario baselines with tolerance bands, ``--write-baseline``
-  regenerates them, ``--list`` prints the catalog (see
-  :mod:`repro.scenarios` and ``docs/EVAL.md``);
-- ``serve-demo [--seed N]`` — a guided tour of the service layer
-  (sharding, a coalesced query, an ``Overloaded`` rejection);
+  virtual-clock ``eval --trace`` traces must be identical);
 - ``lint [PATHS…] [--format json|sarif]`` — run the project's per-file
   AST lint rules (RPL001–RPL007, see :mod:`repro.staticcheck`) over
   source trees;
@@ -62,7 +55,7 @@ Exit codes (uniform across subcommands):
 
 - ``0`` — success: the command ran and every gated check passed;
 - ``1`` — a check failed: lint findings (``lint``/``check``), a failed
-  consistency audit (``chaos``, ``serve-bench``, ``audit``, ``eval``),
+  consistency audit (``chaos``, ``audit``, ``eval``),
   diverging traces (``trace diff``), a baseline regression
   (``eval --check``);
 - ``2`` — usage error: unknown subcommand/flag (argparse) or an
@@ -72,9 +65,9 @@ Exit codes (uniform across subcommands):
   head -3``): the rest of the report is dropped, as a process killed
   by SIGPIPE would, without a traceback.
 
-The guided tour of the tracker and the head-to-head against the
-baselines are ``examples/quickstart.py`` and
-``examples/baseline_comparison.py``.
+The guided tours of the tracker and of the service layer, and the
+head-to-head against the baselines, are ``examples/quickstart.py``,
+``examples/service_tour.py`` and ``examples/baseline_comparison.py``.
 """
 
 from __future__ import annotations
@@ -228,44 +221,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.consistency.ok else 1
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve.bench import ServeBenchConfig, run_serve_bench
-
-    # --workers implies a wall clock unless one was chosen explicitly
-    # (worker processes cannot run under the deterministic virtual clock)
-    clock = args.clock or ("wall" if args.workers > 0 else "virtual")
-    try:
-        cfg = ServeBenchConfig(
-            nodes=args.nodes,
-            num_objects=args.objects,
-            moves_per_object=args.moves,
-            num_queries=args.queries,
-            shards=args.shards,
-            workers=args.workers,
-            rate=args.rate,
-            seed=args.seed,
-            batch_size=args.batch,
-            queue_capacity=args.queue_capacity,
-            rate_limit=args.rate_limit,
-            service_time_base_s=args.service_time_ms * 1e-3,
-            clock=clock,
-            metrics_snapshot_interval_s=(
-                args.snapshot_interval if args.snapshot_interval > 0 else None
-            ),
-            trace_path=args.trace,
-        )
-    except ValueError as exc:
-        return _usage_error("serve-bench", str(exc))
-    report = run_serve_bench(cfg)
-    _emit(json.dumps(report, indent=1) + "\n", args.out)
-    return 0 if report["audit"]["ok"] else 1
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     import json
+    from contextlib import nullcontext
 
+    from repro.obs.export import JsonlTraceWriter
     from repro.scenarios import (
         EvalConfig,
         all_scenarios,
@@ -299,7 +259,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if names:
             for name in names:
                 get_scenario(name)  # unknown names are usage errors, not crashes
-        report = run_suite(cfg, names=names)
+        with JsonlTraceWriter(args.trace) if args.trace else nullcontext() as sink:
+            report = run_suite(cfg, names=names, trace=sink)
     except ValueError as exc:
         return _usage_error("eval", str(exc))
 
@@ -400,60 +361,6 @@ def _cmd_audit_batch(args: argparse.Namespace) -> int:
     if not ok:
         print("repro audit batch: scalar-equivalence audit failed", file=sys.stderr)
     return 0 if ok else 1
-
-
-def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro import grid_network
-    from repro.serve import (
-        Overloaded,
-        QueryRequest,
-        ServiceClient,
-        ServiceConfig,
-        TrackingService,
-        shard_index,
-    )
-
-    net = grid_network(8, 8)
-    config = ServiceConfig(shards=2, batch_size=4, queue_capacity=4)
-    service = TrackingService(net, config, seed=args.seed)
-
-    async def tour() -> None:
-        async with service:
-            client = ServiceClient(service)
-            for name, start in (("tiger", 0), ("heron", 63)):
-                resp = await client.publish(name, net.node_at(start))
-                print(f"published {name!r} at sensor {net.node_at(start)} "
-                      f"-> shard {shard_index(name, config.shards)} "
-                      f"(cost {resp.cost:.0f})")
-            await client.move("tiger", net.node_at(9))
-            # two duplicate in-flight queries: submitted back to back so
-            # the shard drains them in one batch and answers once
-            f1 = service.submit_nowait(QueryRequest("tiger", net.node_at(63)))
-            f2 = service.submit_nowait(QueryRequest("tiger", net.node_at(63)))
-            r1, r2 = await f1, await f2
-            print(f"two concurrent queries for 'tiger': both answered "
-                  f"proxy={r1.proxy}; second coalesced={r2.coalesced}")
-            # overfill one shard's bounded queue to show backpressure
-            rejected = 0
-            for k in range(32):
-                try:
-                    service.submit_nowait(QueryRequest("tiger", net.node_at(k % 64)))
-                except Overloaded as exc:
-                    if rejected == 0:
-                        print(f"backpressure: {exc.reason} rejection, "
-                              f"retry after {exc.retry_after_s:.3f}s")
-                    rejected += 1
-            print(f"admitted {32 - rejected} of 32 burst queries, "
-                  f"rejected {rejected} (queue capacity "
-                  f"{config.queue_capacity}); draining gracefully...")
-    asyncio.run(tour())
-    m = service.metrics
-    print(f"drained: {m.total_completed} ops completed, "
-          f"{m.queries_coalesced} queries coalesced, "
-          f"{m.total_rejected} rejected")
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -575,45 +482,10 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos.add_argument("--out", help="write the JSON report here instead of stdout")
     p_chaos.set_defaults(fn=_cmd_chaos)
 
-    p_sb = sub.add_parser(
-        "serve-bench",
-        help="drive the online tracking service under load, emit JSON report",
-    )
-    p_sb.add_argument("--nodes", type=int, default=256,
-                      help="sensor count (rounded to the nearest square grid)")
-    p_sb.add_argument("--objects", type=int, default=64)
-    p_sb.add_argument("--moves", type=int, default=20, help="moves per object")
-    p_sb.add_argument("--queries", type=int, default=200)
-    p_sb.add_argument("--shards", type=int, default=4, help="tracker shard workers")
-    p_sb.add_argument("--workers", type=int, default=0,
-                      help="fork N shard worker processes (0 = in-process "
-                           "asyncio shards; implies --clock wall)")
-    p_sb.add_argument("--rate", type=float, default=500.0,
-                      help="offered load in ops/s (open-loop Poisson arrivals)")
-    p_sb.add_argument("--seed", type=int, default=7,
-                      help="workload + arrival-process seed")
-    p_sb.add_argument("--batch", type=int, default=16,
-                      help="max ops a shard drains per wakeup")
-    p_sb.add_argument("--queue-capacity", type=int, default=64,
-                      help="bounded per-shard queue (Overloaded beyond)")
-    p_sb.add_argument("--rate-limit", type=float, default=None,
-                      help="admission token-bucket rate in ops/s (default: off)")
-    p_sb.add_argument("--service-time-ms", type=float, default=1.0,
-                      help="virtual per-op service time in milliseconds")
-    p_sb.add_argument("--clock", choices=("virtual", "wall"), default=None,
-                      help="virtual = deterministic replay; wall = real latencies "
-                           "(default: virtual, or wall when --workers > 0)")
-    p_sb.add_argument("--snapshot-interval", type=float, default=0.5,
-                      help="metrics snapshot period in service-clock seconds (0 = off)")
-    p_sb.add_argument("--trace", default=None, metavar="PATH",
-                      help="record a JSONL span trace of the run to PATH")
-    p_sb.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_sb.set_defaults(fn=_cmd_serve_bench)
-
     p_tr = sub.add_parser("trace", help="summarize or diff JSONL span traces")
     tr_sub = p_tr.add_subparsers(dest="trace_cmd", required=True)
     p_tr_sum = tr_sub.add_parser("summarize", help="aggregate one trace file")
-    p_tr_sum.add_argument("path", help="JSONL trace (from serve-bench --trace)")
+    p_tr_sum.add_argument("path", help="JSONL trace (from eval --trace)")
     p_tr_sum.add_argument("--kind", default=None,
                           help="only events of this kind (e.g. query, message)")
     p_tr_sum.add_argument("--obj", default=None,
@@ -658,13 +530,11 @@ def main(argv: list[str] | None = None) -> int:
                            "(default path: benchmarks/eval_baselines.json)")
     p_ev.add_argument("--write-baseline", metavar="PATH", default=None,
                       help="distill the report into a baseline file at PATH")
+    p_ev.add_argument("--trace", metavar="PATH", default=None,
+                      help="record the serve spans of every scenario to one "
+                           "JSONL trace at PATH")
     p_ev.add_argument("--out", help="write the report here instead of stdout")
     p_ev.set_defaults(fn=_cmd_eval)
-
-    p_sd = sub.add_parser("serve-demo", help="guided tour of the service layer")
-    p_sd.add_argument("--seed", type=int, default=0,
-                      help="seed of the service's hierarchy build")
-    p_sd.set_defaults(fn=_cmd_serve_demo)
 
     p_lint = sub.add_parser("lint", help="run the per-file RPL lint rules")
     p_lint.add_argument("paths", nargs="*", metavar="PATH",

@@ -9,8 +9,8 @@ through the same two channels —
   and annotations; zero-overhead when the process-wide :data:`TRACER`
   is disabled (the default);
 - **metrics export** (:mod:`repro.obs.prometheus`): the perf
-  registry's counters/timers rendered into Prometheus text format,
-  plus periodic service snapshots in the serve bench.
+  registry's counters/timers and a service's metrics rendered into
+  Prometheus text format.
 
 Traces serialize to JSONL (:mod:`repro.obs.export`) and are consumed
 by ``python -m repro trace`` (summarize / diff). See

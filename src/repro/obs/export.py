@@ -196,7 +196,7 @@ def diff_traces(
     volatile ``t0_s``/``duration_s`` keys are stripped before
     comparison (for traces stamped with a wall clock); without it the
     comparison is over the exact serialized content — two same-seed
-    virtual-clock serve-bench traces must be byte-identical.
+    virtual-clock ``repro eval --trace`` traces must be byte-identical.
     """
     a = read_trace(a_path)
     b = read_trace(b_path)

@@ -13,8 +13,8 @@ non-``[a-zA-Z0-9_]`` character with ``_``:
 ``oracle.row_miss`` → ``repro_oracle_row_miss_total``.
 
 The renderer returns a string; serving or writing it is the caller's
-job (the serve bench folds it into its JSON report, CI uploads it as
-an artifact). No I/O happens here (rule RPL007).
+job (``python -m repro perf --prometheus`` prints it). No I/O happens
+here (rule RPL007).
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Design constraints, in order:
    ``TRACER.span(...)`` then returns the shared :data:`NULL_SPAN`
    singleton, which is falsy, so instrumented hot loops guard per-hop
    recording with ``if sp: sp.hop(u, v, d)`` — one truthiness check per
-   hop, nothing allocated. The acceptance bar (serve-bench and the
-   2048-node build within 2% of untraced) is pinned by
+   hop, nothing allocated. The acceptance bar (a measured serve run
+   and the 2048-node build within 2% of untraced) is pinned by
    ``benchmarks``/``docs/OBSERVABILITY.md``.
 2. **Observational transparency.** Recording never touches RNG streams,
    cost ledgers, or scheduling decisions; the property suite
@@ -24,9 +24,9 @@ Design constraints, in order:
    the tracer on and off and asserts identical results.
 3. **Determinism.** Span ids are a per-tracer monotone counter
    (:meth:`Tracer.reset` rewinds it), and the time source is
-   pluggable: the serve bench stamps spans with its *virtual* clock, so
-   two same-seed runs emit byte-identical JSONL traces — the property
-   ``python -m repro trace diff`` checks.
+   pluggable: a measured serve run stamps spans with its *virtual*
+   clock, so two same-seed runs emit byte-identical JSONL traces — the
+   property ``python -m repro trace diff`` checks.
 
 Emission is sink-based: a sink is any callable taking a
 :class:`SpanEvent`; :class:`~repro.obs.export.JsonlTraceWriter` writes

@@ -11,8 +11,9 @@ equivalent:
    latency percentiles, admission outcomes, the sequential-replay
    audit). Under the default virtual clock this section is fully
    deterministic; ``workers > 0`` forks real shard processes on the
-   wall clock instead (virtual clock + workers is refused, matching
-   serve-bench).
+   wall clock instead (virtual clock + workers is refused). A span
+   sink passed to :func:`run_suite` records the serve spans of every
+   scenario; tracing leaves the report unchanged.
 
 Scenarios carrying a ``fault_plan`` additionally run the concurrent
 simulator under injected faults and report the chaos/churn section
@@ -39,7 +40,9 @@ from repro.graphs.generators import grid_network
 from repro.graphs.network import SensorNetwork
 from repro.metrics.load import LoadStats
 from repro.scenarios.registry import ScenarioSpec, all_scenarios, get_scenario
-from repro.serve.bench import ServeBenchConfig, drive_workload
+from repro.obs.trace import Sink
+from repro.serve.bench import drive_workload
+from repro.serve.service import ServiceConfig
 from repro.sim.workload import Workload, workload_digest
 
 __all__ = ["EvalConfig", "run_scenario", "run_suite", "canonical_json"]
@@ -47,6 +50,11 @@ __all__ = ["EvalConfig", "run_scenario", "run_suite", "canonical_json"]
 #: report-schema version, bumped when the EvalReport shape changes so a
 #: stale committed baseline fails loudly instead of comparing garbage
 EVAL_REPORT_VERSION = 1
+
+#: ops a serve-section shard drains per wakeup: the committed baselines
+#: were recorded at 16, and on the virtual clock the batch size shapes
+#: every queueing figure, so it stays fixed rather than a setting
+SERVE_BATCH_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class EvalConfig:
     seed: int = 7
     shards: int = 4
     #: 0 = in-process asyncio shards; N > 0 forks N worker processes
-    #: (wall clock required, exactly as in serve-bench)
+    #: (wall clock required)
     workers: int = 0
     clock: str = "virtual"  # "virtual" (deterministic) or "wall"
     rate: float = 500.0  # serve-section offered load, ops/s
@@ -65,12 +73,18 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.clock not in ("virtual", "wall"):
             raise ValueError('clock must be "virtual" or "wall"')
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = in-process shards)")
         if self.workers > 0 and self.clock != "wall":
             raise ValueError('workers > 0 requires clock="wall"')
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        # the shard and worker counts fail here, before any scenario runs
+        self.service_config()
+
+    def service_config(self) -> ServiceConfig:
+        """The :class:`ServiceConfig` of every scenario's serve section."""
+        return ServiceConfig(
+            shards=self.shards, workers=self.workers, batch_size=SERVE_BATCH_SIZE
+        )
 
     def as_dict(self) -> dict:
         """JSON-ready view (the report's ``suite`` header)."""
@@ -97,37 +111,37 @@ def _sequential_section(net: SensorNetwork, workload: Workload, seed: int) -> di
     }
 
 
-def _serve_section(net: SensorNetwork, workload: Workload, cfg: EvalConfig) -> dict:
-    bench = ServeBenchConfig(
-        nodes=net.n,
-        num_objects=len(workload.starts),
-        moves_per_object=(
-            len(workload.moves) // len(workload.starts) if workload.starts else 0
-        ),
-        num_queries=len(workload.queries),
-        shards=cfg.shards,
-        workers=cfg.workers,
+def _serve_section(
+    net: SensorNetwork, workload: Workload, cfg: EvalConfig, trace: "Sink | None"
+) -> dict:
+    report = drive_workload(
+        net,
+        workload,
+        cfg.service_config(),
         rate=cfg.rate,
         seed=cfg.seed,
         clock=cfg.clock,
-        metrics_snapshot_interval_s=None,
+        trace=trace,
     )
-    report = drive_workload(net, workload, bench)
-    # the lean, gate-relevant slice: drop prometheus text, snapshots and
-    # worker pids — those belong to serve-bench's full report
+    audit = report["audit"]
+    # the lean, gate-relevant slice: the service metrics and the rest
+    # of the audit stay in drive_workload's report
     return {
         "loadgen": report["loadgen"],
         "latency_ms": report["latency_ms"],
-        "throughput_ops_s": report["achieved_throughput_ops_s"],
+        "throughput_ops_s": report["loadgen"]["throughput_ops_s"],
         "per_shard": report["per_shard"],
         "ledger": report["ledger"],
-        "audit_ok": report["audit"]["ok"],
+        "audit_ok": audit["ok"],
         "audit": {
-            "objects_checked": report["audit"]["objects_checked"],
-            "moves_replayed": report["audit"]["moves_replayed"],
-            "queries_checked": report["audit"]["queries_checked"],
-            "proxy_mismatches": report["audit"]["proxy_mismatches"],
-            "cost_mismatches": report["audit"]["cost_mismatches"],
+            key: audit[key]
+            for key in (
+                "objects_checked",
+                "moves_replayed",
+                "queries_checked",
+                "proxy_mismatches",
+                "cost_mismatches",
+            )
         },
     }
 
@@ -169,8 +183,12 @@ def metric_at(report: dict, path: str) -> "tuple[bool, object]":
     return True, node
 
 
-def run_scenario(spec: ScenarioSpec, cfg: "EvalConfig | None" = None) -> dict:
+def run_scenario(
+    spec: ScenarioSpec, cfg: "EvalConfig | None" = None, trace: "Sink | None" = None
+) -> dict:
     """Evaluate one scenario; return its JSON-ready EvalReport.
+
+    ``trace``, a span sink, records the serve section's spans.
 
     Raises ``RuntimeError`` if the finished report is missing any of the
     scenario's ``expected_metrics`` — a scenario whose schema promise is
@@ -195,7 +213,7 @@ def run_scenario(spec: ScenarioSpec, cfg: "EvalConfig | None" = None) -> dict:
             "queries": len(workload.queries),
         },
         "sequential": _sequential_section(net, workload, cfg.seed),
-        "serve": _serve_section(net, workload, cfg),
+        "serve": _serve_section(net, workload, cfg, trace),
     }
     if spec.fault_plan is not None:
         report["chaos"] = _chaos_section(net, workload, spec, cfg)
@@ -208,9 +226,15 @@ def run_scenario(spec: ScenarioSpec, cfg: "EvalConfig | None" = None) -> dict:
 
 
 def run_suite(
-    cfg: "EvalConfig | None" = None, names: "list[str] | None" = None
+    cfg: "EvalConfig | None" = None,
+    names: "list[str] | None" = None,
+    trace: "Sink | None" = None,
 ) -> dict:
-    """Run a set of scenarios (default: all registered) into one report."""
+    """Run a set of scenarios (default: all registered) into one report.
+
+    ``trace``, a span sink, records every scenario's serve spans in
+    scenario order.
+    """
     cfg = cfg or EvalConfig()
     specs = (
         [get_scenario(n) for n in names]
@@ -220,7 +244,7 @@ def run_suite(
     return {
         "version": EVAL_REPORT_VERSION,
         "suite": cfg.as_dict(),
-        "scenarios": {spec.name: run_scenario(spec, cfg) for spec in specs},
+        "scenarios": {spec.name: run_scenario(spec, cfg, trace) for spec in specs},
     }
 
 

@@ -28,8 +28,10 @@ request-serving system, the ROADMAP's "serves heavy traffic" substrate:
 - :mod:`repro.serve.audit` — every shard's answers, epochs and ledger
   replayed against one sequential reference MOT
   (:func:`repro.core.batch.audit_replay`);
-- :mod:`repro.serve.bench` — the ``python -m repro serve-bench``
-  driver (JSON latency/throughput/audit report).
+- :mod:`repro.serve.bench` — :func:`drive_workload`, one measured
+  open-loop run of a workload through a fresh service (JSON
+  latency/throughput/audit report); ``python -m repro eval`` drives
+  every scenario's serve section through it.
 
 Minimal use::
 
@@ -50,7 +52,7 @@ Minimal use::
 """
 
 from repro.serve.audit import audit_service
-from repro.serve.bench import ServeBenchConfig, run_serve_bench
+from repro.serve.bench import drive_workload
 from repro.serve.client import ServiceClient
 from repro.serve.clock import VirtualClock, WallClock
 from repro.serve.hashring import HashRing
@@ -77,8 +79,7 @@ from repro.serve.worker import ShardWorker, WorkerSpec
 
 __all__ = [
     "audit_service",
-    "ServeBenchConfig",
-    "run_serve_bench",
+    "drive_workload",
     "ServiceClient",
     "VirtualClock",
     "WallClock",

@@ -1,110 +1,50 @@
-"""`serve-bench` — one measured service run with a consistency audit.
+"""One measured service run with a consistency audit.
 
-The driver behind ``python -m repro serve-bench``: build a grid
-network, generate a §8-shaped workload, interleave it into a seeded
-open-loop arrival trace, replay it against a sharded
-:class:`TrackingService`, and emit a JSON-ready report:
+:func:`drive_workload` is the measurement behind ``python -m repro
+eval``'s serve section: it interleaves a prebuilt workload into a
+seeded open-loop arrival trace, replays it against a sharded
+:class:`TrackingService` built from the caller's
+:class:`ServiceConfig`, and returns a JSON-ready report:
 
-- latency p50/p95/p99 per operation kind and overall,
-- achieved throughput vs offered rate,
-- admission-control outcomes (rate/queue rejections with counts),
-- batching/coalescing behaviour (batch-size histogram, coalesced
-  queries),
-- the **consistency audit** — every answer replayed against a
-  sequential reference MOT (:mod:`repro.serve.audit`); the CLI exit
-  code is gated on ``audit.ok``,
-- observability artifacts: the per-run metrics rendered in Prometheus
-  text format, the periodic counters snapshot series, and — with
-  ``trace_path`` set — a JSONL span trace of every request
-  (virtual-clock-stamped, so two same-seed traces are byte-identical;
-  ``python -m repro trace diff`` verifies).
+- ``loadgen`` — offered, admitted, rejected (rate/queue) and completed
+  counts, the arrival trace's digest, makespan and achieved
+  throughput; wall-clock runs add ``scheduled_latency_ms``, each op
+  timed from its scheduled arrival (due) to its completion,
+- ``latency_ms`` — percentiles from submit to completion, over all ops
+  (``all``) and per operation kind,
+- ``per_shard`` SLIs, the service's own ``service`` metrics and the
+  merged cost ``ledger``,
+- ``audit`` — every answer replayed against a sequential reference MOT
+  (:mod:`repro.serve.audit`).
 
-Under the default virtual clock the entire report is deterministic:
-two runs with the same configuration are byte-identical (the property
-``tests/serve/test_loadgen.py`` locks in).
-
-With ``workers > 0`` the same bench drives forked shard processes on
-the wall clock instead: the report additionally carries ``health``
-(pids, modes) and ``per_shard`` SLIs (p50/p99 latency, drop ratio,
-sustained ops/s per shard), and the audit still gates the exit code —
-byte-identity is traded for real parallelism.
+On the virtual clock the report is deterministic: two runs with the
+same arguments are byte-identical (``tests/serve/test_loadgen.py``
+pins it), and due = submit, so ``scheduled_latency_ms`` would repeat
+``latency_ms.all``. With a ``trace`` sink every request's
+``serve.<kind>`` span is recorded, stamped with the service clock, so
+two same-seed virtual-clock traces are byte-identical too (``python -m
+repro trace diff`` verifies). The service's metrics in Prometheus text
+are ``render_prometheus(service.metrics.perf_view())``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
-from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from contextlib import nullcontext
 
-from repro.graphs.generators import grid_network
-from repro.obs.export import JsonlTraceWriter
-from repro.obs.prometheus import render_prometheus
-from repro.obs.trace import tracing
+from repro.graphs.network import SensorNetwork
+from repro.obs.trace import Sink, tracing
 from repro.perf import TimerStat
 from repro.serve.audit import audit_service
 from repro.serve.clock import VirtualClock, WallClock
-from repro.serve.loadgen import LoadgenResult, arrival_trace, replay, trace_digest
+from repro.serve.loadgen import Arrival, LoadgenResult, arrival_trace, replay, trace_digest
 from repro.serve.service import ServiceConfig, TrackingService
 from repro.serve.shard import shard_sli
-from repro.sim.workload import make_workload
+from repro.sim.workload import Workload
 
-__all__ = ["ServeBenchConfig", "drive_workload", "run_serve_bench"]
+__all__ = ["drive_workload"]
 
-
-@dataclass(frozen=True)
-class ServeBenchConfig:
-    """Parameters of one ``serve-bench`` run."""
-
-    nodes: int = 256  # rounded to the nearest square grid
-    num_objects: int = 64
-    moves_per_object: int = 20
-    num_queries: int = 200
-    shards: int = 4
-    #: 0 = in-process asyncio shards; N > 0 forks N worker processes
-    #: (wall clock required — see repro.serve.worker)
-    workers: int = 0
-    rate: float = 500.0  # offered load, ops/s
-    seed: int = 7
-    batch_size: int = 16
-    queue_capacity: int = 64
-    rate_limit: float | None = None  # admission token-bucket (None = off)
-    burst: float = 16.0
-    service_time_base_s: float = 1e-3
-    clock: str = "virtual"  # "virtual" (deterministic) or "wall"
-    mobility: str = "random_walk"
-    metrics_snapshot_interval_s: float | None = 0.5  # service-clock seconds
-    trace_path: str | None = None  # JSONL span trace (None = tracing off)
-
-    def __post_init__(self) -> None:
-        if self.nodes < 4:
-            raise ValueError("nodes must be >= 4")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.clock not in ("virtual", "wall"):
-            raise ValueError('clock must be "virtual" or "wall"')
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = in-process shards)")
-        if self.workers > 0 and self.clock != "wall":
-            raise ValueError('workers > 0 requires clock="wall"')
-
-    @property
-    def grid_side(self) -> int:
-        """Side of the (nearest-square) grid realising ``nodes``."""
-        return max(2, round(math.sqrt(self.nodes)))
-
-    def service_config(self) -> ServiceConfig:
-        """The :class:`ServiceConfig` this bench drives."""
-        return ServiceConfig(
-            shards=self.shards,
-            workers=self.workers,
-            batch_size=self.batch_size,
-            queue_capacity=self.queue_capacity,
-            rate_limit=self.rate_limit,
-            burst=self.burst,
-            service_time_base_s=self.service_time_base_s,
-            metrics_snapshot_interval_s=self.metrics_snapshot_interval_s,
-        )
+_CLOCKS = {"virtual": VirtualClock, "wall": WallClock}
 
 
 def _latency_ms(stat: TimerStat) -> dict[str, float]:
@@ -120,80 +60,57 @@ def _latency_ms(stat: TimerStat) -> dict[str, float]:
 
 
 async def _drive(
-    service: TrackingService, workload, trace
-) -> tuple[LoadgenResult, dict]:
+    service: TrackingService, workload: Workload, arrivals: list[Arrival]
+) -> LoadgenResult:
     await service.start()
-    # probe while workers are alive: for process shards this is a real
-    # health-frame round trip, not just a liveness flag on the handle
-    health = await service.healthcheck()
-    result = await replay(service, workload, trace)
-    return result, health
+    return await replay(service, workload, arrivals)
 
 
-def run_serve_bench(cfg: ServeBenchConfig | None = None) -> dict:
-    """Run one bench and return the JSON-ready report (see module docs)."""
-    cfg = cfg or ServeBenchConfig()
-    side = cfg.grid_side
-    net = grid_network(side, side)
-    workload = make_workload(
-        net,
-        num_objects=cfg.num_objects,
-        moves_per_object=cfg.moves_per_object,
-        num_queries=cfg.num_queries,
-        seed=cfg.seed,
-        mobility=cfg.mobility,  # type: ignore[arg-type]
-    )
-    return drive_workload(net, workload, cfg)
+def drive_workload(
+    net: SensorNetwork,
+    workload: Workload,
+    service: ServiceConfig,
+    *,
+    rate: float,
+    seed: int,
+    clock: str = "virtual",
+    trace: Sink | None = None,
+) -> dict:
+    """Replay ``workload`` at ``rate`` ops/s through a fresh service.
 
-
-def drive_workload(net, workload, cfg: ServeBenchConfig) -> dict:
-    """Drive one prebuilt workload through a service; return the report.
-
-    The measurement half of :func:`run_serve_bench`, factored out so
-    other harnesses (``repro eval``'s scenario runs) can replay *their*
-    workloads through the identical load-generation, clocking, tracing
-    and audit plumbing. ``cfg`` supplies every service knob; its
-    ``nodes``/``num_objects``/... fields are reporting metadata here —
-    the ``net``/``workload`` arguments are what actually runs.
+    ``seed`` seeds the arrival process and the service's hierarchy;
+    ``clock`` is ``"virtual"`` (deterministic) or ``"wall"`` (real
+    latencies; required when ``service.workers > 0``); ``trace``, a
+    span sink such as :class:`repro.obs.export.JsonlTraceWriter`,
+    records the run's serve spans. Returns the report described in the
+    module docstring.
     """
-    trace = arrival_trace(workload, cfg.rate, seed=cfg.seed)
-    clock = VirtualClock() if cfg.clock == "virtual" else WallClock()
-    service = TrackingService(
-        net, cfg.service_config(), seed=cfg.seed, clock=clock
-    )
-    trace_info = None
-    with ExitStack() as stack:
-        if cfg.trace_path is not None:
-            writer = stack.enter_context(JsonlTraceWriter(cfg.trace_path))
-            # spans are stamped with the *service* clock: under the
-            # default virtual clock two same-seed traces are
-            # byte-identical; under a wall clock timestamps are real
-            # (diff those with --ignore-timing)
-            stack.enter_context(
-                tracing(sink=writer, time_source=lambda: service.clock.now)
-            )
-        result, health = asyncio.run(_drive(service, workload, trace))
-        if cfg.trace_path is not None:
-            trace_info = {"path": cfg.trace_path, "events": writer.events_written}
+    if clock not in _CLOCKS:
+        raise ValueError(f'clock must be "virtual" or "wall", got {clock!r}')
+    arrivals = arrival_trace(workload, rate, seed=seed)
+    svc = TrackingService(net, service, seed=seed, clock=_CLOCKS[clock]())
+    # spans are stamped with the *service* clock: under the virtual
+    # clock two same-seed traces are byte-identical; under a wall clock
+    # timestamps are real (diff those with --ignore-timing)
+    with tracing(sink=trace, time_source=lambda: svc.clock.now) if trace is not None else nullcontext():
+        result = asyncio.run(_drive(svc, workload, arrivals))
 
+    audit = audit_service(svc)
+    ledger = svc.merged_ledger()
+    metrics = svc.metrics
+    loadgen = {
+        "offered_rate_ops_s": rate,
+        "trace_digest": trace_digest(arrivals),
+        **result.as_dict(),
+    }
+    if not svc.clock.virtual:
+        scheduled = TimerStat()
+        scheduled.add_many([r.completion_t - due for r, due in zip(result.responses, result.due)])
+        loadgen["scheduled_latency_ms"] = _latency_ms(scheduled)
     overall = TimerStat()
-    for resp in result.responses:
-        overall.add(resp.latency_s)
-    audit = audit_service(service)
-    ledger = service.merged_ledger()
-    metrics = service.metrics
-
+    overall.add_many([r.latency_s for r in result.responses])
     return {
-        "config": asdict(cfg),
-        "network": {
-            "nodes": net.n,
-            "grid_side": cfg.grid_side,
-        },
-        "loadgen": {
-            "offered_rate_ops_s": cfg.rate,
-            "trace_digest": trace_digest(trace),
-            **result.as_dict(),
-        },
+        "loadgen": loadgen,
         "latency_ms": {
             "all": _latency_ms(overall),
             **{
@@ -201,15 +118,8 @@ def drive_workload(net, workload, cfg: ServeBenchConfig) -> dict:
                 for kind, stat in sorted(metrics.latency.items())
             },
         },
-        "achieved_throughput_ops_s": result.throughput_ops_s,
-        "per_shard": [
-            shard_sli(shard, result.makespan_s) for shard in service.shards
-        ],
-        "health": health,
+        "per_shard": [shard_sli(shard, result.makespan_s) for shard in svc.shards],
         "service": metrics.as_dict(),
-        "prometheus": render_prometheus(metrics.perf_view()),
-        "snapshots": list(service.snapshots),
-        "trace": trace_info,
         "ledger": {
             "maintenance_cost_ratio": ledger.maintenance_cost_ratio,
             "query_cost_ratio": ledger.query_cost_ratio,

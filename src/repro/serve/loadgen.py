@@ -19,9 +19,12 @@ Two artifacts matter for reproducibility:
   decision — is deterministic. Under a
   :class:`~repro.serve.clock.WallClock` the trace is a schedule
   anchored when the timed loop starts: the generator sleeps until the
-  next arrival is due, submits every arrival that is due before it
-  yields, and a response's latency runs from its arrival's due time,
-  so a stall also delays the arrivals queued behind it.
+  next arrival is due and submits every arrival that is due before it
+  yields, so a stall also delays the arrivals queued behind it. A
+  response's latency runs from its submission under either clock; a
+  wall-clock result also keeps each completed op's due time
+  (:attr:`LoadgenResult.due`), so the generator's lateness stays out
+  of the service's latency and can be reported on its own.
 
 Publishes are not part of the offered load: every object is registered
 in a warm-up phase at time zero before the first timed arrival.
@@ -101,7 +104,11 @@ class LoadgenResult:
     warmup_completed: int = 0
     first_arrival_t: float = 0.0
     last_completion_t: float = 0.0
+    #: completed timed ops, in submission order
     responses: list = field(default_factory=list, repr=False)
+    #: wall clock only: each completed op's scheduled arrival time,
+    #: parallel to ``responses`` (on the virtual clock due = submit)
+    due: list = field(default_factory=list, repr=False)
 
     @property
     def makespan_s(self) -> float:
@@ -165,10 +172,6 @@ async def replay(
             # let woken shard workers drain what the clock just made due
             await asyncio.sleep(0)
             await asyncio.sleep(0)
-            # the arrival loop drives the clock, so it is also the
-            # snapshot poller (no-op unless the service configures an
-            # interval); polling after the drain keeps counters current
-            service.maybe_snapshot()
             _offer(service, arrival, result, futures)
     else:
         due = await _paced(service, trace, result, futures)
@@ -184,10 +187,10 @@ async def replay(
         if isinstance(item, BaseException):
             result.failed += 1
         else:
-            if not clock.virtual:
-                item = item._replace(arrival_t=due[k])  # latency from the due time
             result.completed += 1
             result.responses.append(item)
+            if due:
+                result.due.append(due[k])
             if item.completion_t > result.last_completion_t:
                 result.last_completion_t = item.completion_t
     return result
@@ -247,6 +250,5 @@ async def _paced(
             if _offer(service, trace[i], result, futures):
                 due.append(anchor + trace[i].t)
             i += 1
-        service.maybe_snapshot()
         await asyncio.sleep(0)  # let the shards drain what was submitted
     return due

@@ -3,8 +3,8 @@
 Everything measurable about one service run funnels through a single
 :class:`ServiceMetrics` instance, and only there: the service keeps no
 copy in the process-wide :data:`repro.perf.PERF` registry, and reports
-(serve-bench's JSON and its Prometheus text) read :meth:`as_dict` and
-:meth:`perf_view`. Distributions reuse :class:`repro.perf.TimerStat`
+(:func:`repro.serve.bench.drive_workload`'s JSON, Prometheus text)
+read :meth:`as_dict` and :meth:`perf_view`. Distributions reuse :class:`repro.perf.TimerStat`
 (count/total/max + reservoir percentiles), so ``p50/p95/p99`` come for
 free and behave identically to every other timer in the project.
 Shards fold a settled batch in once (:meth:`record_completions`), not

@@ -91,10 +91,6 @@ class ServiceConfig:
       coalesced twin for none). Under a wall clock real compute time
       is the service time, and this value only sizes a full queue's
       ``retry_after`` hint: ``max(1, depth) × service_time_base_s``.
-    - ``metrics_snapshot_interval_s`` — with a value, the service takes
-      a periodic counters snapshot (see
-      :meth:`TrackingService.maybe_snapshot`) no more often than every
-      interval seconds of service-clock time; ``None`` disables.
     """
 
     shards: int = 4
@@ -104,7 +100,6 @@ class ServiceConfig:
     rate_limit: float | None = None
     burst: float = 16.0
     service_time_base_s: float = 1e-3
-    metrics_snapshot_interval_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -121,11 +116,6 @@ class ServiceConfig:
             raise ValueError("burst must be >= 1")
         if self.service_time_base_s < 0:
             raise ValueError("service_time_base_s must be >= 0")
-        if (
-            self.metrics_snapshot_interval_s is not None
-            and self.metrics_snapshot_interval_s <= 0
-        ):
-            raise ValueError("metrics_snapshot_interval_s must be positive (or None)")
 
     @property
     def multiprocess(self) -> bool:
@@ -234,9 +224,6 @@ class TrackingService:
             if self.config.rate_limit is not None
             else None
         )
-        #: periodic counters snapshots (see :meth:`maybe_snapshot`)
-        self.snapshots: list[dict] = []
-        self._last_snapshot_t: float | None = None
         self._started = False
         self._closed = False
         self._drain_task: asyncio.Future | None = None
@@ -392,38 +379,6 @@ class TrackingService:
             "depth": self.total_depth,
             "shards": shards,
         }
-
-    def snapshot(self) -> dict:
-        """One timestamped copy of the service counters, appended to
-        :attr:`snapshots` and returned.
-
-        Timestamps come from the service clock, so a virtual-clock
-        replay yields a deterministic snapshot series.
-        """
-        snap = {
-            "t_s": self.clock.now,
-            "counters": dict(self.metrics.counters),
-            "depth": self.total_depth,
-        }
-        self.snapshots.append(snap)
-        self._last_snapshot_t = self.clock.now
-        return snap
-
-    def maybe_snapshot(self) -> dict | None:
-        """Take a :meth:`snapshot` if the configured interval elapsed.
-
-        The caller decides *when* to poll (the load generator calls this
-        after each clock advance); this method only rate-limits the
-        series to ``metrics_snapshot_interval_s``. Returns the new
-        snapshot, or ``None`` when disabled or not yet due.
-        """
-        interval = self.config.metrics_snapshot_interval_s
-        if interval is None:
-            return None
-        now = self.clock.now
-        if self._last_snapshot_t is not None and now - self._last_snapshot_t < interval:
-            return None
-        return self.snapshot()
 
     def merged_ledger(self) -> CostLedger:
         """All shards' cost ledgers folded into one.

@@ -4,7 +4,7 @@ The property the whole design rests on: recording spans must not touch
 RNG streams, cost ledgers, or scheduling decisions. Every test here
 runs the same seeded scenario twice — tracer off, then tracer on with
 a collecting sink — and asserts bit-identical observable results:
-:class:`CostLedger` totals, serve-bench reports (including the
+:class:`CostLedger` totals, measured serve runs' reports (including the
 ``trace_digest``), and the chaos report's fault/consistency invariants.
 """
 
@@ -19,7 +19,7 @@ from repro.experiments.config import ChaosExperiment
 from repro.graphs.generators import grid_network
 from repro.hierarchy.structure import build_hierarchy
 from repro.obs.trace import TRACER, tracing
-from repro.serve.bench import ServeBenchConfig, run_serve_bench
+from repro.serve import ServiceConfig, drive_workload
 from repro.sim.workload import MoveOp, QueryOp, make_workload
 
 
@@ -71,24 +71,15 @@ class TestCoreTransparency:
 
 
 class TestServeBenchTransparency:
-    def test_traced_report_matches_untraced(self, tmp_path):
-        cfg = dict(
-            nodes=64, num_objects=8, moves_per_object=4, num_queries=20,
-            rate=300.0, seed=11,
-        )
-        plain = run_serve_bench(ServeBenchConfig(**cfg))
-        traced = run_serve_bench(
-            ServeBenchConfig(**cfg, trace_path=str(tmp_path / "t.jsonl"))
-        )
-        # identical up to the tracing bookkeeping itself
-        assert traced["loadgen"]["trace_digest"] == plain["loadgen"]["trace_digest"]
-        for key in (
-            "network", "loadgen", "latency_ms", "achieved_throughput_ops_s",
-            "service", "ledger", "audit", "prometheus", "snapshots",
-        ):
-            assert traced[key] == plain[key], key
-        assert plain["trace"] is None
-        assert traced["trace"]["events"] > 0
+    def test_traced_report_matches_untraced(self):
+        net = grid_network(8, 8)
+        wl = make_workload(net, num_objects=8, moves_per_object=4, num_queries=20, seed=11)
+        cfg = ServiceConfig(batch_size=16)
+        plain = drive_workload(net, wl, cfg, rate=300.0, seed=11)
+        events = []
+        traced = drive_workload(net, wl, cfg, rate=300.0, seed=11, trace=events.append)
+        assert traced == plain
+        assert {e.kind for e in events} >= {"serve.publish", "serve.move", "serve.query"}
 
 
 class TestChaosTransparency:

@@ -19,6 +19,7 @@ import asyncio
 import pytest
 
 from repro.graphs.generators import grid_network
+from repro.obs.prometheus import render_prometheus
 from repro.serve import (
     Overloaded,
     PublishRequest,
@@ -113,6 +114,9 @@ def test_warmup_not_counted_as_admitted():
         assert m.total_warmup == 4
         assert m.counters["serve.warmup.publish"] == 4
         assert "serve.admitted.publish" not in m.counters
+        text = render_prometheus(m.perf_view())
+        assert "repro_serve_warmup_publish_total" in text
+        assert "repro_serve_admitted_publish_total" not in text
         # queue-depth is observed at admission only, not at bring-up
         assert m.queue_depth.count == 1
 

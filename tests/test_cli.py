@@ -129,79 +129,36 @@ def test_lint_clean_file_exits_zero(tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
-SERVE_BENCH_SMALL = [
-    "serve-bench", "--nodes", "25", "--objects", "6", "--moves", "5",
-    "--queries", "15", "--shards", "2", "--rate", "300", "--seed", "9",
-]
+#: a small traced eval: one smoke-scale scenario through the serve layer
+EVAL_SMALL = ["eval", "--scenario", "rush-hour"]
 
 
-def test_serve_bench_to_stdout(capsys):
-    import json
-
-    assert main(SERVE_BENCH_SMALL) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["audit"]["ok"] is True
-    assert report["config"]["shards"] == 2
-    assert report["loadgen"]["trace_digest"]
-    assert {"p50_ms", "p95_ms", "p99_ms"} <= report["latency_ms"]["all"].keys()
-    assert report["achieved_throughput_ops_s"] > 0
-
-
-def test_serve_bench_to_file(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "runs" / "serve.json"
-    assert main(SERVE_BENCH_SMALL + ["--out", str(out_path)]) == 0
-    assert "wrote" in capsys.readouterr().out
-    report = json.loads(out_path.read_text())
-    assert report["audit"]["ok"] is True
-
-
-def test_serve_bench_deterministic_across_invocations(capsys):
-    assert main(SERVE_BENCH_SMALL) == 0
-    first = capsys.readouterr().out
-    assert main(SERVE_BENCH_SMALL) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_serve_bench_usage_error_exits_two(capsys):
-    # config validation (ValueError) maps to the usage exit code
-    assert main(["serve-bench", "--nodes", "2"]) == 2
-    assert "nodes" in capsys.readouterr().err
-    # argparse's own rejections use the same code via SystemExit
-    with pytest.raises(SystemExit) as exc_info:
-        main(["serve-bench", "--clock", "sundial"])
-    assert exc_info.value.code == 2
-
-
-def test_serve_bench_trace_and_diff_round_trip(tmp_path, capsys):
+def test_eval_trace_and_diff_round_trip(tmp_path, capsys):
     import json
 
     t1, t2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
-    assert main(SERVE_BENCH_SMALL + ["--trace", str(t1)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["trace"]["path"] == str(t1)
-    assert report["trace"]["events"] > 0
-    assert report["snapshots"]
-    # bring-up publishes are warmup, not offered load: they surface
-    # under the warmup counter and never inflate admission metrics
-    assert "repro_serve_warmup_publish_total" in report["prometheus"]
-    assert "repro_serve_admitted_publish_total" not in report["prometheus"]
-    assert main(SERVE_BENCH_SMALL + ["--trace", str(t2)]) == 0
+    r1, r2, plain = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "plain.json"
+    assert main(EVAL_SMALL + ["--trace", str(t1), "--out", str(r1)]) == 0
+    assert main(EVAL_SMALL + ["--trace", str(t2), "--out", str(r2)]) == 0
+    assert main(EVAL_SMALL + ["--out", str(plain)]) == 0
     capsys.readouterr()
+    # tracing leaves the report unchanged
+    assert r1.read_bytes() == r2.read_bytes() == plain.read_bytes()
     # same seed, virtual clock: the two traces must be byte-identical
     assert t1.read_bytes() == t2.read_bytes()
     assert main(["trace", "diff", str(t1), str(t2)]) == 0
     diff = json.loads(capsys.readouterr().out)
     assert diff["identical"] is True
+    # one serve span per completed op, bring-up publishes included
+    serve = json.loads(r1.read_text())["scenarios"]["rush-hour"]["serve"]["loadgen"]
+    assert diff["events"][0] == serve["completed"] + serve["warmup"]["completed"]
 
 
 def test_trace_summarize(tmp_path, capsys):
     import json
 
     t = tmp_path / "t.jsonl"
-    assert main(SERVE_BENCH_SMALL + ["--trace", str(t), "--out",
-                str(tmp_path / "r.json")]) == 0
+    assert main(EVAL_SMALL + ["--trace", str(t), "--out", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
     assert main(["trace", "summarize", str(t)]) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -231,14 +188,6 @@ def test_perf_prometheus_output(capsys):
     out = capsys.readouterr().out
     assert "# TYPE repro_mot_move_seconds summary" in out
     assert "_total " in out
-
-
-def test_serve_demo_runs(capsys):
-    assert main(["serve-demo"]) == 0
-    out = capsys.readouterr().out
-    assert "tiger" in out
-    assert "coalesced" in out
-    assert "rejected" in out
 
 
 AUDIT_BACKEND_SMALL = ["audit", "backend", "--side", "4", "--geometric-nodes", "24"]
@@ -314,15 +263,6 @@ def test_perf_reports_the_row_store(capsys):
     assert oracle["matrix_materialized"] is True
 
 
-def test_serve_bench_network_section(capsys):
-    import json
-
-    assert main(SERVE_BENCH_SMALL) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["audit"]["ok"] is True
-    assert report["network"] == {"nodes": 25, "grid_side": 5}
-
-
 @pytest.mark.parametrize("verb", ["perf", "trace"])
 def test_closed_stdout_exits_quietly(verb, tmp_path, capsys):
     """A reader that goes away before the report is written (``repro
@@ -337,7 +277,7 @@ def test_closed_stdout_exits_quietly(verb, tmp_path, capsys):
         argv = ["perf", "--side", "8", "--objects", "4", "--moves", "5", "--queries", "5"]
     else:
         trace = tmp_path / "run.jsonl"
-        assert main(SERVE_BENCH_SMALL + ["--trace", str(trace), "--out", str(tmp_path / "r.json")]) == 0
+        assert main(EVAL_SMALL + ["--trace", str(trace), "--out", str(tmp_path / "r.json")]) == 0
         capsys.readouterr()
         argv = ["trace", "summarize", str(trace)]
     root = Path(__file__).resolve().parents[1]
@@ -401,11 +341,41 @@ def test_eval_baseline_round_trip_and_gate(tmp_path, capsys):
     assert "out_of_band" in err and "maintenance_cost_ratio" in err
 
 
-def test_eval_usage_errors_exit_two(tmp_path, capsys):
+def test_eval_exits_one_when_the_serve_audit_fails(tmp_path, capsys, monkeypatch):
+    from repro.serve import bench
+
+    audit = bench.audit_service
+
+    def one_wrong_proxy(service):
+        report = audit(service)
+        report.record("proxy", {"obj": "injected"})
+        return report
+
+    monkeypatch.setattr(bench, "audit_service", one_wrong_proxy)
+    assert main(EVAL_SMALL + ["--out", str(tmp_path / "r.json")]) == 1
+    assert "consistency audit failed" in capsys.readouterr().err
+
+
+def test_eval_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
+    # bad values exit 2 before any scenario runs
+    ran = []
+    monkeypatch.setattr("repro.scenarios.harness._sequential_section", lambda *a: ran.append(a))
     assert main(["eval", "--scenario", "no-such-scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
     assert main(["eval", "--workers", "2", "--clock", "virtual"]) == 2
     assert 'requires clock="wall"' in capsys.readouterr().err
+    assert main(["eval", "--shards", "0"]) == 2
+    assert "shards must be >= 1" in capsys.readouterr().err
+    assert main(["eval", "--workers", "-1"]) == 2
+    assert "workers must be >= 0" in capsys.readouterr().err
+    assert main(["eval", "--rate", "0"]) == 2
+    assert "rate must be positive" in capsys.readouterr().err
+    assert ran == []
+    monkeypatch.undo()
+    # argparse's own rejections use the same code via SystemExit
+    with pytest.raises(SystemExit) as exc_info:
+        main(["eval", "--clock", "sundial"])
+    assert exc_info.value.code == 2
     assert main(["eval", "--scenario", "rush-hour",
                  "--check", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "r.json")]) == 2

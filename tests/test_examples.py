@@ -1,5 +1,5 @@
-"""Smoke runs of the examples: the tracker's guided tour and the
-head-to-head against the baselines, each run as a script."""
+"""Smoke runs of the examples: the tracker's and the service's guided
+tours and the head-to-head against the baselines, each run as a script."""
 
 import os
 import subprocess
@@ -29,6 +29,14 @@ def test_quickstart_tracks_the_tiger():
     assert out.count("  query from") == 3
     assert "aggregate maintenance cost ratio" in out
     assert "aggregate query cost ratio" in out
+
+
+def test_service_tour_runs():
+    out = _run_example("service_tour.py")
+    assert "published 'tiger' at sensor 0" in out
+    assert "second coalesced=True" in out
+    assert "backpressure: queue rejection" in out
+    assert "drained: 9 ops completed, 1 queries coalesced, 28 rejected" in out
 
 
 def test_baseline_comparison_small():
