@@ -364,6 +364,19 @@ def test_eval_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     assert "unknown scenario" in capsys.readouterr().err
     assert main(["eval", "--workers", "2", "--clock", "virtual"]) == 2
     assert 'requires clock="wall"' in capsys.readouterr().err
+    assert ran == []
+    monkeypatch.undo()
+    assert main(["eval", "--scenario", "rush-hour",
+                 "--check", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "cannot read baseline" in capsys.readouterr().err
+
+
+def test_serve_bench_usage_error_exits_two(capsys, monkeypatch):
+    # measured serve runs go through eval: a bad service setting is a
+    # usage error and exits 2 before any scenario runs
+    ran = []
+    monkeypatch.setattr("repro.scenarios.harness._sequential_section", lambda *a: ran.append(a))
     assert main(["eval", "--shards", "0"]) == 2
     assert "shards must be >= 1" in capsys.readouterr().err
     assert main(["eval", "--workers", "-1"]) == 2
@@ -376,7 +389,3 @@ def test_eval_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc_info:
         main(["eval", "--clock", "sundial"])
     assert exc_info.value.code == 2
-    assert main(["eval", "--scenario", "rush-hour",
-                 "--check", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path / "r.json")]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
